@@ -27,11 +27,11 @@ for k in sorted(symbols.per_user):
     print(f"  user {k}: {np.round(symbols.per_user[k], 3)}")
 
 # the precoder of user 1 at a precoded slot maps the CURRENT channels of
-# users 2 and 3 onto their REFERENCE-slot channels
-pre = build_stia_precoders(channels[1], channels[0], slot=1)
+# users 2 and 3 onto their REFERENCE-slot channels; row k-1 is user k's
+pre = build_stia_precoders(channels[1], channels[0])
 print("\nalignment check at the first precoded slot (user 1's precoder):")
 for j in (2, 3):
-    got = channels[1, j - 1] @ pre.per_user[1]
+    got = channels[1, j - 1] @ pre[0]
     want = channels[0, j - 1]
     print(f"  user {j}: |h[n] V - h[ref]| = {np.max(np.abs(got - want)):.2e}")
 

@@ -42,29 +42,17 @@ from .numerics import (
 )
 from .precoding import (
     IllConditionedChannelError,
-    PrecoderSet,
     build_stia_precoders,
     build_zf_precoder,
-    tdma_select,
 )
 from .protocol import (
     DecodeFailureError,
-    EffectiveChannel,
-    ReceivedSignal,
     StiaRoundResult,
     SymbolBlock,
-    cancel_interference,
     decode_round,
     draw_round_channels,
-    effective_channel,
-    phase_one_transmit,
-    phase_two_transmit,
-    receive,
     round_rate,
     run_stia_round,
-    simulate_stia_round,
-    tdma_slot,
-    zf_slot,
 )
 from .scheduler import (
     DofAccount,
@@ -84,11 +72,8 @@ __all__ = [
     "DelayConfig",
     "DofAccount",
     "DofEstimate",
-    "EffectiveChannel",
     "FadingProcess",
     "IllConditionedChannelError",
-    "PrecoderSet",
-    "ReceivedSignal",
     "SchedulerPlan",
     "SingularMatrixError",
     "StiaRoundResult",
@@ -101,28 +86,19 @@ __all__ = [
     "build_plan_k3",
     "build_stia_precoders",
     "build_zf_precoder",
-    "cancel_interference",
     "coherence_time_estimate",
     "complex_normal",
     "condition_estimate",
     "csit_at",
     "decode_round",
     "draw_round_channels",
-    "effective_channel",
     "emit_tradeoff_table",
     "estimate_dof_slope",
     "fit_dof_slope",
-    "phase_one_transmit",
-    "phase_two_transmit",
     "rank_with_tol",
-    "receive",
     "round_rate",
     "run_stia_round",
-    "simulate_stia_round",
     "solve_right",
-    "tdma_select",
-    "tdma_slot",
     "tradeoff_k3",
     "validate_plan",
-    "zf_slot",
 ]

@@ -23,8 +23,9 @@ import numpy as np
 
 from . import protocol
 from .channel import DelayConfig, complex_normal
-from .numerics import CONDITION_LIMIT
-from .scheduler import build_plan_general
+from .numerics import _conditioning
+from .precoding import _zf_gains
+from .scheduler import SchedulerPlan, build_plan_general
 
 __all__ = [
     "MAT_DOF_K3",
@@ -180,6 +181,18 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed & (1 << 64) - 1, index))
 
 
+def _tdma_bits(h: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
+    """Rates of single-user slots with full power on the matched beam: (count, len(snr))."""
+    gains = np.sum(np.abs(h) ** 2, axis=1)
+    return np.log2(1.0 + snr_lin[None, :] * gains[:, None])
+
+
+def _zf_bits(h: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
+    """Sum rates of ZF slots on (count, n_t, n_t) served stacks with equal power per stream."""
+    gains, _ = _zf_gains(h)
+    return np.log2(1.0 + (snr_lin[None, None, :] / h.shape[-1]) * gains[:, :, None]).sum(axis=1)
+
+
 def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.ndarray, int]:
     """Sum rates of ZF slots on (count,) served-channel stacks.
 
@@ -187,99 +200,58 @@ def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.n
     directly is distribution-identical to selecting a rotating subset of K
     users.
     """
-    h = complex_normal(rng, (count, n_t, n_t))
-    resamples = 0
-    for _ in range(64):
-        s = np.linalg.svd(h, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = s[:, 0] / s[:, -1]
-        bad = ~np.isfinite(cond) | (cond > CONDITION_LIMIT)
-        if not np.any(bad):
-            break
-        resamples += int(bad.sum())
-        h[bad] = complex_normal(rng, (int(bad.sum()), n_t, n_t))
-    inv = np.linalg.solve(h, np.broadcast_to(np.eye(n_t, dtype=complex), h.shape))
-    gains = 1.0 / np.sum(np.abs(inv) ** 2, axis=1)  # |h_i w_i|^2 per stream
-    bits = np.log2(1.0 + (snr_lin[None, None, :] / n_t) * gains[:, :, None]).sum(axis=1)
-    return bits, resamples
+    h, _, _, resamples = protocol._redraw_guarded(
+        lambda n: complex_normal(rng, (n, n_t, n_t)),
+        lambda stacks: (_conditioning(stacks)[1], None),
+        count,
+    )
+    return _zf_bits(h, snr_lin), resamples
 
 
-def _stia_chunk(K: int, rounds_per_trial: int, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
+def _stia_chunk(plan: SchedulerPlan, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
+    K = plan.K
     n_t = K - 1
-    total = size * rounds_per_trial
+    rounds = len(plan.stia_rounds)
+    total = size * rounds
     ch, v, _, resamples = protocol.batch_rounds(K, total, rng)
     heff = protocol.batch_effective_channels(ch, v)
-    w = protocol.whitening_matrix(K)
-    g = np.einsum("ab,ckbj->ckaj", w, heff)
-    gram = np.einsum("ckaj,ckbj->ckab", g, g.conj())
-    lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+    lam = protocol._gram_eigenvalues(heff, protocol.whitening_matrix(K))
     bits = np.empty((total, snr_lin.size))
     for gi, p in enumerate(snr_lin):
         p_s = p / (K * (K - 1))
         bits[:, gi] = np.log2(1.0 + p_s * lam).sum(axis=(1, 2))
-    stia_bits = bits.reshape(size, rounds_per_trial, -1).sum(axis=1)
+    stia_bits = bits.reshape(size, rounds, -1).sum(axis=1)
 
-    z_count = (K - 1) ** 2
+    z_count = len(plan.zf_slots)
     zf_bits, zf_res = _zf_stack_bits(n_t, size * z_count, snr_lin, rng)
     zf_bits = zf_bits.reshape(size, z_count, -1).sum(axis=1)
 
-    t_count = K - 1
-    h = complex_normal(rng, (size * t_count, n_t))
-    gains = np.sum(np.abs(h) ** 2, axis=1)
-    tdma_bits = np.log2(1.0 + snr_lin[None, :] * gains[:, None])
+    t_count = len(plan.tdma_slots)
+    tdma_bits = _tdma_bits(complex_normal(rng, (size * t_count, n_t)), snr_lin)
     tdma_bits = tdma_bits.reshape(size, t_count, -1).sum(axis=1)
 
-    horizon = K * (rounds_per_trial + K - 1)
-    return (stia_bits + zf_bits + tdma_bits) / horizon, resamples + zf_res
+    return (stia_bits + zf_bits + tdma_bits) / plan.horizon, resamples + zf_res
 
 
 def _zf_tdma_chunk(K: int, t_c: int, t_fb: int, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
     # One coherence block per trial; positions before the report arrives run
     # TDMA, the rest run ZF on a rotating served subset of the same block.
-    n_t = K - 1
-    ch = complex_normal(rng, (size, K, n_t))
-    resamples = 0
-    zf_positions = [p for p in range(t_c) if p >= t_fb]
-    if zf_positions:
-        for _ in range(64):
-            worst = np.zeros(size)
-            for p in zf_positions:
-                drop = p % K
-                served = [u for u in range(K) if u != drop]
-                s = np.linalg.svd(ch[:, served, :], compute_uv=False)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cond = s[:, 0] / s[:, -1]
-                worst = np.maximum(worst, np.where(np.isfinite(cond), cond, np.inf))
-            bad = worst > CONDITION_LIMIT
-            if not np.any(bad):
-                break
-            resamples += int(bad.sum())
-            ch[bad] = complex_normal(rng, (int(bad.sum()), K, n_t))
+    served = {p: [u for u in range(K) if u != p % K] for p in range(t_fb, t_c)}
+
+    def guard(ch):
+        conds = [_conditioning(ch[:, users, :])[1] for users in served.values()]
+        return np.max(conds, axis=0) if conds else np.zeros(len(ch)), None
+
+    ch, _, _, resamples = protocol._redraw_guarded(
+        lambda n: complex_normal(rng, (n, K, K - 1)), guard, size
+    )
     bits = np.zeros((size, snr_lin.size))
     for p in range(t_c):
         if p < t_fb:
-            user = p % K
-            gains = np.sum(np.abs(ch[:, user, :]) ** 2, axis=1)
-            bits += np.log2(1.0 + snr_lin[None, :] * gains[:, None])
+            bits += _tdma_bits(ch[:, p % K, :], snr_lin)
         else:
-            drop = p % K
-            served = [u for u in range(K) if u != drop]
-            inv = np.linalg.solve(
-                ch[:, served, :], np.broadcast_to(np.eye(n_t, dtype=complex), (size, n_t, n_t))
-            )
-            gains = 1.0 / np.sum(np.abs(inv) ** 2, axis=1)
-            bits += np.log2(1.0 + (snr_lin[None, None, :] / n_t) * gains[:, :, None]).sum(axis=1)
+            bits += _zf_bits(ch[:, served[p], :], snr_lin)
     return bits / t_c, resamples
-
-
-def _tdma_chunk(n_t: int, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
-    h = complex_normal(rng, (size, n_t))
-    gains = np.sum(np.abs(h) ** 2, axis=1)
-    return np.log2(1.0 + snr_lin[None, :] * gains[:, None]), 0
-
-
-def _zf_chunk(n_t: int, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
-    return _zf_stack_bits(n_t, size, snr_lin, rng)
 
 
 def estimate_dof_slope(
@@ -315,17 +287,14 @@ def estimate_dof_slope(
     snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
 
     if scheme == "stia":
-        if K < 3:
-            raise ValueError("the aligned scheme needs at least 3 users")
-        if (delay.t_c, delay.t_fb) != (K, 1):
+        plan = build_plan_general(K, rounds_per_trial)
+        if (delay.t_c, delay.t_fb) != (plan.t_c, plan.t_fb):
             raise ValueError(
                 "no aligned plan for this delay configuration; need t_c == K and t_fb == 1"
             )
-        # Exercise the plan construction once so an infeasible geometry fails here.
-        build_plan_general(K, rounds_per_trial)
 
         def compute(size, rng):
-            return _stia_chunk(K, rounds_per_trial, snr_lin, size, rng)
+            return _stia_chunk(plan, snr_lin, size, rng)
 
     elif scheme == "zf_tdma":
         if delay.t_fb > delay.t_c:
@@ -339,11 +308,11 @@ def estimate_dof_slope(
             raise ValueError("pure ZF needs t_fb == 0")
 
         def compute(size, rng):
-            return _zf_chunk(K - 1, snr_lin, size, rng)
+            return _zf_stack_bits(K - 1, size, snr_lin, rng)
 
     else:  # tdma
         def compute(size, rng):
-            return _tdma_chunk(K - 1, snr_lin, size, rng)
+            return _tdma_bits(complex_normal(rng, (size, K - 1)), snr_lin), 0
 
     layout = _chunk_layout(trials)
 

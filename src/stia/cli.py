@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     }
     try:
         return runners[cfg.command](cfg)
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

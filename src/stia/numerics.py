@@ -2,8 +2,8 @@
 
 Everything here operates on stacked channel matrices no larger than a
 handful of rows, so direct LAPACK factorizations through numpy are used
-throughout. Inverses are never formed explicitly; beamformer constructions
-go through :func:`solve_right` instead.
+throughout. Beamformers come from solves; an inverse is formed only where
+the ZF gains need its column norms.
 """
 
 from __future__ import annotations
@@ -54,13 +54,20 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
+def _conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of stacked matrices and ``s_max / s_min``, ``inf`` where singular."""
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    return s, np.where(np.isfinite(cond), cond, np.inf)
+
+
 def condition_estimate(a) -> float:
     """Ratio of largest to smallest singular value; ``inf`` if singular."""
     m = _as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] == 0.0:
+    if m.size == 0:
         return float("inf")
-    return float(s[0] / s[-1])
+    return float(_conditioning(m)[1])
 
 
 def rank_with_tol(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -68,9 +75,9 @@ def rank_with_tol(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     if not 0.0 < rel_tol < 1.0:
         raise ValueError("rel_tol must lie in (0, 1)")
     m = _as_matrix(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if m.size == 0:
         return 0
+    s = _conditioning(m)[0]
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 

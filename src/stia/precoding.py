@@ -1,4 +1,4 @@
-"""Beamformer constructions: aligning precoders plus ZF and TDMA baselines.
+"""Beamformer constructions: aligning precoders and the zero-forcing baseline.
 
 The aligning precoder for user k maps the current channels of the other
 K-1 users onto their channels at an earlier reference slot. Every receiver
@@ -13,19 +13,14 @@ applied by the protocol layer, which commutes with the alignment property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import SingularMatrixError, solve_right
+from .numerics import CONDITION_LIMIT, SingularMatrixError, _conditioning, solve_right
 
 __all__ = [
     "IllConditionedChannelError",
-    "PrecoderSet",
-    "alignment_residual",
     "build_stia_precoders",
     "build_zf_precoder",
-    "tdma_select",
 ]
 
 
@@ -44,99 +39,64 @@ class IllConditionedChannelError(Exception):
         )
 
 
-@dataclass
-class PrecoderSet:
-    """Per-user beamforming matrices for one slot, keyed by user index."""
-
-    slot: int
-    per_user: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        users = sorted(self.per_user)
-        k = len(users)
-        if k < 2 or users != list(range(1, k + 1)):
-            raise ValueError("per_user must map users 1..K")
-        for u in users:
-            v = np.asarray(self.per_user[u], dtype=complex)
-            if v.shape != (k - 1, k - 1):
-                raise ValueError(f"user {u}: precoder must be ({k - 1}, {k - 1})")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"user {u}: precoder entries must be finite")
-            self.per_user[u] = v
-
-    @property
-    def K(self) -> int:
-        return len(self.per_user)
-
-    def frobenius_power(self) -> float:
-        """Sum of squared Frobenius norms over users.
-
-        This is the expected transmit power of the slot for independent
-        unit-variance symbols, and hence the denominator of the per-slot
-        power scale.
-        """
-        return float(sum(np.sum(np.abs(v) ** 2) for v in self.per_user.values()))
+def _stia_precoders(current: np.ndarray, outdated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Aligning precoders (..., K, n_t, n_t) and interferer-stack conditions (..., K)."""
+    K, n_t = current.shape[-2:]
+    v = np.empty(current.shape[:-2] + (K, n_t, n_t), dtype=complex)
+    cond = np.empty(current.shape[:-1])
+    for k in range(K):
+        rows = [j for j in range(K) if j != k]
+        a = current[..., rows, :]
+        cond[..., k] = _conditioning(a)[1]
+        bad = cond[..., k] > 1e15
+        if np.any(bad):
+            # keep the batched solve well posed; callers reject these draws
+            a = a.copy()
+            a[bad] = np.eye(n_t)
+        v[..., k, :, :] = np.linalg.solve(a, np.broadcast_to(outdated[..., rows, :], a.shape))
+    return v, cond
 
 
-def build_stia_precoders(current, outdated, K: int | None = None, slot: int = 0) -> PrecoderSet:
-    """Aligning precoders for one slot from current and reference CSI.
+def build_stia_precoders(current, outdated, K: int | None = None) -> np.ndarray:
+    """Aligning precoders for one or more slots from current and reference CSI.
 
     Parameters
     ----------
-    current : (K, K-1) array
-        Per-user channel rows at the slot being precoded.
+    current : (..., K, K-1) array
+        Per-user channel rows at the slot being precoded; leading axes
+        stack several precoded slots.
     outdated : (K, K-1) array
         Per-user channel rows at the reference slot.
     K : int, optional
         User count; validated against the array shapes when given.
-    slot : int
-        Slot label carried on the returned :class:`PrecoderSet`.
 
-    For each user k the stacked channels of the other users at the current
-    slot are mapped onto their reference-slot counterparts, so
-    ``current[j] @ V_k == outdated[j]`` for every interferer j != k.
+    Returns (..., K, K-1, K-1) with user k's precoder at index k-1, so
+    ``current[j] @ V[k-1] == outdated[j]`` for every interferer j != k.
     """
     cur = np.asarray(current, dtype=complex)
     out = np.asarray(outdated, dtype=complex)
-    if cur.shape != out.shape:
-        raise ValueError("current and outdated CSI must have identical shapes")
-    if cur.ndim != 2:
+    if out.ndim != 2 or cur.ndim < 2:
         raise ValueError("expected (K, n_t) channel arrays")
-    k_users, n_t = cur.shape
+    if cur.shape[-2:] != out.shape:
+        raise ValueError("current and outdated CSI must have identical shapes")
+    k_users, n_t = out.shape
     if K is not None and K != k_users:
         raise ValueError(f"K={K} does not match channel arrays with {k_users} users")
     if n_t != k_users - 1:
         raise ValueError("the square construction needs n_t == K - 1 antennas")
-    per_user = {}
-    for k in range(1, k_users + 1):
-        rows = [j for j in range(k_users) if j != k - 1]
-        try:
-            per_user[k] = solve_right(cur[rows], out[rows])
-        except SingularMatrixError as err:
-            raise IllConditionedChannelError(k, err.condition) from err
-    return PrecoderSet(slot=slot, per_user=per_user)
+    if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(out))):
+        raise ValueError("channel entries must be finite")
+    v, cond = _stia_precoders(cur, out)
+    worst = cond.reshape(-1, k_users).max(axis=0)
+    if worst.max() > CONDITION_LIMIT:
+        raise IllConditionedChannelError(int(np.argmax(worst > CONDITION_LIMIT)) + 1, worst.max())
+    return v
 
 
-def alignment_residual(precoders: PrecoderSet, current, outdated) -> float:
-    """Worst relative mismatch of ``current[j] @ V_k`` against ``outdated[j]``.
-
-    Max over users k and interferers j != k of the infinity-norm error
-    relative to the infinity norm of the reference row.
-    """
-    cur = np.asarray(current, dtype=complex)
-    out = np.asarray(outdated, dtype=complex)
-    worst = 0.0
-    for k, v in precoders.per_user.items():
-        for j in range(cur.shape[0]):
-            if j == k - 1:
-                continue
-            err = np.max(np.abs(cur[j] @ v - out[j]))
-            denom = np.max(np.abs(out[j]))
-            if denom == 0.0:
-                worst = max(worst, float("inf") if err > 0 else 0.0)
-            else:
-                worst = max(worst, float(err / denom))
-    return worst
+def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ZF gains ``1 / ||column i of h^-1||^2`` of stacked served channels, and ``h^-1``."""
+    inv = np.linalg.solve(h, np.broadcast_to(np.eye(h.shape[-1], dtype=complex), h.shape))
+    return 1.0 / np.sum(np.abs(inv) ** 2, axis=-2), inv
 
 
 def build_zf_precoder(current, served_users) -> np.ndarray:
@@ -160,12 +120,3 @@ def build_zf_precoder(current, served_users) -> np.ndarray:
     except SingularMatrixError as err:
         raise IllConditionedChannelError(tuple(served), err.condition) from err
     return w / np.linalg.norm(w, axis=0, keepdims=True)
-
-
-def tdma_select(slot: int, K: int) -> int:
-    """Round-robin served user for a no-CSIT slot."""
-    if slot < 1:
-        raise ValueError("slots are 1-based")
-    if K < 1:
-        raise ValueError("K must be positive")
-    return (slot % K) + 1

@@ -1,18 +1,18 @@
-"""Signal-level execution of one alignment round, plus ZF/TDMA baselines.
+"""The alignment round as one batched kernel, run in stages by every caller.
 
 A round spans K slots falling in K different coherence blocks. The first
 slot broadcasts every user's K-1 symbols unprecoded (the transmitter is
 still blind there); each of the K-1 later slots is precoded so that every
 receiver sees the same interference mixture it recorded in the first slot.
-Subtracting the broadcast observation from each precoded observation
+Subtracting each precoded observation from the broadcast observation
 removes all inter-user interference and leaves a (K-1) x (K-1) effective
 channel over the user's own symbols, which is full rank with probability
 one, so the round delivers K(K-1) symbols in K slots.
 
-Sign conventions: received-signal differences are taken as
-``y[precoded slot] - y[broadcast slot]`` while effective-channel rows are
-``h[ref] - h[n] V[n]``; the round driver reconciles the two by negating
-the difference vector before decoding.
+Every stage below works on stacked rounds with channels of shape
+(count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
+:func:`run_stia_round` is a batch of one through all of them; the rate
+engine in ``analysis`` stops at the effective channels.
 
 At finite transmit power a scalar is applied per slot so the expected
 transmit power equals the budget; receivers divide it back out (they know
@@ -28,44 +28,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import complex_normal
-from .numerics import (
-    CONDITION_LIMIT,
-    DEFAULT_RANK_TOL,
-    condition_estimate,
-    rank_with_tol,
-)
-from .precoding import (
-    IllConditionedChannelError,
-    PrecoderSet,
-    build_stia_precoders,
-    build_zf_precoder,
-)
+from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
+from .precoding import IllConditionedChannelError, _stia_precoders, build_stia_precoders
 
 __all__ = [
     "DecodeFailureError",
-    "EffectiveChannel",
-    "ReceivedSignal",
     "StiaRoundResult",
     "SymbolBlock",
     "batch_effective_channels",
     "batch_rounds",
-    "cancel_interference",
     "decode_round",
     "difference_noise_covariance",
     "draw_round_channels",
-    "effective_channel",
-    "phase_one_transmit",
-    "phase_two_transmit",
-    "receive",
     "round_rate",
     "run_stia_round",
-    "simulate_stia_round",
-    "slot_power_scale",
-    "tdma_slot",
-    "tdma_transmit",
     "whitening_matrix",
-    "zf_slot",
-    "zf_transmit",
 ]
 
 
@@ -115,35 +92,13 @@ class SymbolBlock:
 
 
 @dataclass
-class ReceivedSignal:
-    """Scalar observation of every user at one slot."""
-
-    slot: int
-    per_user: dict[int, complex]
-
-
-@dataclass
-class EffectiveChannel:
-    """Post-cancellation channel of one user over a round.
-
-    Row m is ``h[ref] - h[n_m] V[n_m]`` for the m-th precoded slot; full
-    rank K-1 with probability one under continuous fading.
-    """
-
-    user: int
-    matrix: np.ndarray
-    constituent_slots: tuple[int, ...]
-
-
-@dataclass
 class StiaRoundResult:
-    """Outputs of one executed round."""
+    """Outputs of one executed round; effective channels are (K-1, K-1) arrays."""
 
     decoded: SymbolBlock
     residual_interference: dict[int, float]
     per_user_rate_bits: dict[int, float] | None
-    resamples: int = 0
-    effective_channels: dict[int, EffectiveChannel] = field(default_factory=dict)
+    effective_channels: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def difference_noise_covariance(K: int, noise_var: float = 1.0) -> np.ndarray:
@@ -170,100 +125,20 @@ def _inverse_sqrt(cov: np.ndarray) -> np.ndarray:
     return (v * (w**-0.5)) @ v.conj().T
 
 
-def slot_power_scale(power: float | None, K: int, precoders: PrecoderSet | None = None) -> float:
-    """Scalar making the expected slot power equal ``power`` for unit-variance symbols.
+def decode_round(eff, differences, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Solve ``eff @ s = differences`` for stacked (..., K-1, K-1) effective channels.
 
-    ``power=None`` disables scaling (the unnormalized oracle configuration).
-    The broadcast slot behaves like identity precoders, so its denominator
-    is K(K-1).
+    Noise-free the solve is exact. Raises :class:`DecodeFailureError` if
+    any effective channel is rank deficient.
     """
-    if power is None:
-        return 1.0
-    if power <= 0:
-        raise ValueError("power must be positive")
-    denom = float(K * (K - 1)) if precoders is None else precoders.frobenius_power()
-    return float(np.sqrt(power / denom))
-
-
-def phase_one_transmit(symbols: SymbolBlock, power: float | None = None) -> np.ndarray:
-    """Broadcast-slot transmit vector: the plain sum of all users' symbols."""
-    x = symbols.stacked().sum(axis=0)
-    return slot_power_scale(power, symbols.K) * x
-
-
-def phase_two_transmit(
-    symbols: SymbolBlock, precoders: PrecoderSet, power: float | None = None
-) -> np.ndarray:
-    """Precoded-slot transmit vector: superposition of per-user beamformed symbols."""
-    if precoders.K != symbols.K:
-        raise ValueError("precoders and symbols disagree on the user count")
-    x = sum(precoders.per_user[k] @ symbols.per_user[k] for k in range(1, symbols.K + 1))
-    return slot_power_scale(power, symbols.K, precoders) * x
-
-
-def receive(h, x, noise_std: float = 0.0, rng: np.random.Generator | None = None) -> complex:
-    """Scalar observation ``h^T x`` plus CN(0, noise_std^2) noise."""
-    hv = np.asarray(h, dtype=complex).reshape(-1)
-    xv = np.asarray(x, dtype=complex).reshape(-1)
-    if hv.shape != xv.shape:
-        raise ValueError("channel and transmit vector lengths differ")
-    y = complex(hv @ xv)
-    if noise_std:
-        if rng is None:
-            raise ValueError("an rng is required when noise_std > 0")
-        y += noise_std * complex(complex_normal(rng))
-    return y
-
-
-def cancel_interference(signals, user: int) -> np.ndarray:
-    """Differences ``y[n_m] - y[ref]`` for one user over a round.
-
-    ``signals`` holds one :class:`ReceivedSignal` per round slot with the
-    broadcast slot first. Noise-free, entry m depends only on the user's
-    own symbols because the interference mixtures are identical by
-    construction.
-    """
-    ys = np.array([s.per_user[user] for s in signals], dtype=complex)
-    if ys.size < 2:
-        raise ValueError("need the broadcast slot plus at least one precoded slot")
-    return ys[1:] - ys[0]
-
-
-def effective_channel(
-    user: int, ref_channels, slot_channels, precoders, slots=None
-) -> EffectiveChannel:
-    """Effective channel of one user: rows ``h[ref] - h[n_m] V[n_m]``."""
-    ref = np.asarray(ref_channels, dtype=complex)
-    rows = []
-    for ch, pre in zip(slot_channels, precoders, strict=True):
-        h = np.asarray(ch, dtype=complex)[user - 1]
-        rows.append(ref[user - 1] - h @ pre.per_user[user])
-    if slots is None:
-        slots = tuple(range(len(rows) + 1))
-    return EffectiveChannel(user=user, matrix=np.stack(rows), constituent_slots=tuple(slots))
-
-
-def decode_round(
-    eff, differences, noise_cov=None, rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
-    """Recover one user's symbols from its effective channel and differences.
-
-    Noise-free this is a plain solve (exact recovery). With a noise
-    covariance the differences are whitened first and solved by least
-    squares. Raises :class:`DecodeFailureError` on a rank-deficient
-    effective channel.
-    """
-    mat = eff.matrix if isinstance(eff, EffectiveChannel) else np.asarray(eff, dtype=complex)
-    d = np.asarray(differences, dtype=complex).reshape(-1)
-    if d.shape[0] != mat.shape[0]:
+    mat = np.asarray(eff, dtype=complex)
+    d = np.asarray(differences, dtype=complex)
+    if d.shape != mat.shape[:-1]:
         raise ValueError("differences do not match the effective channel")
-    if rank_with_tol(mat, rank_tol) < mat.shape[0]:
-        raise DecodeFailureError(condition_estimate(mat))
-    if noise_cov is None:
-        return np.linalg.solve(mat, d)
-    w = _inverse_sqrt(noise_cov)
-    sol, *_ = np.linalg.lstsq(w @ mat, w @ d, rcond=None)
-    return sol
+    s, cond = _conditioning(mat)
+    if np.any(s[..., -1] <= rank_tol * s[..., 0]):
+        raise DecodeFailureError(cond.max())
+    return _decode(mat, d)
 
 
 def round_rate(eff, snr_linear: float, K: int, noise_cov=None) -> float:
@@ -275,53 +150,9 @@ def round_rate(eff, snr_linear: float, K: int, noise_cov=None) -> float:
     """
     if snr_linear <= 0:
         raise ValueError("snr_linear must be positive")
-    mat = eff.matrix if isinstance(eff, EffectiveChannel) else np.asarray(eff, dtype=complex)
     w = whitening_matrix(K) if noise_cov is None else _inverse_sqrt(noise_cov)
-    g = w @ mat
-    p_s = snr_linear / (K * (K - 1))
-    gram = g @ g.conj().T
-    sign, logdet = np.linalg.slogdet(np.eye(K - 1) + p_s * gram)
-    return float(logdet / np.log(2.0) / K)
-
-
-def zf_slot(channels, served_users, snr_linear: float) -> dict[int, float]:
-    """Per-user rates of one zero-forcing slot with equal power per stream."""
-    if snr_linear <= 0:
-        raise ValueError("snr_linear must be positive")
-    served = list(served_users)
-    w = build_zf_precoder(channels, served)
-    cur = np.asarray(channels, dtype=complex)
-    n_t = w.shape[0]
-    rates = {}
-    for i, u in enumerate(served):
-        gain = np.abs(cur[u - 1] @ w[:, i]) ** 2
-        rates[u] = float(np.log2(1.0 + snr_linear / n_t * gain))
-    return rates
-
-
-def tdma_slot(channel, snr_linear: float) -> float:
-    """Rate of a single-user slot with full power on the matched beam."""
-    if snr_linear <= 0:
-        raise ValueError("snr_linear must be positive")
-    h = np.asarray(channel, dtype=complex).reshape(-1)
-    return float(np.log2(1.0 + snr_linear * float(np.sum(np.abs(h) ** 2))))
-
-
-def zf_transmit(channels, served_users, symbols, power: float | None = None) -> np.ndarray:
-    """Transmit vector of one ZF slot; ``symbols`` maps served user to a scalar."""
-    served = list(served_users)
-    w = build_zf_precoder(channels, served)
-    s = np.array([symbols[u] for u in served], dtype=complex)
-    scale = 1.0 if power is None else float(np.sqrt(power / len(served)))
-    return scale * (w @ s)
-
-
-def tdma_transmit(channel, symbol, power: float | None = None) -> np.ndarray:
-    """Transmit vector of one TDMA slot: full power on the matched beam."""
-    h = np.asarray(channel, dtype=complex).reshape(-1)
-    w = h.conj() / np.linalg.norm(h)
-    scale = 1.0 if power is None else float(np.sqrt(power))
-    return scale * complex(symbol) * w
+    lam = _gram_eigenvalues(np.asarray(eff, dtype=complex)[None, None], w)
+    return float(np.log2(1.0 + snr_linear / (K * (K - 1)) * lam).sum() / K)
 
 
 def run_stia_round(
@@ -350,83 +181,39 @@ def run_stia_round(
     snr_linear : float, optional
         When given, per-user round rates are computed alongside decoding.
     slots : sequence of int, optional
-        Absolute slot labels for bookkeeping (broadcast slot first).
+        Absolute slot labels (broadcast slot first); only their count is
+        checked.
 
     Raises :class:`IllConditionedChannelError` if a stacked interferer
-    matrix is singular to tolerance; callers resample the draw.
+    matrix is singular to tolerance (callers resample the draw) and
+    :class:`DecodeFailureError` if an effective channel is rank deficient.
     """
     ch = np.asarray(channels, dtype=complex)
     K = symbols.K
     if ch.shape != (K, K, K - 1):
         raise ValueError(f"expected channels of shape {(K, K, K - 1)}, got {ch.shape}")
-    if slots is None:
-        slots = tuple(range(K))
-    slots = tuple(slots)
-    if len(slots) != K:
+    if slots is not None and len(tuple(slots)) != K:
         raise ValueError("need one slot label per round slot")
+    if noise_std and rng is None:
+        raise ValueError("an rng is required when noise_std > 0")
 
-    precoders = [
-        build_stia_precoders(ch[m], ch[0], slot=slots[m]) for m in range(1, K)
-    ]
-    alphas = [slot_power_scale(power, K)]
-    alphas += [slot_power_scale(power, K, pre) for pre in precoders]
-    xs = [phase_one_transmit(symbols, power)]
-    xs += [phase_two_transmit(symbols, pre, power) for pre in precoders]
-
-    # Receivers know their effective channels, so the per-slot scale is
-    # divided back out before cancellation.
-    signals = []
-    for m in range(K):
-        per_user = {
-            k: receive(ch[m, k - 1], xs[m], noise_std, rng) / alphas[m]
-            for k in range(1, K + 1)
-        }
-        signals.append(ReceivedSignal(slot=slots[m], per_user=per_user))
-
-    noise_cov = None
-    if noise_std > 0:
-        inv2 = [1.0 / a**2 for a in alphas]
-        noise_cov = noise_std**2 * (np.diag(inv2[1:]) + inv2[0] * np.ones((K - 1, K - 1)))
-
-    decoded = {}
-    residual = {}
-    effs = {}
-    rates = {} if snr_linear is not None else None
-    slot_channels = [ch[m] for m in range(1, K)]
-    for k in range(1, K + 1):
-        d = cancel_interference(signals, k)
-        eff = effective_channel(k, ch[0], slot_channels, precoders, slots=slots)
-        decoded[k] = decode_round(eff, -d, noise_cov=noise_cov)
-        effs[k] = eff
-
-        own = np.array(
-            [
-                (ch[m, k - 1] @ precoders[m - 1].per_user[k] - ch[0, k - 1])
-                @ symbols.per_user[k]
-                for m in range(1, K)
-            ]
-        )
-        leak = float(np.max(np.abs(d - own)))
-        scale = float(
-            sum(
-                np.abs(ch[0, k - 1] @ symbols.per_user[j])
-                for j in range(1, K + 1)
-                if j != k
-            )
-        )
-        if scale > 0.0:
-            residual[k] = leak / scale
-        else:
-            residual[k] = 0.0 if leak < 1e-12 else float("inf")
-        if rates is not None:
-            rates[k] = round_rate(eff, snr_linear, K)
-
+    v = build_stia_precoders(ch[1:], ch[0])[None]
+    ch = ch[None]
+    sent = symbols.stacked()[None]
+    scales = _slot_scales(v, power)
+    noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
+    diffs = _differences(ch, _transmit(v, sent, scales), scales, noise)
+    heff = batch_effective_channels(ch, v)
+    decoded = decode_round(heff[0], np.moveaxis(diffs, 1, 2)[0])
+    residual = _leakage(ch, heff, diffs, sent)[0]
+    users = range(1, K + 1)
     return StiaRoundResult(
-        decoded=SymbolBlock(decoded),
-        residual_interference=residual,
-        per_user_rate_bits=rates,
-        resamples=0,
-        effective_channels=effs,
+        decoded=SymbolBlock({k: decoded[k - 1] for k in users}),
+        residual_interference={k: float(residual[k - 1]) for k in users},
+        per_user_rate_bits=None
+        if snr_linear is None
+        else {k: round_rate(heff[0, k - 1], snr_linear, K) for k in users},
+        effective_channels={k: heff[0, k - 1] for k in users},
     )
 
 
@@ -435,60 +222,29 @@ def draw_round_channels(K: int, count: int, rng: np.random.Generator) -> np.ndar
     return complex_normal(rng, (count, K, K, K - 1))
 
 
-def simulate_stia_round(
-    K: int,
-    rng: np.random.Generator,
-    power: float | None = None,
-    noise_std: float = 0.0,
-    snr_linear: float | None = None,
-    max_resamples: int = 1000,
-) -> StiaRoundResult:
-    """Draw round channels (resampling degenerate draws) and run the round."""
-    resamples = 0
-    while True:
-        ch = draw_round_channels(K, 1, rng)[0]
-        symbols = SymbolBlock.random(K, rng)
-        try:
-            result = run_stia_round(
-                ch, symbols, power=power, noise_std=noise_std, rng=rng, snr_linear=snr_linear
-            )
-        except IllConditionedChannelError:
-            resamples += 1
-            if resamples > max_resamples:
-                raise
-            continue
-        result.resamples = resamples
-        return result
+def _redraw_guarded(draw, guard, count: int, cond_limit: float = CONDITION_LIMIT, max_passes: int = 64):
+    """Draw ``count`` items, redrawing each whose ``guard`` condition exceeds the limit.
 
-
-def _round_precoders(ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized precoder build over stacked rounds.
-
-    ``ch`` has shape (count, K, K, n_t). Returns the precoders indexed as
-    [round, precoded slot - 1, user - 1] and the worst stacked-interferer
-    condition number per round.
+    ``guard(items)`` returns conditions and per-item results (or None).
+    Raises :class:`IllConditionedChannelError` after ``max_passes`` passes.
     """
-    count, K = ch.shape[0], ch.shape[1]
-    n_t = K - 1
-    v = np.empty((count, K - 1, K, n_t, n_t), dtype=complex)
-    cond = np.zeros(count)
-    for m in range(1, K):
-        for k in range(K):
-            rows = [j for j in range(K) if j != k]
-            a = ch[:, m, rows, :]
-            b = ch[:, 0, rows, :]
-            s = np.linalg.svd(a, compute_uv=False)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = s[:, 0] / s[:, -1]
-            c = np.where(np.isfinite(c), c, np.inf)
-            cond = np.maximum(cond, c)
-            bad = ~np.isfinite(c) | (c > 1e15)
-            if np.any(bad):
-                # keep the batched solve well posed; these rounds get resampled
-                a = a.copy()
-                a[bad] = np.eye(n_t)
-            v[:, m - 1, k] = np.linalg.solve(a, b)
-    return v, cond
+    items = draw(count)
+    conds, results = guard(items)
+    pending = np.flatnonzero(conds > cond_limit)
+    resamples = 0
+    for _ in range(max_passes - 1):
+        if pending.size == 0:
+            break
+        resamples += int(pending.size)
+        items[pending] = draw(pending.size)
+        cond, sub = guard(items[pending])
+        conds[pending] = cond
+        if results is not None:
+            results[pending] = sub
+        pending = pending[cond > cond_limit]
+    if pending.size:
+        raise IllConditionedChannelError("batch", float(conds.max()))
+    return items, results, conds, resamples
 
 
 def batch_rounds(
@@ -505,22 +261,41 @@ def batch_rounds(
     the worst stacked-interferer condition per round and resamples counts
     redrawn rounds.
     """
-    ch = draw_round_channels(K, count, rng)
-    v = np.empty((count, K - 1, K, K - 1, K - 1), dtype=complex)
-    conds = np.empty(count)
-    pending = np.arange(count)
-    resamples = 0
-    for _ in range(max_passes):
-        v_sub, cond_sub = _round_precoders(ch[pending])
-        v[pending] = v_sub
-        conds[pending] = cond_sub
-        bad = pending[cond_sub > cond_limit]
-        if bad.size == 0:
-            return ch, v, conds, resamples
-        resamples += int(bad.size)
-        ch[bad] = draw_round_channels(K, bad.size, rng)
-        pending = bad
-    raise IllConditionedChannelError("batch", float(conds.max()))
+
+    def guard(ch):
+        v, cond = _stia_precoders(ch[:, 1:], ch[:, :1])
+        return cond.max(axis=(1, 2)), v
+
+    return _redraw_guarded(
+        lambda n: draw_round_channels(K, n, rng), guard, count, cond_limit, max_passes
+    )
+
+
+def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
+    """Per-slot scales (count, K): ``sqrt(power / sum_k ||V_k||_F^2)``, identity V at slot 0."""
+    count, n_pre, K = v.shape[:3]
+    if power is None:
+        return np.ones((count, n_pre + 1))
+    if power <= 0:
+        raise ValueError("power must be positive")
+    fro = np.sum(np.abs(v) ** 2, axis=(2, 3, 4))
+    return np.sqrt(power / np.concatenate([np.full((count, 1), K * (K - 1.0)), fro], axis=1))
+
+
+def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Scaled transmit vectors (count, K, K-1): all symbols summed, then ``sum_k V_k s_k``."""
+    x0 = symbols.sum(axis=1)
+    xm = np.einsum("cmkab,ckb->cma", v, symbols)
+    return np.concatenate([x0[:, None], xm], axis=1) * scales[..., None]
+
+
+def _differences(ch: np.ndarray, x: np.ndarray, scales: np.ndarray, noise=None) -> np.ndarray:
+    """Differences ``y[broadcast] - y[m]`` (count, K-1, K) after dividing out each slot's scale."""
+    y = np.einsum("cmki,cmi->cmk", ch, x)
+    if noise is not None:
+        y = y + noise
+    y = y / scales[..., None]
+    return y[:, :1] - y[:, 1:]
 
 
 def batch_effective_channels(channels: np.ndarray, precoders: np.ndarray) -> np.ndarray:
@@ -531,3 +306,26 @@ def batch_effective_channels(channels: np.ndarray, precoders: np.ndarray) -> np.
     hv = np.einsum("cmki,cmkij->cmkj", channels[:, 1:], precoders)
     heff = channels[:, :1] - hv
     return np.moveaxis(heff, 1, 2)
+
+
+def _decode(heff: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Solve ``H_eff s = d`` for stacked effective channels (..., K-1, K-1)."""
+    return np.linalg.solve(heff, d[..., None])[..., 0]
+
+
+def _leakage(ch: np.ndarray, heff: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Worst ``|difference - H_eff s|`` per round and user over the interference it recorded."""
+    own = np.einsum("ckma,cka->cmk", heff, symbols)
+    leak = np.abs(diffs - own).max(axis=1)
+    cross = np.abs(np.einsum("cki,cji->ckj", ch[:, 0], symbols))
+    scale = cross.sum(axis=2) - np.diagonal(cross, axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = leak / scale
+    return np.where(scale > 0.0, rel, np.where(leak < 1e-12, 0.0, np.inf))
+
+
+def _gram_eigenvalues(heff: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the whitened Gram ``(W H)(W H)^H``, clipped at 0."""
+    g = np.einsum("ab,ckbj->ckaj", w, heff)
+    gram = np.einsum("ckaj,ckbj->ckab", g, g.conj())
+    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stia import analysis, protocol
 from stia.analysis import (
     MAT_DOF_K3,
     baseline_zf_mat,
@@ -15,6 +16,8 @@ from stia.analysis import (
     tradeoff_k3,
 )
 from stia.channel import DelayConfig
+from stia.precoding import IllConditionedChannelError
+from stia.scheduler import build_plan_general
 
 THIRD = Fraction(1, 3)
 
@@ -164,3 +167,50 @@ def test_estimate_to_dict_round_trips_values():
     assert d["gamma_num"] == 0 and d["gamma_den"] == 1
     assert d["trials"] == 500
     assert d["slope"] == est.slope
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_stia_engine_slot_mix_follows_the_plan(K, monkeypatch):
+    # The aligned engine draws the plan's rounds, ZF slots and TDMA slots per
+    # trial and averages over the plan's horizon. With ZF and TDMA slots
+    # replaced by one bit each and rounds at vanishing SNR, the per-slot
+    # rate is the plan's share of ZF and TDMA slots.
+    n, size = 5, 3
+    plan = build_plan_general(K, n)
+    counts = {}
+    batch_rounds = protocol.batch_rounds
+
+    def rounds(K_, count, rng):
+        counts["rounds"] = count
+        return batch_rounds(K_, count, rng)
+
+    def zf(n_t, count, snr_lin, rng):
+        counts["zf"] = count
+        return np.ones((count, snr_lin.size)), 0
+
+    def tdma(h, snr_lin):
+        counts["tdma"] = len(h)
+        return np.ones((len(h), snr_lin.size))
+
+    monkeypatch.setattr(protocol, "batch_rounds", rounds)
+    monkeypatch.setattr(analysis, "_zf_stack_bits", zf)
+    monkeypatch.setattr(analysis, "_tdma_bits", tdma)
+    bits, _ = analysis._stia_chunk(plan, np.array([1e-30]), size, np.random.default_rng(K))
+    assert counts == {
+        "rounds": size * len(plan.stia_rounds),
+        "zf": size * len(plan.zf_slots),
+        "tdma": size * len(plan.tdma_slots),
+    }
+    share = (len(plan.zf_slots) + len(plan.tdma_slots)) / plan.horizon
+    np.testing.assert_allclose(bits, share, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scheme,delay", [("zf", DelayConfig(3, 0)), ("zf_tdma", DelayConfig(3, 1))])
+def test_zf_engines_give_up_on_persistently_singular_draws(scheme, delay, monkeypatch):
+    def singular(a):
+        s = np.linalg.svd(a, compute_uv=False)
+        return s, np.full(s.shape[:-1], np.inf)
+
+    monkeypatch.setattr(analysis, "_conditioning", singular)
+    with pytest.raises(IllConditionedChannelError):
+        estimate_dof_slope(scheme, 3, delay, (40.0, 50.0), 8, seed=0)

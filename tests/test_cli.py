@@ -160,3 +160,10 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert '"horizon": 9' in proc.stdout
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    rc = run_cli(["tradeoff", "--out", str(tmp_path / "missing" / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,40 +1,65 @@
-"""Tests for the round-level protocol: transmission, cancellation, decoding, rates."""
+"""Tests for the round kernel: transmission, cancellation, decoding, rates.
+
+Kernel stages are checked against explicit per-user, per-slot loops written
+here, so each check stays independent of the kernel's batched arithmetic.
+"""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stia import analysis, protocol
 from stia.channel import complex_normal
-from stia.precoding import build_stia_precoders
+from stia.precoding import IllConditionedChannelError, _zf_gains, build_stia_precoders, build_zf_precoder
 from stia.protocol import (
     DecodeFailureError,
-    EffectiveChannel,
-    ReceivedSignal,
     SymbolBlock,
     batch_effective_channels,
     batch_rounds,
-    cancel_interference,
     decode_round,
     difference_noise_covariance,
     draw_round_channels,
-    effective_channel,
-    phase_one_transmit,
-    phase_two_transmit,
-    receive,
     round_rate,
     run_stia_round,
-    simulate_stia_round,
-    tdma_slot,
-    tdma_transmit,
     whitening_matrix,
-    zf_slot,
-    zf_transmit,
 )
 
 
 def _symbols(K, rng):
     return SymbolBlock.random(K, rng)
+
+
+def _round(K, seed):
+    rng = np.random.default_rng(seed)
+    ch = draw_round_channels(K, 1, rng)[0]
+    return ch, _symbols(K, rng)
+
+
+def _transmit_one(v, sb, power=None):
+    """Kernel transmit stage on one round: (slots, n_t), broadcast slot first."""
+    v = np.asarray(v, dtype=complex)[None]
+    return protocol._transmit(v, sb.stacked()[None], protocol._slot_scales(v, power))[0]
+
+
+def _differences_one(ch, v, sb):
+    """Kernel differences of one noise-free round, indexed [precoded slot - 1, user - 1]."""
+    v = v[None]
+    scales = protocol._slot_scales(v, None)
+    return protocol._differences(ch[None], protocol._transmit(v, sb.stacked()[None], scales), scales)[0]
+
+
+def _reference_differences(ch, v, sb):
+    """``y[ref] - y[m]`` for every user by explicit loops over slots and users."""
+    K = sb.K
+    xs = [sum(sb.per_user[k] for k in range(1, K + 1))]
+    xs += [sum(v[m - 1, k - 1] @ sb.per_user[k] for k in range(1, K + 1)) for m in range(1, K)]
+    y = [[ch[m, k - 1] @ xs[m] for k in range(1, K + 1)] for m in range(K)]
+    return np.array([[y[0][k] - y[m][k] for k in range(K)] for m in range(1, K)])
+
+
+def _identity_precoders(K, slots):
+    return np.broadcast_to(np.eye(K - 1, dtype=complex), (slots, K, K - 1, K - 1))
 
 
 # --------------------------------------------------------------------------
@@ -43,45 +68,46 @@ def _symbols(K, rng):
 
 
 def test_phase_one_zero_symbols():
-    x = phase_one_transmit(SymbolBlock.zeros(3))
-    np.testing.assert_array_equal(x, np.zeros(2))
+    x = _transmit_one(_identity_precoders(3, 2), SymbolBlock.zeros(3))
+    np.testing.assert_array_equal(x, np.zeros((3, 2)))
 
 
 def test_phase_one_direct_sum():
     sb = SymbolBlock({1: [1, 0], 2: [0, 1], 3: [1, 1]})
-    np.testing.assert_allclose(phase_one_transmit(sb), [2, 2])
+    np.testing.assert_allclose(_transmit_one(_identity_precoders(3, 2), sb)[0], [2, 2])
 
 
 def test_phase_one_power_audit():
-    # E||x||^2 must equal the budget for unit-variance symbols.
-    rng = np.random.default_rng(8)
+    # E||x||^2 for unit-variance symbols is the sum of ||x(e_i)||^2 over the
+    # standard-basis symbol vectors; it must equal the budget in every slot.
+    ch, _ = _round(3, 8)
+    v = build_stia_precoders(ch[1:], ch[0])
     power = 10.0
-    total = 0.0
-    trials = 10_000
-    for _ in range(trials):
-        x = phase_one_transmit(_symbols(3, rng), power=power)
-        total += float(np.sum(np.abs(x) ** 2))
-    assert total / trials == pytest.approx(power, rel=0.02)
+    total = np.zeros(3)
+    for i in range(6):
+        e = np.zeros(6, dtype=complex)
+        e[i] = 1.0
+        x = _transmit_one(v, SymbolBlock({k: e[2 * k - 2 : 2 * k] for k in (1, 2, 3)}), power)
+        total += np.sum(np.abs(x) ** 2, axis=1)
+    np.testing.assert_allclose(total, power, rtol=1e-12)
 
 
 def test_phase_two_identity_reduces_to_phase_one():
     rng = np.random.default_rng(9)
-    sb = _symbols(3, rng)
-    from stia.precoding import PrecoderSet
-
-    pre = PrecoderSet(slot=2, per_user={k: np.eye(2) for k in (1, 2, 3)})
-    np.testing.assert_allclose(phase_two_transmit(sb, pre), phase_one_transmit(sb))
+    x = _transmit_one(_identity_precoders(3, 2), _symbols(3, rng))
+    np.testing.assert_allclose(x[1], x[0])
+    np.testing.assert_allclose(x[2], x[0])
 
 
 def test_phase_two_linearity_single_user():
     rng = np.random.default_rng(10)
     cur = complex_normal(rng, (3, 2))
     out = complex_normal(rng, (3, 2))
-    pre = build_stia_precoders(cur, out)
+    v = build_stia_precoders(cur, out)
     sb = SymbolBlock.zeros(3)
     sb.per_user[1] = complex_normal(rng, 2)
-    x = phase_two_transmit(sb, pre)
-    np.testing.assert_allclose(x, pre.per_user[1] @ sb.per_user[1], atol=1e-12)
+    x = _transmit_one(v[None], sb)
+    np.testing.assert_allclose(x[1], v[0] @ sb.per_user[1], atol=1e-12)
 
 
 def test_phase_two_interference_matches_reference_slot():
@@ -90,10 +116,10 @@ def test_phase_two_interference_matches_reference_slot():
     rng = np.random.default_rng(11)
     cur = complex_normal(rng, (3, 2))
     ref = complex_normal(rng, (3, 2))
-    pre = build_stia_precoders(cur, ref)
+    v = build_stia_precoders(cur, ref)
     sb = _symbols(3, rng)
-    y2 = receive(cur[1], phase_two_transmit(sb, pre))
-    own = (cur[1] @ pre.per_user[2]) @ sb.per_user[2]
+    y2 = cur[1] @ _transmit_one(v[None], sb)[1]
+    own = (cur[1] @ v[1]) @ sb.per_user[2]
     expected_interference = ref[1] @ (sb.per_user[1] + sb.per_user[3])
     assert abs((y2 - own) - expected_interference) <= 1e-9 * abs(expected_interference)
 
@@ -104,25 +130,43 @@ def test_phase_two_interference_matches_reference_slot():
 
 
 def test_receive_zero_input():
-    assert receive(np.array([1.0, 2.0]), np.zeros(2)) == 0
+    ch = complex_normal(np.random.default_rng(12), (1, 3, 3, 2))
+    d = protocol._differences(ch, np.zeros((1, 3, 2), dtype=complex), np.ones((1, 3)))
+    np.testing.assert_array_equal(d, np.zeros((1, 2, 3)))
 
 
 def test_receive_basis_inner_product():
-    assert receive(np.array([1.0, 0.0]), np.array([3.0 + 1j, 7.0])) == pytest.approx(3.0 + 1j)
+    # Two slots, three users: nothing sent at the broadcast slot, so every
+    # difference is minus the user's inner product h^T x at the second slot.
+    ch = np.zeros((1, 2, 3, 2), dtype=complex)
+    ch[0, 1, 0] = [1.0, 0.0]
+    ch[0, 1, 2] = [0.0, 2.0]
+    x = np.zeros((1, 2, 2), dtype=complex)
+    x[0, 1] = [3.0 + 1j, 7.0]
+    d = protocol._differences(ch, x, np.ones((1, 2)))
+    np.testing.assert_allclose(d[0, 0], [-(3.0 + 1j), 0.0, -14.0])
 
 
 def test_receive_noise_variance_audit():
+    # Unit receiver noise reaches each user's differences with the covariance
+    # I + 11^T of difference_noise_covariance: the broadcast-slot noise is common.
     rng = np.random.default_rng(12)
-    h = np.array([1.0 + 0j, -0.5 + 0.25j])
-    x = np.array([0.3 - 0.1j, 1.1 + 0j])
-    clean = complex(h @ x)
-    noise = np.array([receive(h, x, 1.0, rng) - clean for _ in range(100_000)])
-    assert np.mean(np.abs(noise) ** 2) == pytest.approx(1.0, abs=0.02)
+    noise = []
+    for _ in range(1500):
+        ch = draw_round_channels(3, 1, rng)[0]
+        sb = _symbols(3, rng)
+        res = run_stia_round(ch, sb, noise_std=1.0, rng=rng)
+        for k in (1, 2, 3):
+            noise.append(res.effective_channels[k] @ (res.decoded.per_user[k] - sb.per_user[k]))
+    n = np.array(noise)
+    cov = n.T @ n.conj() / len(n)
+    np.testing.assert_allclose(cov, difference_noise_covariance(3), atol=0.15)
 
 
 def test_receive_requires_rng_for_noise():
+    ch, sb = _round(3, 12)
     with pytest.raises(ValueError):
-        receive(np.ones(2), np.ones(2), noise_std=1.0)
+        run_stia_round(ch, sb, noise_std=1.0)
 
 
 # --------------------------------------------------------------------------
@@ -130,75 +174,51 @@ def test_receive_requires_rng_for_noise():
 # --------------------------------------------------------------------------
 
 
-def _noise_free_round(K, seed):
-    rng = np.random.default_rng(seed)
-    ch = draw_round_channels(K, 1, rng)[0]
-    sb = _symbols(K, rng)
-    return ch, sb
-
-
 def test_cancel_differences_depend_only_on_own_symbols():
-    ch, sb = _noise_free_round(3, 13)
+    ch, sb = _round(3, 13)
     for j in (2, 3):
         sb.per_user[j] = np.zeros(2, dtype=complex)
-    res = run_stia_round(ch, sb)
-    d_direct = -np.array(
-        [row @ sb.per_user[1] for row in res.effective_channels[1].matrix]
-    )
-    pres = [build_stia_precoders(ch[m], ch[0]) for m in (1, 2)]
-    signals = [
-        ReceivedSignal(m, {k: receive(ch[m, k - 1], x) for k in (1, 2, 3)})
-        for m, x in enumerate(
-            [phase_one_transmit(sb)] + [phase_two_transmit(sb, p) for p in pres]
-        )
-    ]
-    np.testing.assert_allclose(cancel_interference(signals, 1), d_direct, atol=1e-10)
+    v = build_stia_precoders(ch[1:], ch[0])
+    d_direct = [(ch[0, 0] - ch[m, 0] @ v[m - 1, 0]) @ sb.per_user[1] for m in (1, 2)]
+    np.testing.assert_allclose(_differences_one(ch, v, sb)[:, 0], d_direct, atol=1e-10)
 
 
 def test_cancel_interferers_only_leaves_nothing():
-    ch, sb = _noise_free_round(3, 14)
+    ch, sb = _round(3, 14)
     sb.per_user[1] = np.zeros(2, dtype=complex)
-    pres = [build_stia_precoders(ch[m], ch[0]) for m in (1, 2)]
-    xs = [phase_one_transmit(sb)] + [phase_two_transmit(sb, p) for p in pres]
-    signals = [
-        ReceivedSignal(m, {k: receive(ch[m, k - 1], x) for k in (1, 2, 3)})
-        for m, x in enumerate(xs)
-    ]
-    d = cancel_interference(signals, 1)
+    v = build_stia_precoders(ch[1:], ch[0])
+    d = _differences_one(ch, v, sb)[:, 0]
     scale = sum(abs(ch[0, 0] @ sb.per_user[j]) for j in (2, 3))
     assert np.max(np.abs(d)) <= 1e-9 * scale
 
 
 def test_cancel_matches_symbolwise_expansion():
-    # Both sides of the subtraction, expanded symbol by symbol.
-    ch, sb = _noise_free_round(3, 15)
-    pres = [build_stia_precoders(ch[m], ch[0]) for m in (1, 2)]
-    xs = [phase_one_transmit(sb)] + [phase_two_transmit(sb, p) for p in pres]
-    signals = [
-        ReceivedSignal(m, {k: receive(ch[m, k - 1], x) for k in (1, 2, 3)})
-        for m, x in enumerate(xs)
-    ]
-    d = cancel_interference(signals, 1)
+    # Both sides of the subtraction, expanded slot by slot and symbol by symbol.
+    ch, sb = _round(3, 15)
+    v = build_stia_precoders(ch[1:], ch[0])
+    d = _differences_one(ch, v, sb)
+    np.testing.assert_allclose(d, _reference_differences(ch, v, sb), rtol=1e-12, atol=1e-12)
     own_ref = ch[0, 0] @ sb.per_user[1]
     for m in (1, 2):
-        own_slot = (ch[m, 0] @ pres[m - 1].per_user[1]) @ sb.per_user[1]
-        assert d[m - 1] == pytest.approx(own_slot - own_ref, rel=1e-9, abs=1e-12)
+        own_slot = (ch[m, 0] @ v[m - 1, 0]) @ sb.per_user[1]
+        assert d[m - 1, 0] == pytest.approx(own_ref - own_slot, rel=1e-9, abs=1e-12)
 
 
 def test_cancel_needs_two_slots():
+    ch, sb = _round(3, 16)
     with pytest.raises(ValueError):
-        cancel_interference([ReceivedSignal(0, {1: 1.0})], 1)
+        run_stia_round(ch[:1], sb)
 
 
 def test_effective_channel_degenerate_self_cancellation():
-    from stia.precoding import PrecoderSet
-
-    ch = complex_normal(np.random.default_rng(16), (3, 2))
-    pre = PrecoderSet(slot=1, per_user={k: np.eye(2) for k in (1, 2, 3)})
-    eff = effective_channel(1, ch, [ch, ch], [pre, pre])
-    np.testing.assert_allclose(eff.matrix, np.zeros((2, 2)), atol=1e-14)
+    # Unchanged channels give identity precoders, which cancel the user's
+    # own signal too: the effective channel vanishes and decoding must fail.
+    h = complex_normal(np.random.default_rng(16), (3, 2))
+    ch = np.stack([h, h, h])
+    v = build_stia_precoders(ch[1:], ch[0])
+    np.testing.assert_allclose(batch_effective_channels(ch[None], v[None]), 0.0, atol=1e-14)
     with pytest.raises(DecodeFailureError):
-        decode_round(eff, np.zeros(2))
+        run_stia_round(ch, SymbolBlock.random(3, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -219,8 +239,7 @@ def test_effective_channel_rank(K):
 def test_decode_identity_effective_channel():
     rng = np.random.default_rng(18)
     s = complex_normal(rng, 3)
-    eff = EffectiveChannel(user=1, matrix=np.eye(3, dtype=complex), constituent_slots=(0, 1, 2, 3))
-    np.testing.assert_allclose(decode_round(eff, s), s)
+    np.testing.assert_allclose(decode_round(np.eye(3, dtype=complex), s), s)
 
 
 @pytest.mark.parametrize("K", [3, 5])
@@ -246,8 +265,8 @@ def test_noisy_decode_is_consistent():
 
 
 def test_round_residuals_and_dof_bookkeeping():
-    rng = np.random.default_rng(21)
-    res = simulate_stia_round(4, rng)
+    ch, sb = _round(4, 21)
+    res = run_stia_round(ch, sb)
     assert max(res.residual_interference.values()) <= 1e-9
     symbols_decoded = sum(len(v) for v in res.decoded.per_user.values())
     assert Fraction(symbols_decoded, 4) == 3  # K(K-1) symbols over K slots
@@ -264,22 +283,37 @@ def test_power_scaling_preserves_cancellation():
         assert err <= 1e-8
 
 
+def test_redraw_loop_replaces_rejected_draws_and_gives_up():
+    draws = []
+
+    def draw(n):
+        draws.append(n)
+        return np.arange(n, dtype=float) + 10.0 / len(draws)
+
+    # Draws of the first pass above 11.5 are rejected once and replaced.
+    items, _, conds, resamples = protocol._redraw_guarded(draw, lambda x: (x, None), 4, cond_limit=11.5)
+    np.testing.assert_array_equal(items, [10, 11, 5, 6])
+    assert resamples == 2 and draws == [4, 2]
+    np.testing.assert_array_equal(conds, items)
+
+    draws.clear()
+    with pytest.raises(IllConditionedChannelError):
+        protocol._redraw_guarded(draw, lambda x: (np.full(len(x), np.inf), None), 3)
+    assert len(draws) == 64
+
+
 # --------------------------------------------------------------------------
 # rates
 # --------------------------------------------------------------------------
 
 
 def test_round_rate_vanishes_at_zero_snr():
-    eff = EffectiveChannel(user=1, matrix=np.eye(2, dtype=complex), constituent_slots=(0, 1, 2))
-    assert round_rate(eff, 1e-12, 3) < 1e-9
+    assert round_rate(np.eye(2, dtype=complex), 1e-12, 3) < 1e-9
 
 
 def test_round_rate_identity_closed_form():
     for K in (3, 4, 5):
-        eff = EffectiveChannel(
-            user=1, matrix=np.eye(K - 1, dtype=complex), constituent_slots=tuple(range(K))
-        )
-        rate = round_rate(eff, float(K * (K - 1)), K, noise_cov=np.eye(K - 1))
+        rate = round_rate(np.eye(K - 1, dtype=complex), float(K * (K - 1)), K, noise_cov=np.eye(K - 1))
         assert rate == pytest.approx((K - 1) / K)
 
 
@@ -287,8 +321,9 @@ def test_round_rate_slope_near_two_per_round():
     rng = np.random.default_rng(23)
     lo, hi = [], []
     for _ in range(600):
-        res = simulate_stia_round(3, rng)
-        lo.append(sum(round_rate(res.effective_channels[k], 1e4, 3) for k in (1, 2, 3)))
+        ch = draw_round_channels(3, 1, rng)[0]
+        res = run_stia_round(ch, _symbols(3, rng), snr_linear=1e4)
+        lo.append(sum(res.per_user_rate_bits.values()))
         hi.append(sum(round_rate(res.effective_channels[k], 1e6, 3) for k in (1, 2, 3)))
     slope = (np.mean(hi) - np.mean(lo)) / (np.log2(1e6) - np.log2(1e4))
     assert 1.9 <= slope <= 2.1
@@ -302,11 +337,9 @@ def test_whitening_matrix_inverts_covariance():
 
 
 def test_zf_slot_orthonormal_channels():
-    ch = np.vstack([np.eye(2), complex_normal(np.random.default_rng(24), (1, 2))])
-    snr = 100.0
-    rates = zf_slot(ch, [1, 2], snr)
-    for u in (1, 2):
-        assert rates[u] == pytest.approx(np.log2(1.0 + snr / 2.0))
+    snr = np.array([100.0])
+    bits = analysis._zf_bits(np.eye(2, dtype=complex)[None], snr)
+    assert bits[0, 0] == pytest.approx(2 * np.log2(1.0 + snr[0] / 2.0))
 
 
 def test_tdma_slope_near_one():
@@ -316,24 +349,26 @@ def test_tdma_slope_near_one():
     hi = np.mean(np.log2(1 + 1e6 * gains))
     slope = (hi - lo) / (np.log2(1e6) - np.log2(1e4))
     assert 0.95 <= slope <= 1.05
-    assert tdma_slot(np.array([1.0, 0.0]), 1e4) == pytest.approx(np.log2(1 + 1e4))
+    bits = analysis._tdma_bits(np.array([[1.0, 0.0]]), np.array([1e4]))
+    assert bits[0, 0] == pytest.approx(np.log2(1 + 1e4))
 
 
 def test_zf_and_tdma_transmit_power():
+    # ZF gains against the beams of build_zf_precoder, and the transmit
+    # power of the normalized ZF and TDMA beams, exactly, per realization.
     rng = np.random.default_rng(26)
     power = 10.0
-    total_zf = 0.0
-    total_tdma = 0.0
-    trials = 4000
-    for _ in range(trials):
+    for _ in range(200):
         ch = complex_normal(rng, (3, 2))
-        syms = {1: complex(complex_normal(rng)), 2: complex(complex_normal(rng))}
-        x = zf_transmit(ch, [1, 2], syms, power=power)
-        total_zf += float(np.sum(np.abs(x) ** 2))
-        x = tdma_transmit(ch[0], complex(complex_normal(rng)), power=power)
-        total_tdma += float(np.sum(np.abs(x) ** 2))
-    assert total_zf / trials == pytest.approx(power, rel=0.05)
-    assert total_tdma / trials == pytest.approx(power, rel=0.05)
+        gains, inv = _zf_gains(ch[None, :2])
+        w = build_zf_precoder(ch, [1, 2])
+        for i in range(2):
+            assert gains[0, i] == pytest.approx(abs(ch[i] @ w[:, i]) ** 2, rel=1e-9)
+        beams = inv[0] * np.sqrt(gains[0])
+        np.testing.assert_allclose(np.abs(beams), np.abs(w), atol=1e-12)
+        assert (power / 2) * np.sum(np.abs(beams) ** 2) == pytest.approx(power, rel=1e-12)
+        tdma = np.sqrt(power) * ch[0].conj() / np.linalg.norm(ch[0])
+        assert np.sum(np.abs(tdma) ** 2) == pytest.approx(power, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -347,10 +382,10 @@ def test_batch_matches_reference_round():
         ch, v, _, _ = batch_rounds(K, 3, rng)
         heff = batch_effective_channels(ch, v)
         for c in range(3):
-            pres = [build_stia_precoders(ch[c, m], ch[c, 0]) for m in range(1, K)]
             for k in range(1, K + 1):
-                np.testing.assert_allclose(
-                    v[c, :, k - 1], np.stack([p.per_user[k] for p in pres]), atol=1e-10
-                )
-                eff = effective_channel(k, ch[c, 0], [ch[c, m] for m in range(1, K)], pres)
-                np.testing.assert_allclose(heff[c, k - 1], eff.matrix, atol=1e-10)
+                others = [j for j in range(K) if j != k - 1]
+                for m in range(1, K):
+                    ref_v = np.linalg.solve(ch[c, m, others], ch[c, 0, others])
+                    np.testing.assert_allclose(v[c, m - 1, k - 1], ref_v, atol=1e-10)
+                    row = ch[c, 0, k - 1] - ch[c, m, k - 1] @ ref_v
+                    np.testing.assert_allclose(heff[c, k - 1, m - 1], row, atol=1e-10)

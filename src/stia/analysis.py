@@ -23,7 +23,6 @@ import numpy as np
 
 from . import protocol
 from .channel import DelayConfig, complex_normal
-from .numerics import _conditioning
 from .precoding import _zf_gains
 from .scheduler import SchedulerPlan, build_plan_general
 
@@ -187,10 +186,15 @@ def _tdma_bits(h: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + snr_lin[None, :] * gains[:, None])
 
 
-def _zf_bits(h: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
-    """Sum rates of ZF slots on (count, n_t, n_t) served stacks with equal power per stream."""
-    gains, _ = _zf_gains(h)
-    return np.log2(1.0 + (snr_lin[None, None, :] / h.shape[-1]) * gains[:, :, None]).sum(axis=1)
+def _zf_bits(gains: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
+    """Sum rates of ZF slots from (count, n_t) ZF gains with equal power per stream."""
+    return np.log2(1.0 + (snr_lin[None, None, :] / gains.shape[-1]) * gains[:, :, None]).sum(axis=1)
+
+
+def _zf_guard(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst guard value over the trailing stacked axes of ``h`` and the ZF gains."""
+    gains, _, cond = _zf_gains(h)
+    return cond.reshape(len(h), -1).max(axis=1, initial=0.0), gains
 
 
 def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.ndarray, int]:
@@ -200,12 +204,10 @@ def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.n
     directly is distribution-identical to selecting a rotating subset of K
     users.
     """
-    h, _, _, resamples = protocol._redraw_guarded(
-        lambda n: complex_normal(rng, (n, n_t, n_t)),
-        lambda stacks: (_conditioning(stacks)[1], None),
-        count,
+    _, gains, _, resamples = protocol._redraw_guarded(
+        lambda n: complex_normal(rng, (n, n_t, n_t)), _zf_guard, count
     )
-    return _zf_bits(h, snr_lin), resamples
+    return _zf_bits(gains, snr_lin), resamples
 
 
 def _stia_chunk(plan: SchedulerPlan, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
@@ -236,21 +238,17 @@ def _stia_chunk(plan: SchedulerPlan, snr_lin, size: int, rng) -> tuple[np.ndarra
 def _zf_tdma_chunk(K: int, t_c: int, t_fb: int, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
     # One coherence block per trial; positions before the report arrives run
     # TDMA, the rest run ZF on a rotating served subset of the same block.
-    served = {p: [u for u in range(K) if u != p % K] for p in range(t_fb, t_c)}
-
-    def guard(ch):
-        conds = [_conditioning(ch[:, users, :])[1] for users in served.values()]
-        return np.max(conds, axis=0) if conds else np.zeros(len(ch)), None
-
-    ch, _, _, resamples = protocol._redraw_guarded(
-        lambda n: complex_normal(rng, (n, K, K - 1)), guard, size
+    rows = [[u for u in range(K) if u != p % K] for p in range(t_fb, t_c)]
+    served = np.array(rows, dtype=int).reshape(-1, K - 1)
+    ch, gains, _, resamples = protocol._redraw_guarded(
+        lambda n: complex_normal(rng, (n, K, K - 1)), lambda block: _zf_guard(block[:, served]), size
     )
     bits = np.zeros((size, snr_lin.size))
     for p in range(t_c):
         if p < t_fb:
             bits += _tdma_bits(ch[:, p % K, :], snr_lin)
         else:
-            bits += _zf_bits(ch[:, served[p], :], snr_lin)
+            bits += _zf_bits(gains[:, p - t_fb], snr_lin)
     return bits / t_c, resamples
 
 
@@ -274,14 +272,19 @@ def estimate_dof_slope(
     against log2(SNR) is the DoF estimate; the confidence half width is
     1.96 times the bootstrap standard deviation over trials.
 
-    The aligned scheme requires ``delay == (t_c=K, t_fb=1)``, pure ZF
-    requires ``t_fb == 0`` and the time share ``t_fb <= t_c``.
+    Every scheme needs K >= 2 and finite SNR points. The aligned scheme
+    requires ``delay == (t_c=K, t_fb=1)``, pure ZF requires ``t_fb == 0``
+    and the time share ``t_fb <= t_c``.
     """
     db = tuple(float(x) for x in snr_grid_db)
+    if not all(np.isfinite(db)):
+        raise ValueError("snr_grid_db must be finite")
     if len(db) < 2 or any(x2 <= x1 for x1, x2 in zip(db, db[1:])):
         raise ValueError("snr_grid_db must be strictly increasing with at least 2 points")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if K < 2:
+        raise ValueError("K must be at least 2 users")
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
     snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from . import analysis, scheduler, verify
 from .channel import DelayConfig
+from .precoding import IllConditionedChannelError
 
 __all__ = ["RunConfig", "main", "run_schedule", "run_simulate", "run_tradeoff", "run_verify"]
 
@@ -108,9 +109,6 @@ def run_simulate(cfg: RunConfig) -> int:
     if cfg.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return 2
-    if cfg.scheme == "stia" and cfg.k < 3:
-        print("error: the aligned scheme needs --k of at least 3", file=sys.stderr)
-        return 2
     try:
         est = analysis.estimate_dof_slope(
             cfg.scheme,
@@ -122,7 +120,7 @@ def run_simulate(cfg: RunConfig) -> int:
             rounds_per_trial=cfg.rounds_per_trial,
             threads=_threads_from_env(),
         )
-    except ValueError as err:
+    except (ValueError, IllConditionedChannelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     print(

@@ -2,8 +2,10 @@
 
 Everything here operates on stacked channel matrices no larger than a
 handful of rows, so direct LAPACK factorizations through numpy are used
-throughout. Beamformers come from solves; an inverse is formed only where
-the ZF gains need its column norms.
+throughout. Beamformers come from solves. The guard on the rate and
+precoder paths reuses the inverse of each solved matrix (which the ZF gains
+need anyway) instead of an SVD; singular values are computed only where a
+caller reports rank or the spectral condition number.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-9
 
 # Condition estimate above which a stacked channel is treated as singular.
-# Continuous fading makes exact singularity a probability-zero event, so the
-# guard only catches numerically degenerate draws.
+# The precoder and ZF guards compare kappa_F = ||A||_F ||A^-1||_F, which is
+# at least the spectral kappa_2, against it, so they reject every draw a
+# kappa_2 guard would. Continuous fading makes exact singularity a
+# probability-zero event, so the guard only catches numerically degenerate
+# draws.
 CONDITION_LIMIT = 1e8
 
 
@@ -60,6 +65,27 @@ def _conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[..., 0] / s[..., -1]
     return s, np.where(np.isfinite(cond), cond, np.inf)
+
+
+def _guarded_solve(a: np.ndarray, b: np.ndarray | None = None):
+    """``A^-1 B``, ``A^-1`` and ``kappa_F = ||A||_F ||A^-1||_F`` of stacked square matrices.
+
+    ``kappa_F`` lies between ``kappa_2`` and ``n kappa_2``. Exactly singular
+    items are solved against the identity instead and get ``inf``; with ``b``
+    omitted the first result is ``A^-1``.
+    """
+    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    singular = np.zeros(a.shape[:-2], dtype=bool)
+    try:
+        inv = np.linalg.solve(a, eye)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(a)[0] == 0
+        a = np.where(singular[..., None, None], eye, a)
+        inv = np.linalg.solve(a, eye)
+    x = inv if b is None else np.linalg.solve(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    return x, inv, np.where(np.isfinite(cond) & ~singular, cond, np.inf)
 
 
 def condition_estimate(a) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import CONDITION_LIMIT, SingularMatrixError, _conditioning, solve_right
+from .numerics import CONDITION_LIMIT, SingularMatrixError, _guarded_solve, solve_right
 
 __all__ = [
     "IllConditionedChannelError",
@@ -28,7 +28,8 @@ class IllConditionedChannelError(Exception):
     """A stacked channel matrix was singular to tolerance.
 
     Under continuous fading this has probability zero; callers resample the
-    offending block and count the event.
+    offending block and count the event. ``condition`` is the guard value
+    ``kappa_F = ||A||_F ||A^-1||_F`` (``inf`` for an exactly singular stack).
     """
 
     def __init__(self, user, condition: float):
@@ -40,20 +41,15 @@ class IllConditionedChannelError(Exception):
 
 
 def _stia_precoders(current: np.ndarray, outdated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aligning precoders (..., K, n_t, n_t) and interferer-stack conditions (..., K)."""
+    """Aligning precoders (..., K, n_t, n_t) and interferer-stack guard values (..., K)."""
     K, n_t = current.shape[-2:]
     v = np.empty(current.shape[:-2] + (K, n_t, n_t), dtype=complex)
     cond = np.empty(current.shape[:-1])
     for k in range(K):
         rows = [j for j in range(K) if j != k]
         a = current[..., rows, :]
-        cond[..., k] = _conditioning(a)[1]
-        bad = cond[..., k] > 1e15
-        if np.any(bad):
-            # keep the batched solve well posed; callers reject these draws
-            a = a.copy()
-            a[bad] = np.eye(n_t)
-        v[..., k, :, :] = np.linalg.solve(a, np.broadcast_to(outdated[..., rows, :], a.shape))
+        b = np.broadcast_to(outdated[..., rows, :], a.shape)
+        v[..., k, :, :], _, cond[..., k] = _guarded_solve(a, b)
     return v, cond
 
 
@@ -93,10 +89,10 @@ def build_stia_precoders(current, outdated, K: int | None = None) -> np.ndarray:
     return v
 
 
-def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ZF gains ``1 / ||column i of h^-1||^2`` of stacked served channels, and ``h^-1``."""
-    inv = np.linalg.solve(h, np.broadcast_to(np.eye(h.shape[-1], dtype=complex), h.shape))
-    return 1.0 / np.sum(np.abs(inv) ** 2, axis=-2), inv
+def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ZF gains ``1 / ||column i of h^-1||^2`` of stacked served channels, ``h^-1`` and its guard value."""
+    _, inv, cond = _guarded_solve(h)
+    return 1.0 / np.sum(np.abs(inv) ** 2, axis=-2), inv, cond
 
 
 def build_zf_precoder(current, served_users) -> np.ndarray:

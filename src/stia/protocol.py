@@ -225,7 +225,8 @@ def draw_round_channels(K: int, count: int, rng: np.random.Generator) -> np.ndar
 def _redraw_guarded(draw, guard, count: int, cond_limit: float = CONDITION_LIMIT, max_passes: int = 64):
     """Draw ``count`` items, redrawing each whose ``guard`` condition exceeds the limit.
 
-    ``guard(items)`` returns conditions and per-item results (or None).
+    ``guard(items)`` returns guard values and per-item results, such as the
+    precoders or ZF gains the guard computed on the way.
     Raises :class:`IllConditionedChannelError` after ``max_passes`` passes.
     """
     items = draw(count)
@@ -239,8 +240,7 @@ def _redraw_guarded(draw, guard, count: int, cond_limit: float = CONDITION_LIMIT
         items[pending] = draw(pending.size)
         cond, sub = guard(items[pending])
         conds[pending] = cond
-        if results is not None:
-            results[pending] = sub
+        results[pending] = sub
         pending = pending[cond > cond_limit]
     if pending.size:
         raise IllConditionedChannelError("batch", float(conds.max()))
@@ -258,8 +258,8 @@ def batch_rounds(
 
     Returns ``(channels, precoders, conds, resamples)`` where channels has
     shape (count, K, K, K-1), precoders (count, K-1, K, K-1, K-1), conds is
-    the worst stacked-interferer condition per round and resamples counts
-    redrawn rounds.
+    the worst stacked-interferer guard value ``kappa_F = ||A||_F ||A^-1||_F``
+    per round and resamples counts redrawn rounds.
     """
 
     def guard(ch):

@@ -46,6 +46,10 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     numerical rank of every effective channel. ``inject_fault`` negates the
     reference CSI inside the precoder build, which must blow the alignment
     and cancellation residuals up to order one.
+
+    ``worst_condition`` is the largest precoder guard value
+    ``kappa_F = ||A||_F ||A^-1||_F`` over the accepted rounds' interferer
+    stacks, an upper bound on their spectral condition numbers.
     """
     rng = np.random.default_rng((seed & (1 << 64) - 1, K))
     ch, v, conds, resamples = protocol.batch_rounds(K, rounds, rng)
@@ -144,7 +148,7 @@ def power_suite(trials: int = 10_000, seed: int = 7, power: float = 10.0, K: int
         x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (trials, K, n_t)), scales)
         slot_power += np.sum(np.abs(x) ** 2, axis=-1)
 
-    gains, inv = _zf_gains(complex_normal(rng, (trials, n_t, n_t)))
+    gains, inv, _ = _zf_gains(complex_normal(rng, (trials, n_t, n_t)))
     beams = inv * np.sqrt(gains)[:, None, :]  # unit-norm columns
     zf = (power / n_t) * np.sum(np.abs(beams) ** 2, axis=(1, 2))
 
@@ -179,6 +183,8 @@ def run_all(
     """Run every suite and aggregate a JSON-ready pass/fail report."""
     if inject_fault not in ("none", "alignment"):
         raise ValueError("inject_fault must be 'none' or 'alignment'")
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
     k_values = tuple(int(k) for k in k_values)
     if any(k < 3 for k in k_values):
         raise ValueError("round sweeps need K >= 3")

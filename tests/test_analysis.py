@@ -142,6 +142,9 @@ def test_estimate_validates_inputs():
         estimate_dof_slope("tdma", 3, cfg, (40, 50), 0, 0)
     with pytest.raises(ValueError):
         estimate_dof_slope("stia", 2, DelayConfig(2, 1), (40, 50), 10, 0)
+    for grid in ((float("nan"), 50), (40, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_dof_slope("tdma", 3, cfg, grid, 10, 0)
 
 
 def test_estimate_tdma_smoke():
@@ -206,11 +209,12 @@ def test_stia_engine_slot_mix_follows_the_plan(K, monkeypatch):
 
 
 @pytest.mark.parametrize("scheme,delay", [("zf", DelayConfig(3, 0)), ("zf_tdma", DelayConfig(3, 1))])
-def test_zf_engines_give_up_on_persistently_singular_draws(scheme, delay, monkeypatch):
-    def singular(a):
-        s = np.linalg.svd(a, compute_uv=False)
-        return s, np.full(s.shape[:-1], np.inf)
-
-    monkeypatch.setattr(analysis, "_conditioning", singular)
+def test_zf_engines_give_up_on_persistently_singular_draws(scheme, delay, singular_guard):
     with pytest.raises(IllConditionedChannelError):
         estimate_dof_slope(scheme, 3, delay, (40.0, 50.0), 8, seed=0)
+
+
+@pytest.mark.parametrize("scheme", analysis.SIMULATION_SCHEMES)
+def test_every_scheme_rejects_fewer_than_two_users(scheme):
+    with pytest.raises(ValueError):
+        estimate_dof_slope(scheme, 1, DelayConfig(1, 0), (40.0, 50.0), 8, seed=0)

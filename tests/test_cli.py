@@ -167,3 +167,39 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["stia", "zf_tdma", "zf", "tdma"])
+def test_simulate_rejects_one_user(scheme, capsys):
+    rc = run_cli(["simulate", "--scheme", scheme, "--k", "1", "--tc", "1", "--tfb", "0", "--trials", "8"])
+    assert rc == 2
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("scheme,delay", [("stia", ("3", "1")), ("zf", ("3", "0")), ("zf_tdma", ("3", "1"))])
+def test_simulate_ill_conditioned_is_usage_error(scheme, delay, singular_guard, capsys):
+    rc = run_cli(["simulate", "--scheme", scheme, "--tc", delay[0], "--tfb", delay[1], "--trials", "8"])
+    assert rc == 2
+    assert _one_error_line(capsys)
+
+
+def test_simulate_rejects_nan_snr(capfd):
+    # capfd also sees what LAPACK would print straight to the file descriptors
+    rc = run_cli(["simulate", "--scheme", "zf", "--tfb", "0", "--snr", "nan,50", "--trials", "8"])
+    assert rc == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_verify_rejects_zero_rounds(capsys):
+    rc = run_cli(["verify", "--k-values", "3", "--rounds", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "rounds must be at least 1" in err

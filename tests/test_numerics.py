@@ -5,6 +5,7 @@ import pytest
 
 from stia.numerics import (
     SingularMatrixError,
+    _guarded_solve,
     condition_estimate,
     rank_with_tol,
     solve_right,
@@ -128,3 +129,35 @@ def test_condition_at_least_one_and_inf_for_singular():
         assert condition_estimate(_cn(rng, (3, 3))) >= 1.0
     assert condition_estimate(np.zeros((2, 2))) == np.inf
     assert condition_estimate(np.array([[1.0, 1.0], [1.0, 1.0]])) > 1e15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_guard_value_brackets_spectral_condition(n):
+    # kappa_2 <= ||A||_F ||A^-1||_F <= n kappa_2, on random stacks and on
+    # stacks pushed past the guard limit by shrinking one singular value. A
+    # computed inverse carries a relative error of order n kappa_2 eps.
+    rng = np.random.default_rng(10 + n)
+    a = _cn(rng, (200, n, n))
+    u, s, vh = np.linalg.svd(a)
+    s[100:, -1] *= np.logspace(-2, -10, 100)
+    a[100:] = (u[100:] * s[100:, None, :]) @ vh[100:]
+    x, inv, cond = _guarded_solve(a)
+    np.testing.assert_array_equal(x, inv)
+    kappa2 = np.array([condition_estimate(m) for m in a])
+    slack = 1.0 + n * kappa2 * np.finfo(float).eps
+    assert np.all(kappa2 <= cond * slack)
+    assert np.all(cond <= n * kappa2 * slack)
+    assert cond[100:].max() > 1e9
+
+
+def test_guard_singular_item_gives_inf_without_raising():
+    rng = np.random.default_rng(20)
+    a = _cn(rng, (4, 3, 3))
+    b = _cn(rng, (4, 3, 2))
+    a[2, 1] = a[2, 0]
+    x, inv, cond = _guarded_solve(a, b)
+    assert cond[2] == np.inf
+    assert np.all(np.isfinite(cond[[0, 1, 3]]))
+    for c in (0, 1, 3):
+        np.testing.assert_array_equal(x[c], np.linalg.solve(a[c], b[c]))
+        np.testing.assert_array_equal(inv[c], np.linalg.solve(a[c], np.eye(3)))

@@ -290,15 +290,19 @@ def test_redraw_loop_replaces_rejected_draws_and_gives_up():
         draws.append(n)
         return np.arange(n, dtype=float) + 10.0 / len(draws)
 
-    # Draws of the first pass above 11.5 are rejected once and replaced.
-    items, _, conds, resamples = protocol._redraw_guarded(draw, lambda x: (x, None), 4, cond_limit=11.5)
+    # Draws of the first pass above 11.5 are rejected once and replaced,
+    # together with their per-item results.
+    items, results, conds, resamples = protocol._redraw_guarded(
+        draw, lambda x: (x, -x), 4, cond_limit=11.5
+    )
     np.testing.assert_array_equal(items, [10, 11, 5, 6])
     assert resamples == 2 and draws == [4, 2]
     np.testing.assert_array_equal(conds, items)
+    np.testing.assert_array_equal(results, -items)
 
     draws.clear()
     with pytest.raises(IllConditionedChannelError):
-        protocol._redraw_guarded(draw, lambda x: (np.full(len(x), np.inf), None), 3)
+        protocol._redraw_guarded(draw, lambda x: (np.full(len(x), np.inf), x), 3)
     assert len(draws) == 64
 
 
@@ -338,7 +342,9 @@ def test_whitening_matrix_inverts_covariance():
 
 def test_zf_slot_orthonormal_channels():
     snr = np.array([100.0])
-    bits = analysis._zf_bits(np.eye(2, dtype=complex)[None], snr)
+    gains, _, cond = _zf_gains(np.eye(2, dtype=complex)[None])
+    assert cond[0] == pytest.approx(2.0)  # ||I||_F ||I^-1||_F
+    bits = analysis._zf_bits(gains, snr)
     assert bits[0, 0] == pytest.approx(2 * np.log2(1.0 + snr[0] / 2.0))
 
 
@@ -360,7 +366,7 @@ def test_zf_and_tdma_transmit_power():
     power = 10.0
     for _ in range(200):
         ch = complex_normal(rng, (3, 2))
-        gains, inv = _zf_gains(ch[None, :2])
+        gains, inv, _ = _zf_gains(ch[None, :2])
         w = build_zf_precoder(ch, [1, 2])
         for i in range(2):
             assert gains[0, i] == pytest.approx(abs(ch[i] @ w[:, i]) ** 2, rel=1e-9)
@@ -374,6 +380,31 @@ def test_zf_and_tdma_transmit_power():
 # --------------------------------------------------------------------------
 # batch path consistency
 # --------------------------------------------------------------------------
+
+
+def test_batch_precoders_bit_equal_per_user_solves():
+    # The guarded solve must not change a bit of the precoders: each equals
+    # np.linalg.solve on that user's interferer stack, one matrix at a time.
+    rng = np.random.default_rng(28)
+    for K in (3, 5):
+        ch, v, _, _ = batch_rounds(K, 4, rng)
+        for c in range(4):
+            for m in range(1, K):
+                for k in range(K):
+                    others = [j for j in range(K) if j != k]
+                    ref_v = np.linalg.solve(ch[c, m, others], ch[c, 0, others])
+                    np.testing.assert_array_equal(v[c, m - 1, k], ref_v)
+
+
+def test_zf_gains_match_explicit_inverse():
+    rng = np.random.default_rng(29)
+    for n_t in (2, 3, 5):
+        h = complex_normal(rng, (50, n_t, n_t))
+        gains, _, _ = _zf_gains(h)
+        for c in range(50):
+            inv = np.linalg.inv(h[c])
+            want = [1.0 / np.linalg.norm(inv[:, i]) ** 2 for i in range(n_t)]
+            np.testing.assert_allclose(gains[c], want, rtol=1e-12)
 
 
 def test_batch_matches_reference_round():

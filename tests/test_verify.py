@@ -55,6 +55,8 @@ def test_run_all_input_validation():
         verify.run_all(k_values=(2,), rounds=10)
     with pytest.raises(ValueError):
         verify.run_all(inject_fault="bogus")
+    with pytest.raises(ValueError, match="rounds"):
+        verify.run_all(k_values=(3,), rounds=0)
 
 
 @pytest.mark.parametrize("seed", [45, 50, 79332259700])

@@ -42,8 +42,9 @@ for K in (3, 4, 5, 6):
     d = account_dof(plan).dof
     print(f"  K={K}: horizon {plan.horizon:>4}, DoF {float(d):.4f} (limit {K - 1})")
 
-assert build_plan_general(3, 5).stia_rounds == build_plan_k3(5).stia_rounds
-print("\nthe general construction reproduces the 3-user plan exactly")
+# at K=3 it is the closed form: round k occupies slots {3k-2, 3k+3, 3k+5}
+assert build_plan_general(3, 5).stia_rounds == tuple((3 * k - 2, 3 * k + 3, 3 * k + 5) for k in range(1, 6))
+print("\nthe general construction reproduces the 3-user closed form exactly")
 
 print("\ndof gap to the limit, exact rationals (K=3):")
 for n in (1, 10, 100):

@@ -49,6 +49,7 @@ SIMULATION_SCHEMES = ("stia", "zf_tdma", "zf", "tdma")
 
 _CHUNK = 512
 _BOOTSTRAP_KEY = 999983
+_BOOTSTRAP_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,6 @@ def estimate_dof_slope(
     trials: int,
     seed: int,
     rounds_per_trial: int = 16,
-    bootstrap_samples: int = 200,
     threads: int | None = None,
 ) -> DofEstimate:
     """Monte Carlo DoF slope of one scheme over an SNR grid.
@@ -335,11 +335,11 @@ def estimate_dof_slope(
     slope = fit_dof_slope(db, mean_rates)
 
     boot_rng = np.random.default_rng((seed & (1 << 64) - 1, _BOOTSTRAP_KEY))
-    slopes = np.empty(bootstrap_samples)
-    for b in range(bootstrap_samples):
+    slopes = np.empty(_BOOTSTRAP_SAMPLES)
+    for b in range(_BOOTSTRAP_SAMPLES):
         idx = boot_rng.integers(0, trials, trials)
         slopes[b] = fit_dof_slope(db, rates[idx].mean(axis=0))
-    halfwidth = float(1.96 * slopes.std(ddof=1)) if bootstrap_samples > 1 else 0.0
+    halfwidth = float(1.96 * slopes.std(ddof=1))
 
     return DofEstimate(
         scheme=scheme,

@@ -7,6 +7,8 @@ tradeoff   Exact rational delay-DoF table for all schemes.
 verify     Alignment/cancellation/decoding/rank/plan/power property suites.
 schedule   Slot plan for one (K, n), as JSON slot-to-role mapping.
 
+Each subcommand takes ``--config`` and the flags of the RunConfig fields
+its runner reads (``_SUBCOMMANDS``); any other flag is a usage error.
 Identical flags and seed produce byte-identical output files, regardless
 of the STIA_THREADS worker cap.
 """
@@ -19,8 +21,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import analysis, scheduler, verify
 from .channel import DelayConfig
@@ -59,15 +63,33 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        """Parse ``to_json`` output; reject unknown keys and values of the wrong type."""
         raw = json.loads(text)
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(raw) - allowed
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        hints = get_type_hints(cls)
+        unknown = set(raw) - set(hints)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("snr_grid_db", "k_values", "gammas"):
-            if key in raw and raw[key] is not None:
-                raw[key] = tuple(raw[key])
+        for key, value in raw.items():
+            if not _has_type(value, hints[key]):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+            if isinstance(value, list):
+                raw[key] = tuple(value)
+        if "command" not in raw:
+            raise ValueError("config has no 'command' key")
         return cls(**raw)
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig field annotation; ints count as floats."""
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_has_type(v, get_args(hint)[0]) for v in value)
+    if get_origin(hint) is UnionType:
+        return any(_has_type(value, h) for h in get_args(hint))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -106,23 +128,16 @@ def _threads_from_env() -> int | None:
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    if cfg.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        est = analysis.estimate_dof_slope(
-            cfg.scheme,
-            cfg.k,
-            DelayConfig(cfg.t_c, cfg.t_fb),
-            cfg.snr_grid_db,
-            cfg.trials,
-            cfg.seed,
-            rounds_per_trial=cfg.rounds_per_trial,
-            threads=_threads_from_env(),
-        )
-    except (ValueError, IllConditionedChannelError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    est = analysis.estimate_dof_slope(
+        cfg.scheme,
+        cfg.k,
+        DelayConfig(cfg.t_c, cfg.t_fb),
+        cfg.snr_grid_db,
+        cfg.trials,
+        cfg.seed,
+        rounds_per_trial=cfg.rounds_per_trial,
+        threads=_threads_from_env(),
+    )
     print(
         f"scheme={est.scheme} gamma={est.gamma} slope={est.slope!r} "
         f"ci_halfwidth={est.confidence_halfwidth!r}"
@@ -148,12 +163,7 @@ def run_simulate(cfg: RunConfig) -> int:
 
 
 def run_tradeoff(cfg: RunConfig) -> int:
-    try:
-        gammas = [Fraction(g) for g in cfg.gammas]
-        points = analysis.emit_tradeoff_table(gammas)
-    except (ValueError, ZeroDivisionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    points = analysis.emit_tradeoff_table(cfg.gammas)
     if cfg.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -187,16 +197,12 @@ def run_tradeoff(cfg: RunConfig) -> int:
 
 
 def run_verify(cfg: RunConfig) -> int:
-    try:
-        report = verify.run_all(
-            k_values=cfg.k_values,
-            rounds=cfg.verify_rounds,
-            seed=cfg.seed,
-            inject_fault=cfg.inject_fault,
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    report = verify.run_all(
+        k_values=cfg.k_values,
+        rounds=cfg.verify_rounds,
+        seed=cfg.seed,
+        inject_fault=cfg.inject_fault,
+    )
     _emit(_json_text(report), cfg.output_path)
     for name in ("alignment", "cancellation", "decoding", "rank"):
         status = "ok" if report[name]["passed"] else "FAIL"
@@ -207,12 +213,8 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_schedule(cfg: RunConfig) -> int:
-    try:
-        plan = scheduler.build_plan_k3(cfg.n) if cfg.k == 3 else scheduler.build_plan_general(cfg.k, cfg.n)
-        scheduler.validate_plan(plan)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    plan = scheduler.build_plan_general(cfg.k, cfg.n)
+    scheduler.validate_plan(plan)
     payload = {"schema_version": SCHEMA_VERSION, **plan.to_dict()}
     _emit(_json_text(payload), cfg.output_path)
     if cfg.output_path is not None:
@@ -234,53 +236,58 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+# The flag that sets each RunConfig field from the command line.
+_FLAGS = {
+    "k": ("--k", {"type": int, "help": "number of users"}),
+    "t_c": ("--tc", {"type": int, "help": "coherence time in slots"}),
+    "t_fb": ("--tfb", {"type": int, "help": "feedback delay in slots"}),
+    "seed": ("--seed", {"type": int, "help": "base RNG seed"}),
+    "output_path": ("--out", {"help": "output file (stdout if omitted)"}),
+    "format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
+    "scheme": ("--scheme", {"choices": analysis.SIMULATION_SCHEMES, "help": "transmission scheme"}),
+    "snr_grid_db": ("--snr", {"type": _parse_float_list, "help": "comma list of dB points"}),
+    "trials": ("--trials", {"type": int, "help": "Monte Carlo trials"}),
+    "rounds_per_trial": ("--rounds-per-trial", {"type": int, "help": "aligned rounds per simulated horizon"}),
+    "gammas": ("--gammas", {"type": _parse_str_list,
+                            "help": "comma list of delay ratios, fractions allowed (e.g. 0,1/3,1)"}),
+    "k_values": ("--k-values", {"type": _parse_int_list, "help": "comma list of user counts to sweep"}),
+    "verify_rounds": ("--rounds", {"type": int, "help": "rounds per user count"}),
+    "inject_fault": ("--inject-fault", {"choices": ("none", "alignment"),
+                                        "help": "testing hook: break the precoders and expect failure"}),
+    "n": ("--n", {"type": int, "help": "number of aligned rounds in the horizon"}),
+}
+
+# Per subcommand: its runner, its help line and the RunConfig fields the runner reads.
+_SUBCOMMANDS = {
+    "simulate": (run_simulate, "Monte Carlo DoF slope estimate",
+                 ("k", "t_c", "t_fb", "seed", "output_path", "format", "scheme", "snr_grid_db",
+                  "trials", "rounds_per_trial")),
+    "tradeoff": (run_tradeoff, "exact delay-DoF table", ("output_path", "format", "gammas")),
+    "verify": (run_verify, "run the property suites",
+               ("seed", "output_path", "k_values", "verify_rounds", "inject_fault")),
+    "schedule": (run_schedule, "emit a slot plan", ("k", "output_path", "n")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stia",
         description="MISO broadcast simulator under delayed CSI feedback",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, help_text, names) in _SUBCOMMANDS.items():
+        # No abbreviations: verify would otherwise read --k as --k-values.
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON file with RunConfig defaults")
-        p.add_argument("--k", type=int, help="number of users")
-        p.add_argument("--tc", type=int, dest="t_c", help="coherence time in slots")
-        p.add_argument("--tfb", type=int, dest="t_fb", help="feedback delay in slots")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--out", dest="output_path", help="output file (stdout if omitted)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-
-    sim = sub.add_parser("simulate", help="Monte Carlo DoF slope estimate")
-    add_common(sim)
-    sim.add_argument("--scheme", choices=analysis.SIMULATION_SCHEMES, help="transmission scheme")
-    sim.add_argument("--snr", type=_parse_float_list, dest="snr_grid_db", help="comma list of dB points")
-    sim.add_argument("--trials", type=int, help="Monte Carlo trials")
-    sim.add_argument("--rounds-per-trial", type=int, dest="rounds_per_trial",
-                     help="aligned rounds per simulated horizon")
-
-    trade = sub.add_parser("tradeoff", help="exact delay-DoF table")
-    add_common(trade)
-    trade.add_argument("--gammas", type=_parse_str_list,
-                       help="comma list of delay ratios, fractions allowed (e.g. 0,1/3,1)")
-
-    ver = sub.add_parser("verify", help="run the property suites")
-    add_common(ver)
-    ver.add_argument("--k-values", type=_parse_int_list, dest="k_values",
-                     help="comma list of user counts to sweep")
-    ver.add_argument("--rounds", type=int, dest="verify_rounds", help="rounds per user count")
-    ver.add_argument("--inject-fault", choices=("none", "alignment"), dest="inject_fault",
-                     help="testing hook: break the precoders and expect failure")
-
-    sched = sub.add_parser("schedule", help="emit a slot plan")
-    add_common(sched)
-    sched.add_argument("--n", type=int, help="number of aligned rounds in the horizon")
-
+        for name in names:
+            flag, spec = _FLAGS[name]
+            p.add_argument(flag, dest=name, **spec)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     base = RunConfig(command=args.command)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = RunConfig.from_json(fh.read())
         base.command = args.command
@@ -295,22 +302,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    runners = {
-        "simulate": run_simulate,
-        "tradeoff": run_tradeoff,
-        "verify": run_verify,
-        "schedule": run_schedule,
-    }
-    try:
-        return runners[cfg.command](cfg)
-    except (OSError, ValueError) as err:
+        return _SUBCOMMANDS[args.command][0](_config_from_args(args))
+    except (OSError, ValueError, ZeroDivisionError, IllConditionedChannelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,10 @@
 
 Everything here operates on stacked channel matrices no larger than a
 handful of rows, so direct LAPACK factorizations through numpy are used
-throughout. Beamformers come from solves. The guard on the rate and
-precoder paths reuses the inverse of each solved matrix (which the ZF gains
-need anyway) instead of an SVD; singular values are computed only where a
-caller reports rank or the spectral condition number.
+throughout. Beamformers come from solves. The guard on the precoder, ZF
+and :func:`solve_right` solves reuses the inverse of each solved matrix
+(which the ZF gains need anyway) instead of an SVD; singular values are
+computed only where a caller reports rank or the spectral condition number.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-9
 
 # Condition estimate above which a stacked channel is treated as singular.
-# The precoder and ZF guards compare kappa_F = ||A||_F ||A^-1||_F, which is
+# The guarded solves compare kappa_F = ||A||_F ||A^-1||_F, which is
 # at least the spectral kappa_2, against it, so they reject every draw a
 # kappa_2 guard would. Continuous fading makes exact singularity a
 # probability-zero event, so the guard only catches numerically degenerate
@@ -36,18 +36,13 @@ CONDITION_LIMIT = 1e8
 class SingularMatrixError(np.linalg.LinAlgError):
     """Matrix is singular to working tolerance.
 
-    Carries the offending condition estimate so callers can decide whether
-    to resample the channel draw.
+    Carries the offending guard value ``kappa_F`` so callers can decide
+    whether to resample the channel draw.
     """
 
-    def __init__(self, condition: float, message: str | None = None):
+    def __init__(self, condition: float):
         self.condition = float(condition)
-        if message is None:
-            message = (
-                "matrix is singular to tolerance "
-                f"(condition estimate {self.condition:.3e})"
-            )
-        super().__init__(message)
+        super().__init__(f"matrix is singular to tolerance (condition estimate {self.condition:.3e})")
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -107,19 +102,13 @@ def rank_with_tol(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def solve_right(a, b, cond_limit: float = CONDITION_LIMIT) -> np.ndarray:
-    """Solve ``A X = B`` for X without forming the inverse of A.
+def solve_right(a, b) -> np.ndarray:
+    """Solve ``A X = B`` for X by the guarded solve.
 
-    Parameters
-    ----------
-    a : array_like, square
-    b : array_like, conformable with ``a``
-    cond_limit : float
-        Raise :class:`SingularMatrixError` when the condition estimate of
-        ``a`` exceeds this value.
-
-    For well-conditioned inputs the residual ``||A X - B||_inf`` stays below
-    ``1e-10 * ||B||_inf``.
+    Raises :class:`SingularMatrixError`, carrying ``kappa_F``, when
+    ``kappa_F = ||A||_F ||A^-1||_F`` of the square ``a`` exceeds
+    :data:`CONDITION_LIMIT`. For well-conditioned inputs the residual
+    ``||A X - B||_inf`` stays below ``1e-10 * ||B||_inf``.
     """
     am = _as_matrix(a)
     bm = _as_matrix(b)
@@ -127,7 +116,7 @@ def solve_right(a, b, cond_limit: float = CONDITION_LIMIT) -> np.ndarray:
         raise ValueError("A must be square")
     if bm.shape[0] != am.shape[0]:
         raise ValueError("A and B are not conformable")
-    cond = condition_estimate(am)
-    if cond > cond_limit:
+    x, _, cond = _guarded_solve(am, bm)
+    if cond > CONDITION_LIMIT:
         raise SingularMatrixError(cond)
-    return np.linalg.solve(am, bm)
+    return x

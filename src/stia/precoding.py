@@ -53,7 +53,7 @@ def _stia_precoders(current: np.ndarray, outdated: np.ndarray) -> tuple[np.ndarr
     return v, cond
 
 
-def build_stia_precoders(current, outdated, K: int | None = None) -> np.ndarray:
+def build_stia_precoders(current, outdated) -> np.ndarray:
     """Aligning precoders for one or more slots from current and reference CSI.
 
     Parameters
@@ -63,8 +63,6 @@ def build_stia_precoders(current, outdated, K: int | None = None) -> np.ndarray:
         stack several precoded slots.
     outdated : (K, K-1) array
         Per-user channel rows at the reference slot.
-    K : int, optional
-        User count; validated against the array shapes when given.
 
     Returns (..., K, K-1, K-1) with user k's precoder at index k-1, so
     ``current[j] @ V[k-1] == outdated[j]`` for every interferer j != k.
@@ -76,8 +74,6 @@ def build_stia_precoders(current, outdated, K: int | None = None) -> np.ndarray:
     if cur.shape[-2:] != out.shape:
         raise ValueError("current and outdated CSI must have identical shapes")
     k_users, n_t = out.shape
-    if K is not None and K != k_users:
-        raise ValueError(f"K={K} does not match channel arrays with {k_users} users")
     if n_t != k_users - 1:
         raise ValueError("the square construction needs n_t == K - 1 antennas")
     if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(out))):

@@ -45,6 +45,10 @@ __all__ = [
     "whitening_matrix",
 ]
 
+# Draw passes before a guarded draw gives up; continuous fading makes even
+# one rejection rare, so this many in a row means the draws are degenerate.
+_MAX_PASSES = 64
+
 
 class DecodeFailureError(Exception):
     """The effective channel was rank deficient; the round cannot be decoded."""
@@ -101,14 +105,14 @@ class StiaRoundResult:
     effective_channels: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-def difference_noise_covariance(K: int, noise_var: float = 1.0) -> np.ndarray:
-    """Covariance of the K-1 differenced noises.
+def difference_noise_covariance(K: int) -> np.ndarray:
+    """Covariance of the K-1 differenced noises at unit noise variance.
 
-    The broadcast-slot noise is common to every difference, giving
-    ``noise_var`` times 2 on the diagonal and 1 off it.
+    The broadcast-slot noise is common to every difference, giving 2 on
+    the diagonal and 1 off it.
     """
     m = K - 1
-    return noise_var * (np.eye(m) + np.ones((m, m)))
+    return np.eye(m) + np.ones((m, m))
 
 
 def whitening_matrix(K: int) -> np.ndarray:
@@ -125,18 +129,19 @@ def _inverse_sqrt(cov: np.ndarray) -> np.ndarray:
     return (v * (w**-0.5)) @ v.conj().T
 
 
-def decode_round(eff, differences, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def decode_round(eff, differences) -> np.ndarray:
     """Solve ``eff @ s = differences`` for stacked (..., K-1, K-1) effective channels.
 
     Noise-free the solve is exact. Raises :class:`DecodeFailureError` if
-    any effective channel is rank deficient.
+    any effective channel is rank deficient (smallest singular value at
+    most :data:`~stia.numerics.DEFAULT_RANK_TOL` times the largest).
     """
     mat = np.asarray(eff, dtype=complex)
     d = np.asarray(differences, dtype=complex)
     if d.shape != mat.shape[:-1]:
         raise ValueError("differences do not match the effective channel")
     s, cond = _conditioning(mat)
-    if np.any(s[..., -1] <= rank_tol * s[..., 0]):
+    if np.any(s[..., -1] <= DEFAULT_RANK_TOL * s[..., 0]):
         raise DecodeFailureError(cond.max())
     return _decode(mat, d)
 
@@ -162,7 +167,6 @@ def run_stia_round(
     noise_std: float = 0.0,
     rng: np.random.Generator | None = None,
     snr_linear: float | None = None,
-    slots=None,
 ) -> StiaRoundResult:
     """Execute one complete round on explicit per-slot channels.
 
@@ -180,9 +184,6 @@ def run_stia_round(
         path.
     snr_linear : float, optional
         When given, per-user round rates are computed alongside decoding.
-    slots : sequence of int, optional
-        Absolute slot labels (broadcast slot first); only their count is
-        checked.
 
     Raises :class:`IllConditionedChannelError` if a stacked interferer
     matrix is singular to tolerance (callers resample the draw) and
@@ -192,8 +193,6 @@ def run_stia_round(
     K = symbols.K
     if ch.shape != (K, K, K - 1):
         raise ValueError(f"expected channels of shape {(K, K, K - 1)}, got {ch.shape}")
-    if slots is not None and len(tuple(slots)) != K:
-        raise ValueError("need one slot label per round slot")
     if noise_std and rng is None:
         raise ValueError("an rng is required when noise_std > 0")
 
@@ -222,18 +221,18 @@ def draw_round_channels(K: int, count: int, rng: np.random.Generator) -> np.ndar
     return complex_normal(rng, (count, K, K, K - 1))
 
 
-def _redraw_guarded(draw, guard, count: int, cond_limit: float = CONDITION_LIMIT, max_passes: int = 64):
-    """Draw ``count`` items, redrawing each whose ``guard`` condition exceeds the limit.
+def _redraw_guarded(draw, guard, count: int):
+    """Draw ``count`` items, redrawing each whose ``guard`` value exceeds :data:`CONDITION_LIMIT`.
 
     ``guard(items)`` returns guard values and per-item results, such as the
     precoders or ZF gains the guard computed on the way.
-    Raises :class:`IllConditionedChannelError` after ``max_passes`` passes.
+    Raises :class:`IllConditionedChannelError` after ``_MAX_PASSES`` passes.
     """
     items = draw(count)
     conds, results = guard(items)
-    pending = np.flatnonzero(conds > cond_limit)
+    pending = np.flatnonzero(conds > CONDITION_LIMIT)
     resamples = 0
-    for _ in range(max_passes - 1):
+    for _ in range(_MAX_PASSES - 1):
         if pending.size == 0:
             break
         resamples += int(pending.size)
@@ -241,18 +240,14 @@ def _redraw_guarded(draw, guard, count: int, cond_limit: float = CONDITION_LIMIT
         cond, sub = guard(items[pending])
         conds[pending] = cond
         results[pending] = sub
-        pending = pending[cond > cond_limit]
+        pending = pending[cond > CONDITION_LIMIT]
     if pending.size:
         raise IllConditionedChannelError("batch", float(conds.max()))
     return items, results, conds, resamples
 
 
 def batch_rounds(
-    K: int,
-    count: int,
-    rng: np.random.Generator,
-    cond_limit: float = CONDITION_LIMIT,
-    max_passes: int = 64,
+    K: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Draw ``count`` rounds at once, resampling ill-conditioned draws.
 
@@ -266,9 +261,7 @@ def batch_rounds(
         v, cond = _stia_precoders(ch[:, 1:], ch[:, :1])
         return cond.max(axis=(1, 2)), v
 
-    return _redraw_guarded(
-        lambda n: draw_round_channels(K, n, rng), guard, count, cond_limit, max_passes
-    )
+    return _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)
 
 
 def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:

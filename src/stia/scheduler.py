@@ -82,24 +82,12 @@ class DofAccount:
 
 
 def build_plan_k3(n: int) -> SchedulerPlan:
-    """Three-user plan over 3n+6 slots with t_c=3 and one slot of delay.
+    """Three-user plan over 3n+6 slots: ``build_plan_general(3, n)``.
 
     Round k occupies slots {3k-2, 3k+3, 3k+5}; the residual slots split
     into ZF {2, 3, 5, 3n+6} and TDMA {3n+1, 3n+4}.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rounds = tuple((3 * k - 2, 3 * k + 3, 3 * k + 5) for k in range(1, n + 1))
-    return SchedulerPlan(
-        K=3,
-        n=n,
-        t_c=3,
-        t_fb=1,
-        horizon=3 * n + 6,
-        stia_rounds=rounds,
-        zf_slots=frozenset({2, 3, 5, 3 * n + 6}),
-        tdma_slots=frozenset({3 * n + 1, 3 * n + 4}),
-    )
+    return build_plan_general(3, n)
 
 
 def build_plan_general(K: int, n: int) -> SchedulerPlan:
@@ -109,7 +97,6 @@ def build_plan_general(K: int, n: int) -> SchedulerPlan:
     j-th precoded slot at position K-j+1 of block k+j, which keeps every
     round inside K distinct blocks and every (block, position) pair used
     at most once. Residual slots are classified by CSIT availability.
-    Specializes to :func:`build_plan_k3` set for set at K=3.
     """
     if K < 3:
         raise ValueError("the construction needs at least 3 users")
@@ -182,13 +169,10 @@ def validate_plan(plan: SchedulerPlan) -> None:
             raise ValueError(f"TDMA slot {s} has current CSIT")
 
 
-def account_dof(plan: SchedulerPlan, K: int | None = None) -> DofAccount:
+def account_dof(plan: SchedulerPlan) -> DofAccount:
     """Symbols delivered over the horizon as an exact rational per slot."""
-    k = plan.K if K is None else int(K)
-    if k != plan.K:
-        raise ValueError("K does not match the plan")
-    n_t = k - 1
-    symbols = k * n_t * len(plan.stia_rounds) + n_t * len(plan.zf_slots) + len(plan.tdma_slots)
+    n_t = plan.K - 1
+    symbols = plan.K * n_t * len(plan.stia_rounds) + n_t * len(plan.zf_slots) + len(plan.tdma_slots)
     return DofAccount(
         symbols_delivered=symbols,
         slots_used=plan.horizon,

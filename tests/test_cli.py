@@ -203,3 +203,36 @@ def test_verify_rejects_zero_rounds(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "rounds must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("tradeoff --k 3", "--k"),
+    ("tradeoff --tc 3", "--tc"),
+    ("tradeoff --tfb 1", "--tfb"),
+    ("tradeoff --seed 1", "--seed"),
+    ("verify --k 3", "--k"),
+    ("verify --tc 3", "--tc"),
+    ("verify --tfb 1", "--tfb"),
+    ("verify --format csv", "--format"),
+    ("schedule --k 3 --tc 7 --tfb 4", "--tc"),
+    ("schedule --k 3 --tfb 4", "--tfb"),
+    ("schedule --k 3 --seed 1", "--seed"),
+    ("schedule --k 3 --format csv", "--format"),
+])
+def test_flag_the_subcommand_ignores_is_usage_error(argv, flag, capsys):
+    # Flags whose field the runner does not read; verify --k also checks
+    # that no abbreviation of --k-values is accepted.
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv.split())
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err.splitlines()[-1].split() and "Traceback" not in err
+
+
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"trials": "50"}')
+    rc = run_cli(["simulate", "--scheme", "tdma", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'trials'" in err

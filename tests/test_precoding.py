@@ -16,7 +16,7 @@ from stia.protocol import _slot_scales, batch_rounds
 def test_identical_csi_gives_identity_precoders():
     rng = np.random.default_rng(0)
     ch = complex_normal(rng, (3, 2))
-    pre = build_stia_precoders(ch, ch, K=3)
+    pre = build_stia_precoders(ch, ch)
     assert pre.shape == (3, 2, 2)
     for v in pre:
         np.testing.assert_allclose(v, np.eye(2), atol=1e-12)
@@ -76,8 +76,6 @@ def test_shape_contracts():
         build_stia_precoders(complex_normal(rng, (3, 3)), complex_normal(rng, (3, 3)))
     with pytest.raises(ValueError):
         build_stia_precoders(complex_normal(rng, (3, 2)), complex_normal(rng, (4, 3)))
-    with pytest.raises(ValueError):
-        build_stia_precoders(complex_normal(rng, (3, 2)), complex_normal(rng, (3, 2)), K=4)
 
 
 def test_precoder_set_validation():

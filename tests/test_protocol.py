@@ -11,6 +11,7 @@ import pytest
 
 from stia import analysis, protocol
 from stia.channel import complex_normal
+from stia.numerics import CONDITION_LIMIT
 from stia.precoding import IllConditionedChannelError, _zf_gains, build_stia_precoders, build_zf_precoder
 from stia.protocol import (
     DecodeFailureError,
@@ -290,14 +291,14 @@ def test_redraw_loop_replaces_rejected_draws_and_gives_up():
         draws.append(n)
         return np.arange(n, dtype=float) + 10.0 / len(draws)
 
-    # Draws of the first pass above 11.5 are rejected once and replaced,
-    # together with their per-item results.
-    items, results, conds, resamples = protocol._redraw_guarded(
-        draw, lambda x: (x, -x), 4, cond_limit=11.5
-    )
+    # Guard values of 10 and 11 fall below the limit, those of 12 and 13
+    # above it: these two are rejected once and replaced, together with
+    # their per-item results.
+    scale = CONDITION_LIMIT / 11.5
+    items, results, conds, resamples = protocol._redraw_guarded(draw, lambda x: (x * scale, -x), 4)
     np.testing.assert_array_equal(items, [10, 11, 5, 6])
     assert resamples == 2 and draws == [4, 2]
-    np.testing.assert_array_equal(conds, items)
+    np.testing.assert_array_equal(conds, items * scale)
     np.testing.assert_array_equal(results, -items)
 
     draws.clear()

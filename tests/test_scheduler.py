@@ -35,12 +35,14 @@ def test_general_invariants(K, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 41])
 def test_specialization_matches_k3(n):
-    lit = build_plan_k3(n)
+    # The three-user closed form: round k occupies {3k-2, 3k+3, 3k+5} of a
+    # 3n+6 slot horizon, ZF takes {2, 3, 5, 3n+6} and TDMA {3n+1, 3n+4}.
     gen = build_plan_general(3, n)
-    assert lit.stia_rounds == gen.stia_rounds
-    assert lit.zf_slots == gen.zf_slots
-    assert lit.tdma_slots == gen.tdma_slots
-    assert lit.horizon == gen.horizon
+    assert gen.stia_rounds == tuple((3 * k - 2, 3 * k + 3, 3 * k + 5) for k in range(1, n + 1))
+    assert gen.zf_slots == frozenset({2, 3, 5, 3 * n + 6})
+    assert gen.tdma_slots == frozenset({3 * n + 1, 3 * n + 4})
+    assert gen.horizon == 3 * n + 6
+    assert build_plan_k3(n) == gen
 
 
 def test_account_dof_exact_rational():

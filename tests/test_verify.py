@@ -35,17 +35,14 @@ def test_power_suite_within_tolerance():
 
 
 def test_run_all_aggregates():
-    report = verify.run_all(k_values=(3,), rounds=200, seed=5, power_trials=10_000, plan_n_max=10)
+    report = verify.run_all(k_values=(3,), rounds=200, seed=5)
     assert report["passed"]
     assert report["alignment"]["passed"]
     assert report["plans"]["k3_golden_sets_match"]
 
 
 def test_run_all_fails_with_fault():
-    report = verify.run_all(
-        k_values=(3,), rounds=100, seed=5, power_trials=2000, plan_n_max=5,
-        inject_fault="alignment",
-    )
+    report = verify.run_all(k_values=(3,), rounds=100, seed=5, inject_fault="alignment")
     assert not report["passed"]
     assert not report["alignment"]["passed"]
 

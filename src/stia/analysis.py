@@ -6,11 +6,12 @@ time-sharing baselines (ZF with TDMA fill-in, ZF with the outdated-CSI
 scheme whose DoF of 3/2 enters only as a constant).
 
 The empirical side estimates the DoF as the high-SNR slope of Monte Carlo
-mean sum rates against log2(SNR). Trials are drawn in fixed-size chunks
-whose generators are keyed by (seed, chunk index), so results are byte
-identical regardless of execution order or worker count; channel draws are
-shared across the SNR grid, which removes almost all Monte Carlo noise
-from the slope.
+mean sum rates against log2(SNR). One engine runs every scheme as its
+per-trial slot mix of aligned rounds, ZF slots and TDMA slots. Trials are
+drawn in fixed-size chunks whose generators are keyed by (seed, chunk
+index), so results are byte identical regardless of execution order or
+worker count; channel draws are shared across the SNR grid, which removes
+almost all Monte Carlo noise from the slope.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import numpy as np
 from . import protocol
 from .channel import DelayConfig, complex_normal
 from .precoding import _zf_gains
-from .scheduler import SchedulerPlan, build_plan_general
+from .scheduler import build_plan_general
 
 __all__ = [
     "MAT_DOF_K3",
     "SIMULATION_SCHEMES",
-    "TRADEOFF_SCHEMES",
     "DofEstimate",
     "TradeoffPoint",
     "baseline_zf_mat",
@@ -44,7 +44,6 @@ __all__ = [
 # used as a curve constant only (no signal-level simulation of it).
 MAT_DOF_K3 = Fraction(3, 2)
 
-TRADEOFF_SCHEMES = ("stia", "zf_tdma", "zf_mat", "tdma", "mat")
 SIMULATION_SCHEMES = ("stia", "zf_tdma", "zf", "tdma")
 
 _CHUNK = 512
@@ -165,10 +164,11 @@ def fit_dof_slope(snr_grid_db, mean_rates) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Batched per-scheme rate engines. Each returns (rates, resamples) with
-# rates of shape (trials, len(snr)) holding per-slot sum rates in bits.
-# Slots and rounds are drawn independently; mean rates are unaffected
-# because expectation is additive across the horizon.
+# One batched rate engine for every scheme. A trial is the scheme's slot mix
+# (aligned rounds, ZF slots, TDMA slots, horizon); the engine returns
+# (rates, resamples) with rates of shape (trials, len(snr)) holding per-slot
+# sum rates in bits. Slots and rounds are drawn independently; mean rates
+# are unaffected because expectation is additive across the horizon.
 # ---------------------------------------------------------------------------
 
 
@@ -192,12 +192,6 @@ def _zf_bits(gains: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + (snr_lin[None, None, :] / gains.shape[-1]) * gains[:, :, None]).sum(axis=1)
 
 
-def _zf_guard(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Worst guard value over the trailing stacked axes of ``h`` and the ZF gains."""
-    gains, _, cond = _zf_gains(h)
-    return cond.reshape(len(h), -1).max(axis=1, initial=0.0), gains
-
-
 def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.ndarray, int]:
     """Sum rates of ZF slots on (count,) served-channel stacks.
 
@@ -205,52 +199,58 @@ def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.n
     directly is distribution-identical to selecting a rotating subset of K
     users.
     """
+
+    def guard(h):
+        gains, _, cond = _zf_gains(h)
+        return cond, gains
+
     _, gains, _, resamples = protocol._redraw_guarded(
-        lambda n: complex_normal(rng, (n, n_t, n_t)), _zf_guard, count
+        lambda n: complex_normal(rng, (n, n_t, n_t)), guard, count
     )
     return _zf_bits(gains, snr_lin), resamples
 
 
-def _stia_chunk(plan: SchedulerPlan, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
-    K = plan.K
-    n_t = K - 1
-    rounds = len(plan.stia_rounds)
-    total = size * rounds
-    ch, v, _, resamples = protocol.batch_rounds(K, total, rng)
-    heff = protocol.batch_effective_channels(ch, v)
-    lam = protocol._gram_eigenvalues(heff, protocol.whitening_matrix(K))
-    bits = np.empty((total, snr_lin.size))
-    for gi, p in enumerate(snr_lin):
-        p_s = p / (K * (K - 1))
-        bits[:, gi] = np.log2(1.0 + p_s * lam).sum(axis=(1, 2))
-    stia_bits = bits.reshape(size, rounds, -1).sum(axis=1)
-
-    z_count = len(plan.zf_slots)
-    zf_bits, zf_res = _zf_stack_bits(n_t, size * z_count, snr_lin, rng)
-    zf_bits = zf_bits.reshape(size, z_count, -1).sum(axis=1)
-
-    t_count = len(plan.tdma_slots)
-    tdma_bits = _tdma_bits(complex_normal(rng, (size * t_count, n_t)), snr_lin)
-    tdma_bits = tdma_bits.reshape(size, t_count, -1).sum(axis=1)
-
-    return (stia_bits + zf_bits + tdma_bits) / plan.horizon, resamples + zf_res
+def _slot_mix(scheme: str, K: int, delay: DelayConfig, rounds_per_trial: int) -> tuple[int, int, int, int]:
+    """Aligned rounds, ZF slots, TDMA slots and horizon of one trial of ``scheme``."""
+    if scheme == "stia":
+        plan = build_plan_general(K, rounds_per_trial)
+        if (delay.t_c, delay.t_fb) != (plan.t_c, plan.t_fb):
+            raise ValueError(
+                "no aligned plan for this delay configuration; need t_c == K and t_fb == 1"
+            )
+        return len(plan.stia_rounds), len(plan.zf_slots), len(plan.tdma_slots), plan.horizon
+    if scheme == "zf_tdma":
+        if delay.t_fb > delay.t_c:
+            raise ValueError("the ZF/TDMA time share needs t_fb <= t_c")
+        return 0, delay.t_c - delay.t_fb, delay.t_fb, delay.t_c
+    if scheme == "zf":
+        if delay.t_fb != 0:
+            raise ValueError("pure ZF needs t_fb == 0")
+        return 0, 1, 0, 1
+    return 0, 0, 1, 1
 
 
-def _zf_tdma_chunk(K: int, t_c: int, t_fb: int, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
-    # One coherence block per trial; positions before the report arrives run
-    # TDMA, the rest run ZF on a rotating served subset of the same block.
-    rows = [[u for u in range(K) if u != p % K] for p in range(t_fb, t_c)]
-    served = np.array(rows, dtype=int).reshape(-1, K - 1)
-    ch, gains, _, resamples = protocol._redraw_guarded(
-        lambda n: complex_normal(rng, (n, K, K - 1)), lambda block: _zf_guard(block[:, served]), size
-    )
-    bits = np.zeros((size, snr_lin.size))
-    for p in range(t_c):
-        if p < t_fb:
-            bits += _tdma_bits(ch[:, p % K, :], snr_lin)
-        else:
-            bits += _zf_bits(gains[:, p - t_fb], snr_lin)
-    return bits / t_c, resamples
+def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
+    """Per-slot sum rates of ``size`` trials: draws rounds, then ZF stacks, then TDMA rows."""
+    rounds, zf, tdma, horizon = mix
+    parts = []
+    resamples = 0
+    if rounds:
+        ch, v, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
+        heff = protocol.batch_effective_channels(ch, v)
+        lam = protocol._gram_eigenvalues(heff, protocol.whitening_matrix(K))
+        bits = np.empty((size * rounds, snr_lin.size))
+        for gi, p in enumerate(snr_lin):
+            bits[:, gi] = protocol._round_bits(lam, p, K).sum(axis=(1, 2))
+        parts.append(bits.reshape(size, rounds, -1).sum(axis=1))
+    if zf:
+        bits, zf_res = _zf_stack_bits(K - 1, size * zf, snr_lin, rng)
+        parts.append(bits.reshape(size, zf, -1).sum(axis=1))
+        resamples += zf_res
+    if tdma:
+        bits = _tdma_bits(complex_normal(rng, (size * tdma, K - 1)), snr_lin)
+        parts.append(bits.reshape(size, tdma, -1).sum(axis=1))
+    return sum(parts) / horizon, resamples
 
 
 def estimate_dof_slope(
@@ -265,12 +265,13 @@ def estimate_dof_slope(
 ) -> DofEstimate:
     """Monte Carlo DoF slope of one scheme over an SNR grid.
 
-    Per trial the scheme's slot composition is simulated end to end (a full
-    scheduled horizon for the aligned scheme, one coherence block for the
-    ZF/TDMA time share, a single slot for pure ZF or TDMA) and the sum rate
-    per slot is recorded at every grid point. The slope of the mean rates
-    against log2(SNR) is the DoF estimate; the confidence half width is
-    1.96 times the bootstrap standard deviation over trials.
+    Per trial the scheme's slot mix is simulated end to end (the rounds, ZF
+    and TDMA slots of a full scheduled horizon for the aligned scheme,
+    t_c - t_fb ZF and t_fb TDMA slots for the ZF/TDMA time share, a single
+    slot for pure ZF or TDMA) and the sum rate per slot is recorded at every
+    grid point. The slope of the mean rates against log2(SNR) is the DoF
+    estimate; the confidence half width is 1.96 times the bootstrap standard
+    deviation over trials.
 
     Every scheme needs K >= 2 and finite SNR points. The aligned scheme
     requires ``delay == (t_c=K, t_fb=1)``, pure ZF requires ``t_fb == 0``
@@ -289,45 +290,18 @@ def estimate_dof_slope(
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
     snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
 
-    if scheme == "stia":
-        plan = build_plan_general(K, rounds_per_trial)
-        if (delay.t_c, delay.t_fb) != (plan.t_c, plan.t_fb):
-            raise ValueError(
-                "no aligned plan for this delay configuration; need t_c == K and t_fb == 1"
-            )
+    mix = _slot_mix(scheme, K, delay, rounds_per_trial)
 
-        def compute(size, rng):
-            return _stia_chunk(plan, snr_lin, size, rng)
-
-    elif scheme == "zf_tdma":
-        if delay.t_fb > delay.t_c:
-            raise ValueError("the ZF/TDMA time share needs t_fb <= t_c")
-
-        def compute(size, rng):
-            return _zf_tdma_chunk(K, delay.t_c, delay.t_fb, snr_lin, size, rng)
-
-    elif scheme == "zf":
-        if delay.t_fb != 0:
-            raise ValueError("pure ZF needs t_fb == 0")
-
-        def compute(size, rng):
-            return _zf_stack_bits(K - 1, size, snr_lin, rng)
-
-    else:  # tdma
-        def compute(size, rng):
-            return _tdma_bits(complex_normal(rng, (size, K - 1)), snr_lin), 0
+    def compute(entry):
+        index, _, size = entry
+        return _mix_chunk(K, mix, snr_lin, size, _chunk_rng(seed, index))
 
     layout = _chunk_layout(trials)
-
-    def run_chunk(entry):
-        index, _, size = entry
-        return compute(size, _chunk_rng(seed, index))
-
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, layout))
+            results = list(pool.map(compute, layout))
     else:
-        results = [run_chunk(entry) for entry in layout]
+        results = [compute(entry) for entry in layout]
 
     rates = np.concatenate([r for r, _ in results], axis=0)
     resamples = int(sum(res for _, res in results))

@@ -63,7 +63,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        """Parse ``to_json`` output; reject unknown keys and values of the wrong type."""
+        """Parse ``to_json`` output; reject unknown keys, values of the wrong type and bad choices."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
@@ -74,6 +74,9 @@ class RunConfig:
         for key, value in raw.items():
             if not _has_type(value, hints[key]):
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
+            choices = _FLAGS.get(key, (None, {}))[1].get("choices")
+            if choices is not None and value not in choices:
+                raise ValueError(f"config key {key!r} must be one of {list(choices)}: {value!r}")
             if isinstance(value, list):
                 raw[key] = tuple(value)
         if "command" not in raw:

@@ -91,15 +91,13 @@ def condition_estimate(a) -> float:
     return float(_conditioning(m)[1])
 
 
-def rank_with_tol(a, rel_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: singular values above ``rel_tol`` times the largest."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
+def rank_with_tol(a) -> int:
+    """Numerical rank: singular values above :data:`DEFAULT_RANK_TOL` times the largest."""
     m = _as_matrix(a)
     if m.size == 0:
         return 0
     s = _conditioning(m)[0]
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def solve_right(a, b) -> np.ndarray:

@@ -12,7 +12,8 @@ one, so the round delivers K(K-1) symbols in K slots.
 Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
 :func:`run_stia_round` is a batch of one through all of them; the rate
-engine in ``analysis`` stops at the effective channels.
+engine in ``analysis`` stops at the eigenvalues and prices them with
+:func:`_round_bits`, the one aligned-rate formula :func:`round_rate` uses too.
 
 At finite transmit power a scalar is applied per slot so the expected
 transmit power equals the budget; receivers divide it back out (they know
@@ -157,7 +158,7 @@ def round_rate(eff, snr_linear: float, K: int, noise_cov=None) -> float:
         raise ValueError("snr_linear must be positive")
     w = whitening_matrix(K) if noise_cov is None else _inverse_sqrt(noise_cov)
     lam = _gram_eigenvalues(np.asarray(eff, dtype=complex)[None, None], w)
-    return float(np.log2(1.0 + snr_linear / (K * (K - 1)) * lam).sum() / K)
+    return float(_round_bits(lam, snr_linear, K).sum() / K)
 
 
 def run_stia_round(
@@ -315,6 +316,11 @@ def _leakage(ch: np.ndarray, heff: np.ndarray, diffs: np.ndarray, symbols: np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = leak / scale
     return np.where(scale > 0.0, rel, np.where(leak < 1e-12, 0.0, np.inf))
+
+
+def _round_bits(lam: np.ndarray, snr_linear: float, K: int) -> np.ndarray:
+    """Bits of each aligned symbol from its Gram eigenvalue at per-symbol power ``snr / (K (K-1))``."""
+    return np.log2(1.0 + snr_linear / (K * (K - 1)) * lam)
 
 
 def _gram_eigenvalues(heff: np.ndarray, w: np.ndarray) -> np.ndarray:

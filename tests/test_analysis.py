@@ -17,7 +17,7 @@ from stia.analysis import (
 )
 from stia.channel import DelayConfig
 from stia.precoding import IllConditionedChannelError
-from stia.scheduler import build_plan_general
+from stia.scheduler import account_dof, build_plan_general
 
 THIRD = Fraction(1, 3)
 
@@ -155,11 +155,13 @@ def test_estimate_tdma_smoke():
     assert est.confidence_halfwidth >= 0.0
 
 
-def test_estimate_deterministic_and_thread_invariant():
-    args = ("zf_tdma", 3, DelayConfig(3, 1), (40.0, 50.0, 60.0), 1200, 11)
-    a = estimate_dof_slope(*args)
-    b = estimate_dof_slope(*args)
-    c = estimate_dof_slope(*args, threads=4)
+@pytest.mark.parametrize("scheme", analysis.SIMULATION_SCHEMES)
+def test_estimate_deterministic_and_thread_invariant(scheme):
+    delay = DelayConfig(3, 0 if scheme == "zf" else 1)
+    args = (scheme, 3, delay, (40.0, 50.0, 60.0), 1200, 11)
+    a = estimate_dof_slope(*args, rounds_per_trial=2)
+    b = estimate_dof_slope(*args, rounds_per_trial=2)
+    c = estimate_dof_slope(*args, rounds_per_trial=2, threads=4)
     assert a == b == c
 
 
@@ -172,40 +174,70 @@ def test_estimate_to_dict_round_trips_values():
     assert d["slope"] == est.slope
 
 
-@pytest.mark.parametrize("K", [3, 4, 5, 6])
-def test_stia_engine_slot_mix_follows_the_plan(K, monkeypatch):
-    # The aligned engine draws the plan's rounds, ZF slots and TDMA slots per
-    # trial and averages over the plan's horizon. With ZF and TDMA slots
-    # replaced by one bit each and rounds at vanishing SNR, the per-slot
-    # rate is the plan's share of ZF and TDMA slots.
-    n, size = 5, 3
-    plan = build_plan_general(K, n)
-    counts = {}
+# Each scheme's trial: (scheme, K, delay, rounds per trial) and its slot mix
+# (aligned rounds, ZF slots, TDMA slots, horizon).
+_MIXES = {
+    "3": ("stia", 3, DelayConfig(3, 1), 5, (5, 4, 2, 21)),
+    "4": ("stia", 4, DelayConfig(4, 1), 5, (5, 9, 3, 32)),
+    "5": ("stia", 5, DelayConfig(5, 1), 5, (5, 16, 4, 45)),
+    "6": ("stia", 6, DelayConfig(6, 1), 5, (5, 25, 5, 60)),
+    "zf_tdma": ("zf_tdma", 3, DelayConfig(7, 3), 5, (0, 4, 3, 7)),
+    "zf": ("zf", 4, DelayConfig(3, 0), 5, (0, 1, 0, 1)),
+    "tdma": ("tdma", 4, DelayConfig(3, 1), 5, (0, 0, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("key", list(_MIXES))
+def test_stia_engine_slot_mix_follows_the_plan(key, monkeypatch):
+    # The one engine draws each scheme's rounds, ZF slots and TDMA slots per
+    # trial and averages over the horizon. With ZF and TDMA slots replaced
+    # by one bit each and rounds at vanishing SNR, the per-slot rate is the
+    # mix's share of ZF and TDMA slots. Schemes without rounds never draw one.
+    scheme, K, delay, n, expected = _MIXES[key]
+    mix = analysis._slot_mix(scheme, K, delay, n)
+    assert mix == expected
+    rounds, zf_slots, tdma_slots, horizon = mix
+    size = 3
+    counts = {"rounds": 0, "zf": 0, "tdma": 0}
     batch_rounds = protocol.batch_rounds
 
-    def rounds(K_, count, rng):
-        counts["rounds"] = count
+    def draw_rounds(K_, count, rng):
+        counts["rounds"] += count
         return batch_rounds(K_, count, rng)
 
     def zf(n_t, count, snr_lin, rng):
-        counts["zf"] = count
+        assert n_t == K - 1
+        counts["zf"] += count
         return np.ones((count, snr_lin.size)), 0
 
     def tdma(h, snr_lin):
-        counts["tdma"] = len(h)
+        assert h.shape[1] == K - 1
+        counts["tdma"] += len(h)
         return np.ones((len(h), snr_lin.size))
 
-    monkeypatch.setattr(protocol, "batch_rounds", rounds)
+    monkeypatch.setattr(protocol, "batch_rounds", draw_rounds)
     monkeypatch.setattr(analysis, "_zf_stack_bits", zf)
     monkeypatch.setattr(analysis, "_tdma_bits", tdma)
-    bits, _ = analysis._stia_chunk(plan, np.array([1e-30]), size, np.random.default_rng(K))
-    assert counts == {
-        "rounds": size * len(plan.stia_rounds),
-        "zf": size * len(plan.zf_slots),
-        "tdma": size * len(plan.tdma_slots),
-    }
-    share = (len(plan.zf_slots) + len(plan.tdma_slots)) / plan.horizon
-    np.testing.assert_allclose(bits, share, rtol=1e-12)
+    bits, _ = analysis._mix_chunk(K, mix, np.array([1e-30]), size, np.random.default_rng(K))
+    assert counts == {"rounds": size * rounds, "zf": size * zf_slots, "tdma": size * tdma_slots}
+    np.testing.assert_allclose(bits, (zf_slots + tdma_slots) / horizon, rtol=1e-12)
+
+
+def _mix_dof(K, mix):
+    rounds, zf, tdma, horizon = mix
+    return Fraction(K * (K - 1) * rounds + (K - 1) * zf + tdma, horizon)
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_slot_mix_dof_matches_the_exact_accounting(K):
+    for n in (1, 2, 5, 16):
+        mix = analysis._slot_mix("stia", K, DelayConfig(K, 1), n)
+        assert _mix_dof(K, mix) == account_dof(build_plan_general(K, n)).dof
+    for t_fb in range(4):
+        mix = analysis._slot_mix("zf_tdma", 3, DelayConfig(3, t_fb), 16)
+        assert _mix_dof(3, mix) == baseline_zf_tdma(Fraction(t_fb, 3))
+    assert _mix_dof(K, analysis._slot_mix("zf", K, DelayConfig(3, 0), 16)) == K - 1
+    assert _mix_dof(K, analysis._slot_mix("tdma", K, DelayConfig(3, 1), 16)) == 1
 
 
 @pytest.mark.parametrize("scheme,delay", [("zf", DelayConfig(3, 0)), ("zf_tdma", DelayConfig(3, 1))])

@@ -236,3 +236,18 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "'trials'" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("format", "xml"),
+    ("scheme", "mat"),
+    ("inject_fault", "precoder"),
+])
+def test_config_value_outside_its_choices_is_usage_error(key, value, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "tradeoff", key: value}))
+    rc = run_cli(["tradeoff", "--config", str(cfg_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err and repr(value) in err

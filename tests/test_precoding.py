@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from stia.analysis import _zf_tdma_chunk
-from stia.channel import complex_normal
+from stia.analysis import _mix_chunk, _slot_mix
+from stia.channel import DelayConfig, complex_normal
 from stia.precoding import (
     IllConditionedChannelError,
     build_stia_precoders,
@@ -133,33 +133,46 @@ def test_zf_served_size_contract():
         build_zf_precoder(ch, [1, 4])
 
 
-# TDMA serves one user on its matched beam; the ZF/TDMA engine picks the
-# user round-robin over the positions of a coherence block.
+# TDMA serves one user on its matched beam. The ZF/TDMA time share runs
+# t_c - t_fb ZF slots and t_fb TDMA slots per trial; each ZF slot draws its
+# served stack directly, which is distribution-identical to zero-forcing a
+# round-robin subset of the K users of one coherence block.
+
+
+def _matched_beam_bits(h, snr):
+    beam = h.conj() / np.linalg.norm(h)
+    return np.log2(1 + snr * abs(h @ beam) ** 2)
 
 
 def test_tdma_round_robin():
-    # K=3, t_c=3, t_fb=1: position 0 serves user 1 alone, positions 1 and 2
-    # zero-force every user but 2 and 3 respectively.
+    # K=3, t_c=3, t_fb=1: two ZF slots on served stacks, then one TDMA slot,
+    # per trial, drawn in that order.
     snr = np.array([1e3, 1e5])
-    bits, resamples = _zf_tdma_chunk(3, 3, 1, snr, 8, np.random.default_rng(9))
-    ch = complex_normal(np.random.default_rng(9), (8, 3, 2))
+    mix = _slot_mix("zf_tdma", 3, DelayConfig(3, 1), 16)
+    bits, resamples = _mix_chunk(3, mix, snr, 8, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    stacks = complex_normal(rng, (8 * 2, 2, 2))
+    rows = complex_normal(rng, (8, 2))
     assert resamples == 0
     for c in range(8):
-        ref = np.log2(1 + snr * np.sum(np.abs(ch[c, 0]) ** 2))
-        for served in ([1, 3], [1, 2]):
-            w = build_zf_precoder(ch[c], served)
-            for i, u in enumerate(served):
-                ref = ref + np.log2(1 + snr / 2 * abs(ch[c, u - 1] @ w[:, i]) ** 2)
+        ref = 0.0
+        for h in stacks[2 * c: 2 * c + 2]:
+            w = build_zf_precoder(h, [1, 2])
+            for i in range(2):
+                ref = ref + np.log2(1 + snr / 2 * abs(h[i] @ w[:, i]) ** 2)
+        ref = ref + _matched_beam_bits(rows[c], snr)
         np.testing.assert_allclose(bits[c], ref / 3, rtol=1e-10)
 
 
 @pytest.mark.parametrize("K", [2, 3, 5])
 def test_tdma_periodicity(K):
-    # A TDMA-only block of 2K positions serves position p's user p mod K,
-    # so every user twice.
+    # With t_fb == t_c == 2K the time share is 2K TDMA slots per trial, each
+    # an independent user row on its matched beam.
     snr = np.array([1e2, 1e4])
-    bits, _ = _zf_tdma_chunk(K, 2 * K, 2 * K, snr, 5, np.random.default_rng(K))
-    ch = complex_normal(np.random.default_rng(K), (5, K, K - 1))
-    gains = np.sum(np.abs(ch) ** 2, axis=2)
-    ref = sum(np.log2(1 + snr[None, :] * gains[:, p % K, None]) for p in range(2 * K)) / (2 * K)
-    np.testing.assert_allclose(bits, ref, rtol=1e-12)
+    mix = _slot_mix("zf_tdma", K, DelayConfig(2 * K, 2 * K), 16)
+    assert mix == (0, 0, 2 * K, 2 * K)
+    bits, _ = _mix_chunk(K, mix, snr, 5, np.random.default_rng(K))
+    rows = complex_normal(np.random.default_rng(K), (5 * 2 * K, K - 1))
+    for c in range(5):
+        ref = sum(_matched_beam_bits(h, snr) for h in rows[2 * K * c: 2 * K * (c + 1)])
+        np.testing.assert_allclose(bits[c], ref / (2 * K), rtol=1e-12)

@@ -47,8 +47,6 @@ MAT_DOF_K3 = Fraction(3, 2)
 SIMULATION_SCHEMES = ("stia", "zf_tdma", "zf", "tdma")
 
 _CHUNK = 512
-_BOOTSTRAP_KEY = 999983
-_BOOTSTRAP_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -136,18 +134,19 @@ def emit_tradeoff_table(gammas) -> list[TradeoffPoint]:
     constituents (1 for TDMA fill-in, 3/2 for the outdated-CSI scheme) so
     each grid point gets a complete set of rows.
     """
-    gs = [Fraction(g) for g in gammas]
-    if not gs:
-        raise ValueError("gamma grid must not be empty")
     rows = []
-    for g in gs:
-        if g < 0:
-            raise ValueError("gamma cannot be negative")
-        rows.append(TradeoffPoint("stia", g, tradeoff_k3(g)))
+    for value in gammas:
+        try:
+            g = Fraction(value)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"delay ratio {value!r} is not a number or a fraction") from err
+        rows.append(TradeoffPoint("stia", g, tradeoff_k3(g)))  # rejects a negative gamma
         rows.append(TradeoffPoint("zf_tdma", g, _baseline_extended(g, Fraction(1))))
         rows.append(TradeoffPoint("zf_mat", g, _baseline_extended(g, MAT_DOF_K3)))
         rows.append(TradeoffPoint("tdma", g, Fraction(1)))
         rows.append(TradeoffPoint("mat", g, MAT_DOF_K3))
+    if not rows:
+        raise ValueError("gamma grid must not be empty")
     return rows
 
 
@@ -270,12 +269,12 @@ def estimate_dof_slope(
     t_c - t_fb ZF and t_fb TDMA slots for the ZF/TDMA time share, a single
     slot for pure ZF or TDMA) and the sum rate per slot is recorded at every
     grid point. The slope of the mean rates against log2(SNR) is the DoF
-    estimate; the confidence half width is 1.96 times the bootstrap standard
-    deviation over trials.
+    estimate; the confidence half width is 1.96 times the exact standard
+    error of the per-trial slopes (0 for a single trial).
 
-    Every scheme needs K >= 2 and finite SNR points. The aligned scheme
-    requires ``delay == (t_c=K, t_fb=1)``, pure ZF requires ``t_fb == 0``
-    and the time share ``t_fb <= t_c``.
+    Every scheme needs K >= 2, ``rounds_per_trial >= 1`` and finite SNR
+    points. The aligned scheme requires ``delay == (t_c=K, t_fb=1)``, pure
+    ZF requires ``t_fb == 0`` and the time share ``t_fb <= t_c``.
     """
     db = tuple(float(x) for x in snr_grid_db)
     if not all(np.isfinite(db)):
@@ -286,6 +285,8 @@ def estimate_dof_slope(
         raise ValueError("trials must be at least 1")
     if K < 2:
         raise ValueError("K must be at least 2 users")
+    if rounds_per_trial < 1:
+        raise ValueError("rounds_per_trial must be at least 1")
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
     snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
@@ -308,12 +309,9 @@ def estimate_dof_slope(
     mean_rates = rates.mean(axis=0)
     slope = fit_dof_slope(db, mean_rates)
 
-    boot_rng = np.random.default_rng((seed & (1 << 64) - 1, _BOOTSTRAP_KEY))
-    slopes = np.empty(_BOOTSTRAP_SAMPLES)
-    for b in range(_BOOTSTRAP_SAMPLES):
-        idx = boot_rng.integers(0, trials, trials)
-        slopes[b] = fit_dof_slope(db, rates[idx].mean(axis=0))
-    halfwidth = float(1.96 * slopes.std(ddof=1))
+    # The fit is linear, so the slope is the mean of the per-trial slopes.
+    trial_slopes = rates @ [fit_dof_slope(db, e) for e in np.eye(len(db))]
+    halfwidth = float(1.96 * trial_slopes.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
 
     return DofEstimate(
         scheme=scheme,

@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _SUBCOMMANDS[args.command][0](_config_from_args(args))
-    except (OSError, ValueError, ZeroDivisionError, IllConditionedChannelError) as err:
+    except (OSError, ValueError, IllConditionedChannelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

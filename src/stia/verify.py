@@ -179,8 +179,8 @@ def run_all(
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     k_values = tuple(int(k) for k in k_values)
-    if any(k < 3 for k in k_values):
-        raise ValueError("round sweeps need K >= 3")
+    if not k_values or len(set(k_values)) != len(k_values) or min(k_values) < 3:
+        raise ValueError(f"k_values must be distinct user counts of at least 3, got {list(k_values)}")
     sweeps = {
         k: round_sweep(k, rounds, seed, inject_fault=(inject_fault == "alignment"))
         for k in k_values

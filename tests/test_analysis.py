@@ -114,6 +114,9 @@ def test_emit_table_domain():
         emit_tradeoff_table([])
     with pytest.raises(ValueError):
         emit_tradeoff_table([Fraction(-1, 3)])
+    for bad in ("1/0", "x/2"):
+        with pytest.raises(ValueError, match=repr(bad)):
+            emit_tradeoff_table(["1/3", bad])
 
 
 def test_fit_recovers_injected_slope_exactly():
@@ -142,6 +145,8 @@ def test_estimate_validates_inputs():
         estimate_dof_slope("tdma", 3, cfg, (40, 50), 0, 0)
     with pytest.raises(ValueError):
         estimate_dof_slope("stia", 2, DelayConfig(2, 1), (40, 50), 10, 0)
+    with pytest.raises(ValueError, match="rounds_per_trial"):
+        estimate_dof_slope("tdma", 3, cfg, (40, 50), 10, 0, rounds_per_trial=0)
     for grid in ((float("nan"), 50), (40, float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             estimate_dof_slope("tdma", 3, cfg, grid, 10, 0)
@@ -250,3 +255,76 @@ def test_zf_engines_give_up_on_persistently_singular_draws(scheme, delay, singul
 def test_every_scheme_rejects_fewer_than_two_users(scheme):
     with pytest.raises(ValueError):
         estimate_dof_slope(scheme, 1, DelayConfig(1, 0), (40.0, 50.0), 8, seed=0)
+
+
+# (scheme, K, delay, trials) at seed 7 on a 40/50/60 dB grid, with the slope
+# and mean rates the bootstrap-era engine printed for them.
+_PINNED = {
+    "tdma": (
+        ("tdma", 3, DelayConfig(3, 1), 1000),
+        0.9999783149744639,
+        (13.86530934821206, 17.187106470692765, 20.509021465795655),
+    ),
+    "zf": (
+        ("zf", 3, DelayConfig(3, 0), 1000),
+        1.9989749330447588,
+        (22.877658859489763, 29.515574320312812, 36.1585608416037),
+    ),
+    "zf_tdma": (
+        ("zf_tdma", 3, DelayConfig(3, 1), 1000),
+        1.6663439206163708,
+        (20.009592401531677, 25.54419254573348, 31.080541772812232),
+    ),
+    "stia": (
+        ("stia", 3, DelayConfig(3, 1), 300),
+        1.9612917113319455,
+        (22.823968475204413, 29.33498274106796, 35.85450855149102),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(_PINNED))
+def test_halfwidth_is_the_exact_standard_error_of_the_slope(key):
+    (scheme, K, delay, trials), slope, mean_rates = _PINNED[key]
+    db = (40.0, 50.0, 60.0)
+    est = estimate_dof_slope(scheme, K, delay, db, trials, seed=7)
+    assert est.slope == slope
+    assert est.mean_sum_rates == mean_rates
+    assert fit_dof_slope(db, est.mean_sum_rates) == est.slope
+
+    # Rebuild the per-trial rates chunk by chunk, as the estimate draws them.
+    mix = analysis._slot_mix(scheme, K, delay, 16)
+    snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
+    rates = np.concatenate([
+        analysis._mix_chunk(K, mix, snr_lin, size, analysis._chunk_rng(7, index))[0]
+        for index, _, size in analysis._chunk_layout(trials)
+    ])
+    x = np.asarray(db) / (10.0 * np.log10(2.0))
+    c = np.linalg.pinv(np.stack([np.ones_like(x), x], axis=1))[1]
+    exact = 1.96 * np.std(rates @ c, ddof=1) / np.sqrt(trials)
+    assert est.confidence_halfwidth == pytest.approx(exact, rel=1e-12)
+
+    rng = np.random.default_rng(2000)
+    boot = [fit_dof_slope(db, rates[rng.integers(0, trials, trials)].mean(axis=0)) for _ in range(2000)]
+    assert est.confidence_halfwidth == pytest.approx(1.96 * np.std(boot, ddof=1), rel=0.15)
+
+
+# Every scheme at a high-SNR grid, where the finite-SNR bias is far below
+# the bound: (scheme, K, delay, trials) and the exact DoF of its slot mix.
+_EXACT_DOF = {
+    **{
+        f"stia-k{K}": (("stia", K, DelayConfig(K, 1), trials), account_dof(build_plan_general(K, 16)).dof)
+        for K, trials in ((3, 1000), (4, 500), (5, 200), (6, 200))
+    },
+    "zf_tdma-k3": (("zf_tdma", 3, DelayConfig(3, 1), 1000), Fraction(5, 3)),
+    "zf_tdma-k6": (("zf_tdma", 6, DelayConfig(6, 2), 1000), Fraction(11, 3)),
+    "zf": (("zf", 3, DelayConfig(3, 0), 1000), Fraction(2)),
+    "tdma": (("tdma", 3, DelayConfig(3, 1), 1000), Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("key", list(_EXACT_DOF))
+def test_slope_matches_the_exact_accounting_at_high_snr(key):
+    (scheme, K, delay, trials), dof = _EXACT_DOF[key]
+    est = estimate_dof_slope(scheme, K, delay, (120.0, 130.0, 140.0), trials, seed=7)
+    assert abs(est.slope - float(dof)) <= 1e-6

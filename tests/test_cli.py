@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from stia.cli import RunConfig, main
+from stia.cli import _FLAGS, RunConfig, main
 
 
 def run_cli(args):
@@ -251,3 +251,56 @@ def test_config_value_outside_its_choices_is_usage_error(key, value, tmp_path, c
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert repr(key) in err and repr(value) in err
+
+
+_SCHEME_DELAYS = {"stia": (3, 1), "zf_tdma": (3, 1), "zf": (3, 0), "tdma": (3, 1)}
+
+
+def _flags_or_config(via, command, tmp_path, **fields):
+    """The command line that sets ``fields`` by flag or through a config file."""
+    if via == "config":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": command, **fields}))
+        return [command, "--config", str(cfg_path)]
+    argv = [command]
+    for name, value in fields.items():
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += [_FLAGS[name][0], text]
+    return argv
+
+
+@pytest.mark.parametrize("scheme", list(_SCHEME_DELAYS))
+def test_simulate_single_trial_has_zero_halfwidth(scheme, tmp_path):
+    out = tmp_path / "one.json"
+    tc, tfb = _SCHEME_DELAYS[scheme]
+    rc = run_cli(["simulate", "--scheme", scheme, "--tc", str(tc), "--tfb", str(tfb), "--trials", "1", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["confidence_halfwidth"] == 0.0
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("k_values", [[], [3, 3]])
+def test_verify_rejects_empty_or_repeated_k_values(k_values, via, tmp_path, capsys):
+    argv = _flags_or_config(via, "verify", tmp_path, k_values=k_values, verify_rounds=10)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "k_values" in err
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("scheme", list(_SCHEME_DELAYS))
+def test_simulate_rejects_rounds_per_trial_below_one(scheme, via, tmp_path, capsys):
+    tc, tfb = _SCHEME_DELAYS[scheme]
+    argv = _flags_or_config(via, "simulate", tmp_path, scheme=scheme, t_c=tc, t_fb=tfb, trials=8, rounds_per_trial=-5)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "rounds_per_trial" in err
+
+
+def test_tradeoff_bad_gamma_names_the_value(capsys):
+    assert run_cli(["tradeoff", "--gammas", "0,1/0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "'1/0'" in err

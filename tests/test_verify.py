@@ -54,6 +54,9 @@ def test_run_all_input_validation():
         verify.run_all(inject_fault="bogus")
     with pytest.raises(ValueError, match="rounds"):
         verify.run_all(k_values=(3,), rounds=0)
+    for k_values in ((), (3, 3)):
+        with pytest.raises(ValueError, match="k_values"):
+            verify.run_all(k_values=k_values, rounds=10)
 
 
 @pytest.mark.parametrize("seed", [45, 50, 79332259700])

@@ -235,8 +235,7 @@ def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) 
     parts = []
     resamples = 0
     if rounds:
-        ch, v, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
-        heff = protocol.batch_effective_channels(ch, v)
+        _, heff, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
         lam = protocol._gram_eigenvalues(heff, protocol.whitening_matrix(K))
         bits = np.empty((size * rounds, snr_lin.size))
         for gi, p in enumerate(snr_lin):
@@ -272,13 +271,17 @@ def estimate_dof_slope(
     estimate; the confidence half width is 1.96 times the exact standard
     error of the per-trial slopes (0 for a single trial).
 
-    Every scheme needs K >= 2, ``rounds_per_trial >= 1`` and finite SNR
-    points. The aligned scheme requires ``delay == (t_c=K, t_fb=1)``, pure
-    ZF requires ``t_fb == 0`` and the time share ``t_fb <= t_c``.
+    Every scheme needs K >= 2, ``rounds_per_trial >= 1`` and SNR points
+    finite in dB and as linear SNR. The aligned scheme requires ``delay ==
+    (t_c=K, t_fb=1)``, pure ZF ``t_fb == 0`` and the time share ``t_fb <= t_c``.
     """
     db = tuple(float(x) for x in snr_grid_db)
     if not all(np.isfinite(db)):
         raise ValueError("snr_grid_db must be finite")
+    try:
+        snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
+    except OverflowError:
+        raise ValueError(f"snr_grid_db point {max(db)} dB has no finite linear SNR") from None
     if len(db) < 2 or any(x2 <= x1 for x1, x2 in zip(db, db[1:])):
         raise ValueError("snr_grid_db must be strictly increasing with at least 2 points")
     if trials < 1:
@@ -289,8 +292,6 @@ def estimate_dof_slope(
         raise ValueError("rounds_per_trial must be at least 1")
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
-    snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
-
     mix = _slot_mix(scheme, K, delay, rounds_per_trial)
 
     def compute(entry):

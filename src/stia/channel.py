@@ -42,7 +42,10 @@ _SEED_MASK = (1 << 64) - 1
 
 def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     """CN(0,1) draws: real and imaginary parts each N(0, 1/2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    out *= np.sqrt(0.5)
+    return out[()]
 
 
 def block_of_slot(slot: int, t_c: int) -> int:

@@ -40,17 +40,44 @@ class IllConditionedChannelError(Exception):
         )
 
 
-def _stia_precoders(current: np.ndarray, outdated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Aligning precoders (..., K, n_t, n_t) and interferer-stack guard values (..., K)."""
+def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left null vectors ``z = (c, -1)`` (..., K) of slot channels (..., K, K-1), each user's kappa_F.
+
+    ``c = h_K A^-1`` for ``A`` the stack of users 1..K-1, which is user K's stack. User k's is ``A``
+    with row k set to ``h_K`` (row order keeps Frobenius norms), inverted by the rank-one update
+    ``A^-1 - A^-1 e_k (c - e_k)^T / c_k``. ``kappa_F`` is ``inf`` for a singular stack.
+    """
+    _, inv, cond_ref = _guarded_solve(current[..., :-1, :])
+    c = np.einsum("...i,...ij->...j", current[..., -1, :], inv)
+    rows = np.sum(np.abs(current) ** 2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = (c[..., None, :] - np.eye(c.shape[-1])) / c[..., :, None]  # row k: (c - e_k) / c_k
+        inv_fro = [np.sum(np.abs(inv - inv[..., :, k, None] * w[..., k, None, :]) ** 2, axis=(-2, -1))
+                   for k in range(c.shape[-1])]
+        cond = np.sqrt((rows.sum(axis=-1, keepdims=True) - rows[..., :-1]) * np.stack(inv_fro, axis=-1))
+    cond = np.where(np.isfinite(cond) & np.isfinite(cond_ref)[..., None], cond, np.inf)
+    z = np.concatenate([c, np.full(c[..., :1].shape, -1.0)], axis=-1)
+    return z, np.concatenate([cond, cond_ref[..., None]], axis=-1)
+
+
+def _stia_precoders(current: np.ndarray, outdated: np.ndarray) -> np.ndarray:
+    """Aligning precoders (..., K, n_t, n_t): each user's interferer stack solved for its reference rows."""
     K, n_t = current.shape[-2:]
     v = np.empty(current.shape[:-2] + (K, n_t, n_t), dtype=complex)
-    cond = np.empty(current.shape[:-1])
     for k in range(K):
         rows = [j for j in range(K) if j != k]
         a = current[..., rows, :]
-        b = np.broadcast_to(outdated[..., rows, :], a.shape)
-        v[..., k, :, :], _, cond[..., k] = _guarded_solve(a, b)
-    return v, cond
+        v[..., k, :, :] = np.linalg.solve(a, np.broadcast_to(outdated[..., rows, :], a.shape))
+    return v
+
+
+def _accepted_null_vectors(current: np.ndarray) -> np.ndarray:
+    """:func:`_interferer_guard`'s null vectors; raises :class:`IllConditionedChannelError` past the limit."""
+    z, cond = _interferer_guard(current)
+    worst = cond.reshape(-1, current.shape[-2]).max(axis=0)
+    if worst.max() > CONDITION_LIMIT:
+        raise IllConditionedChannelError(int(np.argmax(worst > CONDITION_LIMIT)) + 1, worst.max())
+    return z
 
 
 def build_stia_precoders(current, outdated) -> np.ndarray:
@@ -78,11 +105,8 @@ def build_stia_precoders(current, outdated) -> np.ndarray:
         raise ValueError("the square construction needs n_t == K - 1 antennas")
     if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(out))):
         raise ValueError("channel entries must be finite")
-    v, cond = _stia_precoders(cur, out)
-    worst = cond.reshape(-1, k_users).max(axis=0)
-    if worst.max() > CONDITION_LIMIT:
-        raise IllConditionedChannelError(int(np.argmax(worst > CONDITION_LIMIT)) + 1, worst.max())
-    return v
+    _accepted_null_vectors(cur)
+    return _stia_precoders(cur, out)
 
 
 def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,9 +11,10 @@ one, so the round delivers K(K-1) symbols in K slots.
 
 Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
-:func:`run_stia_round` is a batch of one through all of them; the rate
-engine in ``analysis`` stops at the eigenvalues and prices them with
-:func:`_round_bits`, the one aligned-rate formula :func:`round_rate` uses too.
+:func:`batch_rounds` yields effective channels from each precoded slot's
+left null vector; only callers that transmit (:func:`run_stia_round`, a
+batch of one, and ``verify``) solve precoders. The rate engine prices their
+eigenvalues with :func:`_round_bits`, which :func:`round_rate` uses too.
 
 At finite transmit power a scalar is applied per slot so the expected
 transmit power equals the budget; receivers divide it back out (they know
@@ -30,7 +31,8 @@ import numpy as np
 
 from .channel import complex_normal
 from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
-from .precoding import IllConditionedChannelError, _stia_precoders, build_stia_precoders
+from .precoding import IllConditionedChannelError, _accepted_null_vectors, _interferer_guard, _stia_precoders
+from .precoding import build_stia_precoders  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
 __all__ = [
     "DecodeFailureError",
@@ -192,20 +194,21 @@ def run_stia_round(
     """
     ch = np.asarray(channels, dtype=complex)
     K = symbols.K
-    if ch.shape != (K, K, K - 1):
-        raise ValueError(f"expected channels of shape {(K, K, K - 1)}, got {ch.shape}")
+    if ch.shape != (K, K, K - 1) or not np.all(np.isfinite(ch)):
+        raise ValueError(f"expected finite channels of shape {(K, K, K - 1)}, got shape {ch.shape}")
     if noise_std and rng is None:
         raise ValueError("an rng is required when noise_std > 0")
 
-    v = build_stia_precoders(ch[1:], ch[0])[None]
+    z = _accepted_null_vectors(ch[1:])[None]
     ch = ch[None]
+    v = _stia_precoders(ch[:, 1:], ch[:, :1])
     sent = symbols.stacked()[None]
     scales = _slot_scales(v, power)
     noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
     diffs = _differences(ch, _transmit(v, sent, scales), scales, noise)
-    heff = batch_effective_channels(ch, v)
+    heff = batch_effective_channels(ch, z)
     decoded = decode_round(heff[0], np.moveaxis(diffs, 1, 2)[0])
-    residual = _leakage(ch, heff, diffs, sent)[0]
+    residual = _leakage(ch, v, diffs, sent)[0]
     users = range(1, K + 1)
     return StiaRoundResult(
         decoded=SymbolBlock({k: decoded[k - 1] for k in users}),
@@ -226,7 +229,7 @@ def _redraw_guarded(draw, guard, count: int):
     """Draw ``count`` items, redrawing each whose ``guard`` value exceeds :data:`CONDITION_LIMIT`.
 
     ``guard(items)`` returns guard values and per-item results, such as the
-    precoders or ZF gains the guard computed on the way.
+    null vectors or ZF gains the guard computed on the way.
     Raises :class:`IllConditionedChannelError` after ``_MAX_PASSES`` passes.
     """
     items = draw(count)
@@ -252,17 +255,17 @@ def batch_rounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Draw ``count`` rounds at once, resampling ill-conditioned draws.
 
-    Returns ``(channels, precoders, conds, resamples)`` where channels has
-    shape (count, K, K, K-1), precoders (count, K-1, K, K-1, K-1), conds is
-    the worst stacked-interferer guard value ``kappa_F = ||A||_F ||A^-1||_F``
-    per round and resamples counts redrawn rounds.
+    Returns ``(channels, effective_channels, conds, resamples)``: shapes
+    (count, K, K, K-1) and (count, K, K-1, K-1), the worst interferer-stack
+    ``kappa_F = ||A||_F ||A^-1||_F`` per round and the redrawn rounds.
     """
 
     def guard(ch):
-        v, cond = _stia_precoders(ch[:, 1:], ch[:, :1])
-        return cond.max(axis=(1, 2)), v
+        z, cond = _interferer_guard(ch[:, 1:])
+        return cond.max(axis=(1, 2)), z
 
-    return _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)
+    ch, z, conds, resamples = _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)
+    return ch, batch_effective_channels(ch, z), conds, resamples
 
 
 def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
@@ -292,14 +295,14 @@ def _differences(ch: np.ndarray, x: np.ndarray, scales: np.ndarray, noise=None) 
     return y[:, :1] - y[:, 1:]
 
 
-def batch_effective_channels(channels: np.ndarray, precoders: np.ndarray) -> np.ndarray:
+def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> np.ndarray:
     """Effective channels for a batch of rounds: shape (count, K, K-1, K-1).
 
-    Row m of round c, user k is ``h_k[ref] - h_k[m] V_k[m]``.
+    Row m of round c, user k is ``h_k[ref] - h_k[m] V_k[m] = z^T H[ref] / z_k``,
+    with ``z`` slot m's left null vector from ``null_vectors`` (count, K-1, K).
     """
-    hv = np.einsum("cmki,cmkij->cmkj", channels[:, 1:], precoders)
-    heff = channels[:, :1] - hv
-    return np.moveaxis(heff, 1, 2)
+    mixed = np.einsum("cmk,cka->cma", null_vectors, channels[:, 0])
+    return mixed[:, None] / np.moveaxis(null_vectors, 1, 2)[..., None]
 
 
 def _decode(heff: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -307,9 +310,10 @@ def _decode(heff: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.linalg.solve(heff, d[..., None])[..., 0]
 
 
-def _leakage(ch: np.ndarray, heff: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Worst ``|difference - H_eff s|`` per round and user over the interference it recorded."""
-    own = np.einsum("ckma,cka->cmk", heff, symbols)
+def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Worst ``|d - (h_k[ref] - h_k[m] V_k[m]) s_k|`` per round and user over the interference it recorded."""
+    vs = np.einsum("cmkab,ckb->cmka", v, symbols)
+    own = np.einsum("cka,cka->ck", ch[:, 0], symbols)[:, None] - np.einsum("cmka,cmka->cmk", ch[:, 1:], vs)
     leak = np.abs(diffs - own).max(axis=1)
     cross = np.abs(np.einsum("cki,cji->ckj", ch[:, 0], symbols))
     scale = cross.sum(axis=2) - np.diagonal(cross, axis1=1, axis2=2)

@@ -14,7 +14,7 @@ import numpy as np
 from . import protocol
 from .channel import complex_normal
 from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
-from .precoding import _zf_gains
+from .precoding import _stia_precoders, _zf_gains
 from .scheduler import account_dof, build_plan_general, validate_plan
 
 __all__ = [
@@ -43,7 +43,9 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     Runs the noise-free signal path end to end on ``rounds`` random rounds:
     coefficient-level alignment residuals, signal-level leakage of every
     interferer after cancellation, relative decoding error, and the
-    numerical rank of every effective channel. ``inject_fault`` negates the
+    numerical rank of every effective channel. Decoding and rank use the
+    kernel's null-vector effective channels, so every round checks the
+    precoded signal against that algebra. ``inject_fault`` negates the
     reference CSI inside the precoder build, which must blow the alignment
     and cancellation residuals up to order one.
 
@@ -52,14 +54,13 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     stacks, an upper bound on their spectral condition numbers.
     """
     rng = np.random.default_rng((seed & (1 << 64) - 1, K))
-    ch, v, conds, resamples = protocol.batch_rounds(K, rounds, rng)
-    if inject_fault:
-        v = -v
+    ch, heff, conds, resamples = protocol.batch_rounds(K, rounds, rng)
+    v = _stia_precoders(ch[:, 1:], -ch[:, :1] if inject_fault else ch[:, :1])
 
     # Coefficient-level alignment: h_j[m] V_k[m] against h_j[ref] for j != k.
     got = np.einsum("cmji,cmkia->cmkja", ch[:, 1:], v)
-    want = ch[:, 0][:, None, None, :, :]
-    num = np.max(np.abs(got - want), axis=-1)
+    got -= ch[:, 0][:, None, None, :, :]  # in place: the largest array of the sweep
+    num = np.max(np.abs(got), axis=-1)
     den = np.max(np.abs(ch[:, 0]), axis=-1)[:, None, None, :]
     rel = num / den
     k_idx = np.arange(K)
@@ -70,8 +71,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     symbols = complex_normal(rng, (rounds, K, K - 1))
     scales = protocol._slot_scales(v, None)
     diffs = protocol._differences(ch, protocol._transmit(v, symbols, scales), scales)
-    heff = protocol.batch_effective_channels(ch, v)
-    leakage = float(protocol._leakage(ch, heff, diffs, symbols).max())
+    leakage = float(protocol._leakage(ch, v, diffs, symbols).max())
 
     decoded = protocol._decode(heff, np.moveaxis(diffs, 1, 2))
     err = np.max(np.abs(decoded - symbols), axis=-1)
@@ -136,7 +136,8 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     K, power = 3, 10.0
     n_t = K - 1
 
-    _, v, _, _ = protocol.batch_rounds(K, trials, rng)
+    ch, _, _, _ = protocol.batch_rounds(K, trials, rng)
+    v = _stia_precoders(ch[:, 1:], ch[:, :1])
     scales = protocol._slot_scales(v, power)
     slot_power = np.zeros((trials, K))
     for e in np.eye(K * n_t, dtype=complex):

@@ -11,6 +11,7 @@ from stia.channel import (
     FadingProcess,
     block_of_slot,
     coherence_time_estimate,
+    complex_normal,
     csit_at,
     feedback_arrival_slot,
     has_current_csit,
@@ -40,6 +41,17 @@ def test_block_constancy_within_block():
     proc = FadingProcess(2, 2, 4, seed=3)
     for slot in range(5, 9):  # block 2 spans slots 5..8
         np.testing.assert_array_equal(proc.channel_at_slot(slot), proc.sample_block(2))
+
+
+@pytest.mark.parametrize("shape", [(8192, 3, 3, 2), (50000, 2, 2), (100000, 2), 3, ()])
+def test_complex_normal_bits_match_the_two_draw_expression(shape):
+    # Filling one complex array in place must not change a bit of the draws
+    # (nor the scalar type of shape ()).
+    got = complex_normal(np.random.default_rng(31), shape)
+    rng = np.random.default_rng(31)
+    want = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_entry_variance_and_shape():

@@ -197,6 +197,17 @@ def test_simulate_rejects_nan_snr(capfd):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_simulate_rejects_snr_without_a_finite_linear_value(via, tmp_path, capsys):
+    # 4000 dB is finite, but 10 ** 400 is not a float
+    argv = _flags_or_config(via, "simulate", tmp_path, scheme="tdma", k=3, t_c=3, t_fb=3,
+                            snr_grid_db=[40, 4000], trials=2)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "4000" in err and "Traceback" not in err
+
+
 def test_verify_rejects_zero_rounds(capsys):
     rc = run_cli(["verify", "--k-values", "3", "--rounds", "0"])
     assert rc == 2

@@ -7,6 +7,7 @@ from stia.analysis import _mix_chunk, _slot_mix
 from stia.channel import DelayConfig, complex_normal
 from stia.precoding import (
     IllConditionedChannelError,
+    _stia_precoders,
     build_stia_precoders,
     build_zf_precoder,
 )
@@ -51,7 +52,8 @@ def test_k3_alignment_products():
 @pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_alignment_exactness_sweep(K):
     rng = np.random.default_rng(100 + K)
-    ch, v, _, _ = batch_rounds(K, 1000, rng)
+    ch, _, _, _ = batch_rounds(K, 1000, rng)
+    v = _stia_precoders(ch[:, 1:], ch[:, :1])
     got = np.einsum("cmji,cmkia->cmkja", ch[:, 1:], v)
     want = ch[:, 0][:, None, None, :, :]
     rel = np.max(np.abs(got - want), axis=-1) / np.max(np.abs(ch[:, 0]), axis=-1)[:, None, None, :]

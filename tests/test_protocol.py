@@ -12,7 +12,14 @@ import pytest
 from stia import analysis, protocol
 from stia.channel import complex_normal
 from stia.numerics import CONDITION_LIMIT
-from stia.precoding import IllConditionedChannelError, _zf_gains, build_stia_precoders, build_zf_precoder
+from stia.precoding import (
+    IllConditionedChannelError,
+    _interferer_guard,
+    _stia_precoders,
+    _zf_gains,
+    build_stia_precoders,
+    build_zf_precoder,
+)
 from stia.protocol import (
     DecodeFailureError,
     SymbolBlock,
@@ -209,6 +216,9 @@ def test_cancel_needs_two_slots():
     ch, sb = _round(3, 16)
     with pytest.raises(ValueError):
         run_stia_round(ch[:1], sb)
+    ch[0, 2, 1] = np.nan  # nor does it take non-finite channels
+    with pytest.raises(ValueError, match="finite"):
+        run_stia_round(ch, sb)
 
 
 def test_effective_channel_degenerate_self_cancellation():
@@ -217,7 +227,9 @@ def test_effective_channel_degenerate_self_cancellation():
     h = complex_normal(np.random.default_rng(16), (3, 2))
     ch = np.stack([h, h, h])
     v = build_stia_precoders(ch[1:], ch[0])
-    np.testing.assert_allclose(batch_effective_channels(ch[None], v[None]), 0.0, atol=1e-14)
+    np.testing.assert_allclose(v, np.broadcast_to(np.eye(2), v.shape), atol=1e-14)
+    z, _ = _interferer_guard(ch[1:])
+    np.testing.assert_allclose(batch_effective_channels(ch[None], z[None]), 0.0, atol=1e-14)
     with pytest.raises(DecodeFailureError):
         run_stia_round(ch, SymbolBlock.random(3, np.random.default_rng(0)))
 
@@ -225,8 +237,7 @@ def test_effective_channel_degenerate_self_cancellation():
 @pytest.mark.parametrize("K", [3, 4])
 def test_effective_channel_rank(K):
     rng = np.random.default_rng(17 + K)
-    ch, v, _, _ = batch_rounds(K, 1000, rng)
-    heff = batch_effective_channels(ch, v)
+    _, heff, _, _ = batch_rounds(K, 1000, rng)
     s = np.linalg.svd(heff, compute_uv=False)
     full = s[..., -1] > 1e-9 * s[..., 0]
     assert full.all(axis=1).sum() >= 999
@@ -388,7 +399,8 @@ def test_batch_precoders_bit_equal_per_user_solves():
     # np.linalg.solve on that user's interferer stack, one matrix at a time.
     rng = np.random.default_rng(28)
     for K in (3, 5):
-        ch, v, _, _ = batch_rounds(K, 4, rng)
+        ch, _, _, _ = batch_rounds(K, 4, rng)
+        v = _stia_precoders(ch[:, 1:], ch[:, :1])
         for c in range(4):
             for m in range(1, K):
                 for k in range(K):
@@ -411,8 +423,8 @@ def test_zf_gains_match_explicit_inverse():
 def test_batch_matches_reference_round():
     rng = np.random.default_rng(27)
     for K in (3, 4):
-        ch, v, _, _ = batch_rounds(K, 3, rng)
-        heff = batch_effective_channels(ch, v)
+        ch, heff, _, _ = batch_rounds(K, 3, rng)
+        v = _stia_precoders(ch[:, 1:], ch[:, :1])
         for c in range(3):
             for k in range(1, K + 1):
                 others = [j for j in range(K) if j != k - 1]
@@ -421,3 +433,69 @@ def test_batch_matches_reference_round():
                     np.testing.assert_allclose(v[c, m - 1, k - 1], ref_v, atol=1e-10)
                     row = ch[c, 0, k - 1] - ch[c, m, k - 1] @ ref_v
                     np.testing.assert_allclose(heff[c, k - 1, m - 1], row, atol=1e-10)
+
+
+# --------------------------------------------------------------------------
+# null-vector kernel
+# --------------------------------------------------------------------------
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_null_vector_kernel_matches_per_user_solves(K):
+    # One inverse per precoded slot gives every user's effective-channel row
+    # and interferer-stack guard; here each comes from its own solve and inverse.
+    rng = np.random.default_rng(40 + K)
+    ch = draw_round_channels(K, 200, rng)
+    z, cond = _interferer_guard(ch[:, 1:])
+    heff = batch_effective_channels(ch, z)
+    for m in range(1, K):
+        for k in range(K):
+            others = [j for j in range(K) if j != k]
+            a = ch[:, m, others]
+            v = np.linalg.solve(a, ch[:, 0, others])
+            row = ch[:, 0, k] - np.einsum("ci,cij->cj", ch[:, m, k], v)
+            assert _rel(heff[:, k, m - 1], row).max() <= 1e-12
+            fro = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(a), axis=(1, 2))
+            np.testing.assert_allclose(cond[:, m - 1, k], fro, rtol=1e-12)
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_null_vector_guard_flags_singular_stacks_and_the_redraw_replaces_them(K, monkeypatch):
+    # Round 1: user 1's channel vanishes in slot 1, so the reference stack
+    # (users 1..K-1) is exactly singular. Round 3: in slot K-1 the reference
+    # stack is diagonal and h_K sums all its rows but the first, so
+    # c = (0, 1, ..., 1) exactly and only user 1's stack is singular. Neither
+    # may raise or warn, the other rounds keep every bit, and the redraw
+    # replaces exactly these two.
+    rng = np.random.default_rng(50 + K)
+    ch = draw_round_channels(K, 6, rng)
+    bad = ch.copy()
+    bad[1, 1, 0] = 0.0
+    diag = np.diag(2.0 ** np.arange(K - 1))
+    bad[3, K - 1] = np.vstack([diag, diag[1:].sum(axis=0)])
+    z0, cond0 = _interferer_guard(ch[:, 1:])
+    z, cond = _interferer_guard(bad[:, 1:])
+    assert np.isinf(cond[1, 0]).all()
+    assert np.isinf(cond[3, K - 2]).tolist() == [True] + [False] * (K - 1)
+    np.testing.assert_array_equal(np.flatnonzero(np.isinf(cond.max(axis=(1, 2)))), [1, 3])
+    keep = [0, 2, 4, 5]
+    np.testing.assert_array_equal(z[keep], z0[keep])
+    np.testing.assert_array_equal(cond[keep], cond0[keep])
+
+    draws = []
+
+    def draw(K_, n, rng_):
+        draws.append(n)
+        return bad.copy() if len(draws) == 1 else draw_round_channels(K_, n, rng_)
+
+    monkeypatch.setattr(protocol, "draw_round_channels", draw)
+    got, heff, conds, resamples = batch_rounds(K, 6, rng)
+    assert draws == [6, 2] and resamples == 2
+    np.testing.assert_array_equal(got[keep], bad[keep])
+    assert not np.array_equal(got[1], bad[1]) and not np.array_equal(got[3], bad[3])
+    assert np.all(conds <= CONDITION_LIMIT) and np.all(np.isfinite(heff))
+    np.testing.assert_array_equal(heff[keep], batch_effective_channels(ch, z0)[keep])

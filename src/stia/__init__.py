@@ -8,8 +8,8 @@ baselines, the slot scheduler that time-shares the three, and the
 delay-DoF trade-off analysis, with Monte Carlo machinery to measure DoF
 as high-SNR rate slopes.
 
-Modules: ``channel`` (fading and CSI bookkeeping), ``numerics`` (small
-dense solves), ``precoding`` (beamformer construction), ``protocol``
+Modules: ``channel`` (feedback timing and CN(0,1) draws), ``numerics``
+(small dense solves), ``precoding`` (beamformer construction), ``protocol``
 (round execution and rates), ``scheduler`` (slot partitioning),
 ``analysis`` (trade-off curves and slope estimation), ``verify``
 (property suites), ``cli`` (command-line front end).
@@ -26,14 +26,7 @@ from .analysis import (
     fit_dof_slope,
     tradeoff_k3,
 )
-from .channel import (
-    CsitView,
-    DelayConfig,
-    FadingProcess,
-    coherence_time_estimate,
-    complex_normal,
-    csit_at,
-)
+from .channel import DelayConfig, coherence_time_estimate, complex_normal
 from .numerics import (
     SingularMatrixError,
     condition_estimate,
@@ -67,12 +60,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAT_DOF_K3",
-    "CsitView",
     "DecodeFailureError",
     "DelayConfig",
     "DofAccount",
     "DofEstimate",
-    "FadingProcess",
     "IllConditionedChannelError",
     "SchedulerPlan",
     "SingularMatrixError",
@@ -89,7 +80,6 @@ __all__ = [
     "coherence_time_estimate",
     "complex_normal",
     "condition_estimate",
-    "csit_at",
     "decode_round",
     "draw_round_channels",
     "emit_tradeoff_table",

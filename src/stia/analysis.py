@@ -272,8 +272,9 @@ def estimate_dof_slope(
     error of the per-trial slopes (0 for a single trial).
 
     Every scheme needs K >= 2, ``rounds_per_trial >= 1`` and SNR points
-    finite in dB and as linear SNR. The aligned scheme requires ``delay ==
-    (t_c=K, t_fb=1)``, pure ZF ``t_fb == 0`` and the time share ``t_fb <= t_c``.
+    finite in dB, and positive and finite as linear SNR. The aligned scheme
+    requires ``delay == (t_c=K, t_fb=1)``, pure ZF ``t_fb == 0`` and the
+    time share ``t_fb <= t_c``.
     """
     db = tuple(float(x) for x in snr_grid_db)
     if not all(np.isfinite(db)):
@@ -282,6 +283,8 @@ def estimate_dof_slope(
         snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
     except OverflowError:
         raise ValueError(f"snr_grid_db point {max(db)} dB has no finite linear SNR") from None
+    if (snr_lin <= 0).any():
+        raise ValueError(f"snr_grid_db point {min(db)} dB has no positive linear SNR")
     if len(db) < 2 or any(x2 <= x1 for x1, x2 in zip(db, db[1:])):
         raise ValueError("snr_grid_db must be strictly increasing with at least 2 points")
     if trials < 1:

@@ -1,46 +1,19 @@
-"""Tests for the block-fading and delayed-CSI model."""
+"""Tests for the CN(0,1) draws and the feedback-timing CSIT model."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stia.analysis import _chunk_rng
 from stia.channel import (
-    CsitView,
     DelayConfig,
-    FadingProcess,
     block_of_slot,
     coherence_time_estimate,
     complex_normal,
-    csit_at,
     feedback_arrival_slot,
     has_current_csit,
-    sample_user_vector,
 )
-
-
-def test_same_seed_same_block_identical():
-    a = FadingProcess(3, 2, 3, seed=42)
-    b = FadingProcess(3, 2, 3, seed=42)
-    np.testing.assert_array_equal(a.sample_block(5), b.sample_block(5))
-    np.testing.assert_array_equal(a.sample_block(5), a.sample_block(5))
-
-
-def test_block_order_independent():
-    a = FadingProcess(3, 2, 3, seed=9)
-    b = FadingProcess(3, 2, 3, seed=9)
-    first = a.sample_block(1)
-    b.sample_block(7)
-    np.testing.assert_array_equal(first, b.sample_block(1))
-    np.testing.assert_array_equal(
-        sample_user_vector(9, 7, 2, 2), b.sample_block(7)[1]
-    )
-
-
-def test_block_constancy_within_block():
-    proc = FadingProcess(2, 2, 4, seed=3)
-    for slot in range(5, 9):  # block 2 spans slots 5..8
-        np.testing.assert_array_equal(proc.channel_at_slot(slot), proc.sample_block(2))
 
 
 @pytest.mark.parametrize("shape", [(8192, 3, 3, 2), (50000, 2, 2), (100000, 2), 3, ()])
@@ -56,9 +29,7 @@ def test_complex_normal_bits_match_the_two_draw_expression(shape):
 
 def test_entry_variance_and_shape():
     # Monte Carlo estimate of the unit total variance over 1e5 entries.
-    proc = FadingProcess(2, 2, 1, seed=11)
-    blocks = np.stack([proc.sample_block(b) for b in range(1, 25_001)])
-    entries = blocks.ravel()
+    entries = complex_normal(np.random.default_rng(11), 100_000)
     assert entries.shape == (100_000,)
     assert np.mean(np.abs(entries) ** 2) == pytest.approx(1.0, abs=0.02)
     assert np.var(entries.real) == pytest.approx(0.5, abs=0.01)
@@ -66,9 +37,9 @@ def test_entry_variance_and_shape():
 
 
 def test_cross_block_independence():
-    proc = FadingProcess(2, 2, 1, seed=12)
-    first = np.stack([proc.sample_block(b) for b in range(1, 25_001)]).ravel()
-    second = np.stack([proc.sample_block(b) for b in range(25_001, 50_001)]).ravel()
+    # Consecutive chunks of the rate engine draw from unrelated streams.
+    first = complex_normal(_chunk_rng(12, 0), 100_000)
+    second = complex_normal(_chunk_rng(12, 1), 100_000)
     corr = np.corrcoef(first.real, second.real)[0, 1]
     assert abs(corr) < 0.02
     corr_im = np.corrcoef(first.imag, second.imag)[0, 1]
@@ -76,42 +47,34 @@ def test_cross_block_independence():
 
 
 def test_csit_first_slot_blind():
-    proc = FadingProcess(3, 2, 3, seed=0)
-    view = csit_at(proc, DelayConfig(3, 1), 1)
-    assert not view.has_current
-    assert view.outdated == {}
+    assert not has_current_csit(3, 1, 1)
+    assert feedback_arrival_slot(1, 3, 1) > 1
 
 
 def test_csit_slot_eight_matches_feedback_model():
-    proc = FadingProcess(3, 2, 3, seed=0)
-    view = csit_at(proc, DelayConfig(3, 1), 8)
-    assert view.has_current and view.current_block == 3
-    np.testing.assert_array_equal(view.current, proc.sample_block(3))
-    assert sorted(view.outdated) == [1, 2]
+    assert has_current_csit(3, 1, 8) and block_of_slot(8, 3) == 3
+    assert [b for b in (1, 2, 3) if feedback_arrival_slot(b, 3, 1) <= 8] == [1, 2, 3]
 
 
 def test_csit_zero_delay_always_current():
-    proc = FadingProcess(3, 2, 3, seed=0)
-    cfg = DelayConfig(3, 0)
     for slot in range(1, 13):
-        assert csit_at(proc, cfg, slot).has_current
+        assert has_current_csit(3, 0, slot)
 
 
 def test_csit_causality_brute_force():
     # Feedback for block b is sent at its first slot and lands t_fb later;
-    # the view must contain exactly the blocks whose report has landed.
+    # the transmitter knows exactly the blocks whose report has landed.
     for t_c, t_fb in [(3, 1), (3, 2), (3, 3), (4, 1), (5, 0), (2, 5)]:
-        proc = FadingProcess(2, 2, t_c, seed=1)
-        cfg = DelayConfig(t_c, t_fb)
         for slot in range(1, 41):
             blk = (slot - 1) // t_c + 1
             known = {
                 b for b in range(1, blk + 1)
                 if (b - 1) * t_c + 1 + t_fb <= slot
             }
-            view = csit_at(proc, cfg, slot)
-            assert view.has_current == (blk in known)
-            assert set(view.outdated) == {b for b in known if b < blk}
+            assert block_of_slot(slot, t_c) == blk
+            assert has_current_csit(t_c, t_fb, slot) == (blk in known)
+            arrived = {b for b in range(1, blk + 1) if feedback_arrival_slot(b, t_c, t_fb) <= slot}
+            assert arrived == known
 
 
 def test_helpers_agree():
@@ -129,6 +92,17 @@ def test_gamma_exact_rational():
         DelayConfig(0, 1)
     with pytest.raises(ValueError):
         DelayConfig(3, -1)
+
+
+@pytest.mark.parametrize("t_c,t_fb", [(3.0, 1), (3, 1.0), (True, 0), (3, False), ("3", 1), (None, 1)])
+def test_delay_config_rejects_non_integers(t_c, t_fb):
+    with pytest.raises(ValueError, match="integer"):
+        DelayConfig(t_c, t_fb)
+
+
+def test_delay_config_accepts_numpy_integers():
+    cfg = DelayConfig(np.int64(3), np.int32(1))
+    assert cfg.gamma == Fraction(1, 3) and cfg == DelayConfig(3, 1)
 
 
 def test_coherence_time_lte_walking_speed():
@@ -153,7 +127,9 @@ def test_coherence_time_domain():
         coherence_time_estimate(1e9, -1.0)
 
 
-def test_mismatched_config_rejected():
-    proc = FadingProcess(3, 2, 3, seed=0)
-    with pytest.raises(ValueError):
-        csit_at(proc, DelayConfig(4, 1), 1)
+@pytest.mark.parametrize("carrier,speed", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (1e9, float("nan")), (1e9, float("inf")),
+])
+def test_coherence_time_rejects_non_finite_input(carrier, speed):
+    with pytest.raises(ValueError, match="finite"):
+        coherence_time_estimate(carrier, speed)

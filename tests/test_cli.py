@@ -208,6 +208,17 @@ def test_simulate_rejects_snr_without_a_finite_linear_value(via, tmp_path, capsy
     assert "4000" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("via", ["flags", "config"])
+def test_simulate_rejects_snr_without_a_positive_linear_value(via, tmp_path, capsys):
+    # -3300 dB is finite, but 10 ** -330 underflows to 0.0
+    argv = _flags_or_config(via, "simulate", tmp_path, scheme="tdma", k=3, t_fb=0,
+                            snr_grid_db=[-3300, -3250], trials=4)
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "-3300" in err and "positive" in err
+
+
 def test_verify_rejects_zero_rounds(capsys):
     rc = run_cli(["verify", "--k-values", "3", "--rounds", "0"])
     assert rc == 2
@@ -268,7 +279,10 @@ _SCHEME_DELAYS = {"stia": (3, 1), "zf_tdma": (3, 1), "zf": (3, 0), "tdma": (3, 1
 
 
 def _flags_or_config(via, command, tmp_path, **fields):
-    """The command line that sets ``fields`` by flag or through a config file."""
+    """The command line that sets ``fields`` by flag or through a config file.
+
+    Flags take the ``--flag=value`` form, so a value may start with a minus sign.
+    """
     if via == "config":
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"command": command, **fields}))
@@ -276,7 +290,7 @@ def _flags_or_config(via, command, tmp_path, **fields):
     argv = [command]
     for name, value in fields.items():
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        argv += [_FLAGS[name][0], text]
+        argv.append(f"{_FLAGS[name][0]}={text}")
     return argv
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stia.channel import DelayConfig, FadingProcess, csit_at
+from stia.channel import block_of_slot, feedback_arrival_slot, has_current_csit
 from stia.scheduler import (
     account_dof,
     build_plan_general,
@@ -91,23 +91,22 @@ def test_rounds_span_distinct_blocks():
 
 
 def test_plan_consistent_with_csit_view():
-    # The CSI view at every planned slot must support its assigned role.
+    # The CSIT at every planned slot must support its assigned role.
     for K, n in [(3, 4), (4, 3)]:
         plan = build_plan_general(K, n)
-        proc = FadingProcess(K, K - 1, plan.t_c, seed=0)
-        cfg = DelayConfig(plan.t_c, plan.t_fb)
+        t_c, t_fb = plan.t_c, plan.t_fb
         for round_slots in plan.stia_rounds:
             ref, *phase_two = round_slots
-            assert not csit_at(proc, cfg, ref).has_current
-            ref_block = (ref - 1) // plan.t_c + 1
+            assert not has_current_csit(t_c, t_fb, ref)
+            ref_block = block_of_slot(ref, t_c)
             for s in phase_two:
-                view = csit_at(proc, cfg, s)
-                assert view.has_current
-                assert ref_block in view.outdated
+                assert has_current_csit(t_c, t_fb, s)
+                assert ref_block < block_of_slot(s, t_c)
+                assert feedback_arrival_slot(ref_block, t_c, t_fb) <= s
         for s in plan.zf_slots:
-            assert csit_at(proc, cfg, s).has_current
+            assert has_current_csit(t_c, t_fb, s)
         for s in plan.tdma_slots:
-            assert not csit_at(proc, cfg, s).has_current
+            assert not has_current_csit(t_c, t_fb, s)
 
 
 def test_role_map_and_dict():

@@ -236,10 +236,11 @@ def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) 
     resamples = 0
     if rounds:
         _, heff, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
-        lam = protocol._gram_eigenvalues(heff, protocol.whitening_matrix(K))
+        gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
+        cov = protocol.difference_noise_covariance(K)
         bits = np.empty((size * rounds, snr_lin.size))
         for gi, p in enumerate(snr_lin):
-            bits[:, gi] = protocol._round_bits(lam, p, K).sum(axis=(1, 2))
+            bits[:, gi] = protocol._round_bits(gram, cov, p, K).sum(axis=1)
         parts.append(bits.reshape(size, rounds, -1).sum(axis=1))
     if zf:
         bits, zf_res = _zf_stack_bits(K - 1, size * zf, snr_lin, rng)

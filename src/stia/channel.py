@@ -46,27 +46,36 @@ def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     return out[()]
 
 
+def _require_count(name: str, value, least: int) -> None:
+    if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def block_of_slot(slot: int, t_c: int) -> int:
     """Index of the coherence block containing a slot (both 1-based)."""
-    if slot < 1:
-        raise ValueError("slots are 1-based")
+    _require_count("slot", slot, 1)
+    _require_count("t_c", t_c, 1)
     return (slot - 1) // t_c + 1
 
 
 def block_start(block_index: int, t_c: int) -> int:
     """First slot of a coherence block."""
-    if block_index < 1:
-        raise ValueError("blocks are 1-based")
+    _require_count("block_index", block_index, 1)
+    _require_count("t_c", t_c, 1)
     return (block_index - 1) * t_c + 1
 
 
 def feedback_arrival_slot(block_index: int, t_c: int, t_fb: int) -> int:
     """Slot at which the report sent at the block's first slot reaches the transmitter."""
+    _require_count("t_fb", t_fb, 0)
     return block_start(block_index, t_c) + t_fb
 
 
 def has_current_csit(t_c: int, t_fb: int, slot: int) -> bool:
     """Whether the transmitter knows the slot's own block channel at this slot."""
+    _require_count("t_fb", t_fb, 0)
     return slot - block_start(block_of_slot(slot, t_c), t_c) >= t_fb
 
 
@@ -78,14 +87,8 @@ class DelayConfig:
     t_fb: int
 
     def __post_init__(self):
-        for name in ("t_c", "t_fb"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer number of slots, got {value!r}")
-        if self.t_c < 1:
-            raise ValueError("t_c must be a positive number of slots")
-        if self.t_fb < 0:
-            raise ValueError("t_fb cannot be negative")
+        _require_count("t_c", self.t_c, 1)
+        _require_count("t_fb", self.t_fb, 0)
 
     @property
     def gamma(self) -> Fraction:

@@ -13,8 +13,8 @@ Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
 :func:`batch_rounds` yields effective channels from each precoded slot's
 left null vector; only callers that transmit (:func:`run_stia_round`, a
-batch of one, and ``verify``) solve precoders. The rate engine prices their
-eigenvalues with :func:`_round_bits`, which :func:`round_rate` uses too.
+batch of one, and ``verify``) solve precoders. :func:`_round_bits` prices
+every round as ``log2 det(C + p H H^H) - log2 det C``, C the noise covariance.
 
 At finite transmit power a scalar is applied per slot so the expected
 transmit power equals the budget; receivers divide it back out (they know
@@ -45,7 +45,6 @@ __all__ = [
     "draw_round_channels",
     "round_rate",
     "run_stia_round",
-    "whitening_matrix",
 ]
 
 # Draw passes before a guarded draw gives up; continuous fading makes even
@@ -118,20 +117,6 @@ def difference_noise_covariance(K: int) -> np.ndarray:
     return np.eye(m) + np.ones((m, m))
 
 
-def whitening_matrix(K: int) -> np.ndarray:
-    """Inverse square root of :func:`difference_noise_covariance` at unit variance."""
-    m = K - 1
-    beta = (1.0 / np.sqrt(K) - 1.0) / m
-    return np.eye(m) + beta * np.ones((m, m))
-
-
-def _inverse_sqrt(cov: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(np.asarray(cov, dtype=complex))
-    if np.any(w <= 0):
-        raise ValueError("noise covariance must be positive definite")
-    return (v * (w**-0.5)) @ v.conj().T
-
-
 def decode_round(eff, differences) -> np.ndarray:
     """Solve ``eff @ s = differences`` for stacked (..., K-1, K-1) effective channels.
 
@@ -152,15 +137,15 @@ def decode_round(eff, differences) -> np.ndarray:
 def round_rate(eff, snr_linear: float, K: int, noise_cov=None) -> float:
     """Per-user achievable bits per slot of one round at a given SNR.
 
-    Log-det of the whitened effective channel with the per-symbol power
-    ``snr / (K (K-1))``, spread over the K slots the round occupies. The
-    default noise covariance is :func:`difference_noise_covariance`.
+    :func:`_round_bits` of the effective channel spread over the round's K
+    slots. ``noise_cov`` defaults to :func:`difference_noise_covariance`;
+    one that is not positive definite raises ValueError.
     """
     if snr_linear <= 0:
         raise ValueError("snr_linear must be positive")
-    w = whitening_matrix(K) if noise_cov is None else _inverse_sqrt(noise_cov)
-    lam = _gram_eigenvalues(np.asarray(eff, dtype=complex)[None, None], w)
-    return float(_round_bits(lam, snr_linear, K).sum() / K)
+    cov = difference_noise_covariance(K) if noise_cov is None else noise_cov
+    h = np.asarray(eff, dtype=complex)[None]
+    return float(_round_bits(h @ h.conj().swapaxes(-1, -2), cov, snr_linear, K)[0] / K)
 
 
 def run_stia_round(
@@ -210,12 +195,12 @@ def run_stia_round(
     decoded = decode_round(heff[0], np.moveaxis(diffs, 1, 2)[0])
     residual = _leakage(ch, v, diffs, sent)[0]
     users = range(1, K + 1)
+    h, cov = heff[0], difference_noise_covariance(K)
+    bits = None if snr_linear is None else _round_bits(h @ h.conj().swapaxes(-1, -2), cov, snr_linear, K) / K
     return StiaRoundResult(
         decoded=SymbolBlock({k: decoded[k - 1] for k in users}),
         residual_interference={k: float(residual[k - 1]) for k in users},
-        per_user_rate_bits=None
-        if snr_linear is None
-        else {k: round_rate(heff[0, k - 1], snr_linear, K) for k in users},
+        per_user_rate_bits=None if bits is None else {k: float(bits[k - 1]) for k in users},
         effective_channels={k: heff[0, k - 1] for k in users},
     )
 
@@ -322,13 +307,26 @@ def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarr
     return np.where(scale > 0.0, rel, np.where(leak < 1e-12, 0.0, np.inf))
 
 
-def _round_bits(lam: np.ndarray, snr_linear: float, K: int) -> np.ndarray:
-    """Bits of each aligned symbol from its Gram eigenvalue at per-symbol power ``snr / (K (K-1))``."""
-    return np.log2(1.0 + snr_linear / (K * (K - 1)) * lam)
+def _round_bits(gram: np.ndarray, cov, snr_linear: float, K: int) -> np.ndarray:
+    """Bits ``log2 det(C + p G) - log2 det C`` of stacked Gram matrices G (..., K-1, K-1).
+
+    C is the noise covariance and ``p = snr / (K (K-1))`` the per-symbol
+    power: the whitened log-det ``log2 det(I + p C^-1/2 G C^-1/2)`` unwhitened.
+    """
+    return _log2det(cov + snr_linear / (K * (K - 1)) * gram) - _log2det(cov)
 
 
-def _gram_eigenvalues(heff: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the whitened Gram ``(W H)(W H)^H``, clipped at 0."""
-    g = np.einsum("ab,ckbj->ckaj", w, heff)
-    gram = np.einsum("ckaj,ckbj->ckab", g, g.conj())
-    return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+def _log2det(a) -> np.ndarray:
+    """``log2 det`` of stacked Hermitian (..., m, m) matrices: the pivots' log2 summed over LDL^H.
+
+    Matrix axes go first, so each column step runs on contiguous vectors. A non-positive pivot raises.
+    """
+    a = np.array(np.moveaxis(a, (-2, -1), (0, 1)), dtype=complex, order="C")
+    bits = np.zeros(a.shape[2:])
+    for j in range(a.shape[0]):
+        d = a[j, j].real
+        if not np.all(d > 0):
+            raise ValueError("matrix is not positive definite")
+        a[j + 1:, j + 1:] -= a[j + 1:, j, None] * (a[j, j + 1:] / d)
+        bits += np.log2(d)
+    return bits

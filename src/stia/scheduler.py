@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import block_of_slot, feedback_arrival_slot, has_current_csit
+from .channel import _require_count, block_of_slot, feedback_arrival_slot, has_current_csit
 
 __all__ = [
     "DofAccount",
@@ -98,10 +98,8 @@ def build_plan_general(K: int, n: int) -> SchedulerPlan:
     round inside K distinct blocks and every (block, position) pair used
     at most once. Residual slots are classified by CSIT availability.
     """
-    if K < 3:
-        raise ValueError("the construction needs at least 3 users")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_count("K", K, 3)
+    _require_count("n", n, 1)
     t_c = K
     t_fb = 1
     horizon = K * (n + K - 1)

@@ -278,7 +278,7 @@ _PINNED = {
     "stia": (
         ("stia", 3, DelayConfig(3, 1), 300),
         1.961291711331948,
-        (22.823968475204406, 29.33498274106796, 35.85450855149103),
+        (22.823968475204406, 29.33498274106796, 35.85450855149102),
     ),
 }
 

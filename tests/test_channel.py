@@ -9,6 +9,7 @@ from stia.analysis import _chunk_rng
 from stia.channel import (
     DelayConfig,
     block_of_slot,
+    block_start,
     coherence_time_estimate,
     complex_normal,
     feedback_arrival_slot,
@@ -82,6 +83,34 @@ def test_helpers_agree():
     assert feedback_arrival_slot(1, 3, 1) == 2
     assert has_current_csit(3, 1, 8)
     assert not has_current_csit(3, 1, 7)
+
+
+_PREDICATES = [
+    (block_of_slot, ("slot", "t_c")),
+    (block_start, ("block", "t_c")),
+    (feedback_arrival_slot, ("block", "t_c", "t_fb")),
+    (has_current_csit, ("t_c", "t_fb", "slot")),
+]
+_VALID = {"slot": 4, "block": 2, "t_c": 3, "t_fb": 1}
+
+
+@pytest.mark.parametrize("func,params", _PREDICATES, ids=[func.__name__ for func, _ in _PREDICATES])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, False, "3", None, np.float64(2.0)])
+def test_timing_predicates_reject_non_integers(func, params, bad):
+    for name in params:
+        args = [bad if p == name else _VALID[p] for p in params]
+        with pytest.raises(ValueError, match="integer"):
+            func(*args)
+
+
+@pytest.mark.parametrize("func,params", _PREDICATES, ids=[func.__name__ for func, _ in _PREDICATES])
+def test_timing_predicates_reject_out_of_range_values(func, params):
+    lowest = {"slot": 1, "block": 1, "t_c": 1, "t_fb": 0}
+    for name in params:
+        args = [lowest[p] - 1 if p == name else _VALID[p] for p in params]
+        with pytest.raises(ValueError, match="at least"):
+            func(*args)
+    assert func(*[np.int64(lowest[p]) for p in params]) == func(*[lowest[p] for p in params])
 
 
 def test_gamma_exact_rational():

@@ -1,11 +1,14 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stia
 from stia.cli import _FLAGS, RunConfig, main
 
 
@@ -43,9 +46,10 @@ def test_simulate_json_deterministic(tmp_path):
     assert len(payload["mean_sum_rates"]) == 3
 
 
-def test_simulate_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("scheme", ["zf_tdma", "stia"])
+def test_simulate_thread_count_does_not_change_bytes(tmp_path, monkeypatch, scheme):
     flags = [
-        "simulate", "--scheme", "zf_tdma", "--k", "3", "--tc", "3", "--tfb", "1",
+        "simulate", "--scheme", scheme, "--k", "3", "--tc", "3", "--tfb", "1",
         "--snr", "40,50,60", "--trials", "1200", "--seed", "3", "--out",
     ]
     out1 = tmp_path / "serial.json"
@@ -154,9 +158,12 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # The child imports stia from this checkout, installed or not.
+    src = str(Path(stia.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "stia.cli", "schedule", "--k", "3", "--n", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert '"horizon": 9' in proc.stdout

@@ -4,6 +4,8 @@ Kernel stages are checked against explicit per-user, per-slot loops written
 here, so each check stays independent of the kernel's batched arithmetic.
 """
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +32,6 @@ from stia.protocol import (
     draw_round_channels,
     round_rate,
     run_stia_round,
-    whitening_matrix,
 )
 
 
@@ -345,11 +346,65 @@ def test_round_rate_slope_near_two_per_round():
     assert 1.9 <= slope <= 2.1
 
 
-def test_whitening_matrix_inverts_covariance():
-    for K in (3, 4, 6):
-        w = whitening_matrix(K)
-        cov = difference_noise_covariance(K)
-        np.testing.assert_allclose(w @ cov @ w, np.eye(K - 1), atol=1e-12)
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_round_rates_of_a_round_equal_round_rate_per_user(K):
+    ch, sb = _round(K, 40 + K)
+    res = run_stia_round(ch, sb, snr_linear=1e5)
+    want = {k: round_rate(res.effective_channels[k], 1e5, K) for k in range(1, K + 1)}
+    assert res.per_user_rate_bits == pytest.approx(want, rel=1e-14)
+
+
+def _exact_log2det(m):
+    """log2 det of a Hermitian matrix of exact (real, imaginary) Fraction pairs, by elimination."""
+    m = [row[:] for row in m]
+    det = Fraction(1)
+    for j in range(len(m)):
+        (pr, pi) = m[j][j]
+        det *= pr  # Hermitian positive definite: every pivot is real and positive
+        assert pi == 0 and pr > 0
+        for i in range(j + 1, len(m)):
+            fr, fi = m[i][j][0] / pr, m[i][j][1] / pr
+            for k in range(j + 1, len(m)):
+                ar, ai = m[j][k]
+                br, bi = m[i][k]
+                m[i][k] = (br - (fr * ar - fi * ai), bi - (fr * ai + fi * ar))
+    return math.log2(det.numerator) - math.log2(det.denominator)
+
+
+def _exact_round_bits(h, snr, K):
+    """``log2 det(C + p H H^H) - log2 det C`` in Fraction arithmetic on the float64 entries of ``h``."""
+    m = K - 1
+    p = Fraction(snr / (K * (K - 1)))  # the float per-symbol power the kernel uses
+    hr = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in h]
+    gram = [[(sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(hr[a], hr[b])),
+              sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(hr[a], hr[b]))) for b in range(m)]
+            for a in range(m)]
+    cov = [[(Fraction(1 + (a == b)), Fraction(0)) for b in range(m)] for a in range(m)]
+    mat = [[(cov[a][b][0] + p * gram[a][b][0], p * gram[a][b][1]) for b in range(m)] for a in range(m)]
+    return _exact_log2det(mat) - _exact_log2det(cov)
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_round_bits_match_an_exact_log_det_on_the_worst_conditioned_rounds(K):
+    _, heff, conds, _ = batch_rounds(K, 4000, np.random.default_rng(90 + K))
+    worst = heff[np.argsort(conds)[-4:]]
+    gram = np.einsum("ckaj,ckbj->ckab", worst, worst.conj())
+    cov = difference_noise_covariance(K)
+    for db in (40.0, 60.0, 90.0):
+        snr = 10.0 ** (db / 10.0)
+        bits = protocol._round_bits(gram, cov, snr, K)
+        want = [[_exact_round_bits(h, snr, K) for h in rnd] for rnd in worst]
+        np.testing.assert_allclose(bits, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("cov", [
+    [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
+])
+def test_round_rate_rejects_a_covariance_that_is_not_positive_definite(cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive definite"):
+            round_rate(np.eye(2, dtype=complex), 100.0, 3, noise_cov=np.asarray(cov))
 
 
 def test_zf_slot_orthonormal_channels():

@@ -82,6 +82,24 @@ def test_domain_errors():
         build_plan_general(4, 0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "2", None, np.float64(2.0)])
+def test_plans_reject_a_round_count_that_is_not_an_integer(n):
+    for build in (build_plan_k3, lambda n: build_plan_general(4, n)):
+        with pytest.raises(ValueError, match="integer"):
+            build(n)
+
+
+@pytest.mark.parametrize("K", [True, 3.0, "3", None])
+def test_general_plan_rejects_a_user_count_that_is_not_an_integer(K):
+    with pytest.raises(ValueError, match="integer"):
+        build_plan_general(K, 2)
+
+
+def test_plans_accept_numpy_integers():
+    assert build_plan_general(np.int64(4), np.int32(2)) == build_plan_general(4, 2)
+    assert build_plan_k3(np.int64(2)).to_dict() == build_plan_k3(2).to_dict()
+
+
 def test_rounds_span_distinct_blocks():
     for K, n in [(3, 6), (5, 4)]:
         plan = build_plan_general(K, n)

@@ -17,13 +17,13 @@ almost all Monte Carlo noise from the slope.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import protocol
-from .channel import DelayConfig, complex_normal
+from .channel import DelayConfig, _require_count, _require_integer, complex_normal
 from .precoding import _zf_gains
 from .scheduler import build_plan_general
 
@@ -73,18 +73,10 @@ class DofEstimate:
     resamples: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "gamma_num": self.gamma.numerator,
-            "gamma_den": self.gamma.denominator,
-            "snr_grid_db": list(self.snr_grid_db),
-            "mean_sum_rates": list(self.mean_sum_rates),
-            "slope": self.slope,
-            "confidence_halfwidth": self.confidence_halfwidth,
-            "trials": self.trials,
-            "seed": self.seed,
-            "resamples": self.resamples,
-        }
+        """The fields, JSON-ready: tuples as lists, ``gamma`` as ``gamma_num`` and ``gamma_den``."""
+        fields = {name: list(v) if isinstance(v, tuple) else v for name, v in asdict(self).items()}
+        gamma = fields.pop("gamma")
+        return {**fields, "gamma_num": gamma.numerator, "gamma_den": gamma.denominator}
 
 
 def tradeoff_k3(gamma) -> Fraction:
@@ -119,30 +111,22 @@ def baseline_zf_mat(gamma) -> Fraction:
     return 2 - g / 2
 
 
-def _baseline_extended(gamma: Fraction, no_csit_dof: Fraction) -> Fraction:
-    # Time-sharing line clamped past gamma = 1, where no current-CSIT slots
-    # remain and only the no-CSIT scheme runs.
-    if gamma >= 1:
-        return no_csit_dof
-    return (1 - gamma) * 2 + gamma * no_csit_dof
-
-
 def emit_tradeoff_table(gammas) -> list[TradeoffPoint]:
     """Rows for every scheme at every delay ratio, exact rationals.
 
-    The time-sharing baselines are extended past gamma = 1 by their no-CSIT
-    constituents (1 for TDMA fill-in, 3/2 for the outdated-CSI scheme) so
-    each grid point gets a complete set of rows.
+    Past gamma = 1 no current-CSIT slots remain, so the time-sharing
+    baselines keep their values at 1 there: those of their no-CSIT
+    constituents (1 for TDMA fill-in, 3/2 for the outdated-CSI scheme).
     """
     rows = []
     for value in gammas:
         try:
             g = Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise ValueError(f"delay ratio {value!r} is not a number or a fraction") from err
         rows.append(TradeoffPoint("stia", g, tradeoff_k3(g)))  # rejects a negative gamma
-        rows.append(TradeoffPoint("zf_tdma", g, _baseline_extended(g, Fraction(1))))
-        rows.append(TradeoffPoint("zf_mat", g, _baseline_extended(g, MAT_DOF_K3)))
+        rows.append(TradeoffPoint("zf_tdma", g, baseline_zf_tdma(min(g, 1))))
+        rows.append(TradeoffPoint("zf_mat", g, baseline_zf_mat(min(g, 1))))
         rows.append(TradeoffPoint("tdma", g, Fraction(1)))
         rows.append(TradeoffPoint("mat", g, MAT_DOF_K3))
     if not rows:
@@ -272,10 +256,10 @@ def estimate_dof_slope(
     estimate; the confidence half width is 1.96 times the exact standard
     error of the per-trial slopes (0 for a single trial).
 
-    Every scheme needs K >= 2, ``rounds_per_trial >= 1`` and SNR points
-    finite in dB, and positive and finite as linear SNR. The aligned scheme
-    requires ``delay == (t_c=K, t_fb=1)``, pure ZF ``t_fb == 0`` and the
-    time share ``t_fb <= t_c``.
+    Every scheme needs integers K >= 2, ``trials >= 1``, ``rounds_per_trial
+    >= 1`` and ``seed``, and SNR points finite in dB, and positive and
+    finite as linear SNR. The aligned scheme requires ``delay == (t_c=K,
+    t_fb=1)``, pure ZF ``t_fb == 0`` and the time share ``t_fb <= t_c``.
     """
     db = tuple(float(x) for x in snr_grid_db)
     if not all(np.isfinite(db)):
@@ -288,12 +272,10 @@ def estimate_dof_slope(
         raise ValueError(f"snr_grid_db point {min(db)} dB has no positive linear SNR")
     if len(db) < 2 or any(x2 <= x1 for x1, x2 in zip(db, db[1:])):
         raise ValueError("snr_grid_db must be strictly increasing with at least 2 points")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if K < 2:
-        raise ValueError("K must be at least 2 users")
-    if rounds_per_trial < 1:
-        raise ValueError("rounds_per_trial must be at least 1")
+    _require_count("trials", trials, 1)
+    _require_count("K", K, 2)
+    _require_count("rounds_per_trial", rounds_per_trial, 1)
+    _require_integer("seed", seed)
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
     mix = _slot_mix(scheme, K, delay, rounds_per_trial)

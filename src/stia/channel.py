@@ -46,9 +46,13 @@ def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     return out[()]
 
 
-def _require_count(name: str, value, least: int) -> None:
+def _require_integer(name: str, value) -> None:
     if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_count(name: str, value, least: int) -> None:
+    _require_integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 

@@ -98,23 +98,25 @@ def _has_type(value, hint) -> bool:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_json(path: str | None, payload: dict) -> None:
+    _emit(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True, indent=2) + "\n", path)
 
 
-def _csv_text(header, rows) -> str:
+def _write(cfg: RunConfig, payload: dict, header, rows) -> None:
+    """The artifact as ``cfg.format`` says: ``payload`` as JSON, or ``header`` and ``rows`` as CSV."""
+    if cfg.format == "json":
+        _write_json(cfg.output_path, payload)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerow(("schema_version", *header))
+    writer.writerows((SCHEMA_VERSION, *row) for row in rows)
+    _emit(buf.getvalue(), cfg.output_path)
 
 
 def _threads_from_env() -> int | None:
@@ -145,57 +147,23 @@ def run_simulate(cfg: RunConfig) -> int:
         f"scheme={est.scheme} gamma={est.gamma} slope={est.slope!r} "
         f"ci_halfwidth={est.confidence_halfwidth!r}"
     )
-    if cfg.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **est.to_dict()}
-        _emit(_json_text(payload), cfg.output_path)
-    else:
-        rows = [
-            (
-                SCHEMA_VERSION,
-                est.scheme,
-                est.gamma.numerator,
-                est.gamma.denominator,
-                repr(db),
-                repr(rate),
-            )
-            for db, rate in zip(est.snr_grid_db, est.mean_sum_rates)
-        ]
-        header = ("schema_version", "scheme", "gamma_num", "gamma_den", "snr_db", "mean_sum_rate_bits")
-        _emit(_csv_text(header, rows), cfg.output_path)
+    payload = est.to_dict()
+    header = ("scheme", "gamma_num", "gamma_den", "snr_db", "mean_sum_rate_bits")
+    rows = [
+        (est.scheme, payload["gamma_num"], payload["gamma_den"], db, rate)
+        for db, rate in zip(est.snr_grid_db, est.mean_sum_rates)
+    ]
+    _write(cfg, payload, header, rows)
     return 0
 
 
 def run_tradeoff(cfg: RunConfig) -> int:
-    points = analysis.emit_tradeoff_table(cfg.gammas)
-    if cfg.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "points": [
-                {
-                    "scheme": p.scheme,
-                    "gamma_num": p.gamma.numerator,
-                    "gamma_den": p.gamma.denominator,
-                    "dof_num": p.dof.numerator,
-                    "dof_den": p.dof.denominator,
-                }
-                for p in points
-            ],
-        }
-        _emit(_json_text(payload), cfg.output_path)
-    else:
-        header = ("schema_version", "scheme", "gamma_num", "gamma_den", "dof_num", "dof_den")
-        rows = [
-            (
-                SCHEMA_VERSION,
-                p.scheme,
-                p.gamma.numerator,
-                p.gamma.denominator,
-                p.dof.numerator,
-                p.dof.denominator,
-            )
-            for p in points
-        ]
-        _emit(_csv_text(header, rows), cfg.output_path)
+    header = ("scheme", "gamma_num", "gamma_den", "dof_num", "dof_den")
+    rows = [
+        (p.scheme, p.gamma.numerator, p.gamma.denominator, p.dof.numerator, p.dof.denominator)
+        for p in analysis.emit_tradeoff_table(cfg.gammas)
+    ]
+    _write(cfg, {"points": [dict(zip(header, row)) for row in rows]}, header, rows)
     return 0
 
 
@@ -206,20 +174,17 @@ def run_verify(cfg: RunConfig) -> int:
         seed=cfg.seed,
         inject_fault=cfg.inject_fault,
     )
-    _emit(_json_text(report), cfg.output_path)
-    for name in ("alignment", "cancellation", "decoding", "rank"):
-        status = "ok" if report[name]["passed"] else "FAIL"
-        print(f"{name}: {status}")
-    print(f"plans: {'ok' if report['plans']['passed'] else 'FAIL'}")
-    print(f"power: {'ok' if report['power']['passed'] else 'FAIL'}")
+    _write_json(cfg.output_path, report)
+    for name, entry in report.items():
+        if isinstance(entry, dict) and "passed" in entry:
+            print(f"{name}: {'ok' if entry['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1
 
 
 def run_schedule(cfg: RunConfig) -> int:
     plan = scheduler.build_plan_general(cfg.k, cfg.n)
     scheduler.validate_plan(plan)
-    payload = {"schema_version": SCHEMA_VERSION, **plan.to_dict()}
-    _emit(_json_text(payload), cfg.output_path)
+    _write_json(cfg.output_path, plan.to_dict())
     if cfg.output_path is not None:
         rounds = ", ".join("{" + ",".join(map(str, r)) + "}" for r in plan.stia_rounds)
         print(f"rounds: {rounds}")

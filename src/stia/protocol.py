@@ -73,11 +73,10 @@ class SymbolBlock:
         k = len(users)
         if k < 2 or users != list(range(1, k + 1)):
             raise ValueError("per_user must map users 1..K")
-        for u in users:
-            vec = np.asarray(self.per_user[u], dtype=complex).reshape(-1)
+        self.per_user = {u: np.asarray(self.per_user[u], dtype=complex).reshape(-1) for u in users}
+        for u, vec in self.per_user.items():
             if vec.shape != (k - 1,):
                 raise ValueError(f"user {u}: expected {k - 1} symbols, got {vec.shape[0]}")
-            self.per_user[u] = vec
 
     @property
     def K(self) -> int:
@@ -141,10 +140,11 @@ def round_rate(eff, snr_linear: float, K: int, noise_cov=None) -> float:
     slots. ``noise_cov`` defaults to :func:`difference_noise_covariance`;
     one that is not positive definite raises ValueError.
     """
-    if snr_linear <= 0:
-        raise ValueError("snr_linear must be positive")
-    cov = difference_noise_covariance(K) if noise_cov is None else noise_cov
+    _require_positive("snr_linear", snr_linear)
     h = np.asarray(eff, dtype=complex)[None]
+    if h.shape[1:] != (K - 1, K - 1):
+        raise ValueError(f"expected an effective channel of shape {(K - 1, K - 1)}, got shape {h.shape[1:]}")
+    cov = difference_noise_covariance(K) if noise_cov is None else noise_cov
     return float(_round_bits(h @ h.conj().swapaxes(-1, -2), cov, snr_linear, K)[0] / K)
 
 
@@ -181,8 +181,12 @@ def run_stia_round(
     K = symbols.K
     if ch.shape != (K, K, K - 1) or not np.all(np.isfinite(ch)):
         raise ValueError(f"expected finite channels of shape {(K, K, K - 1)}, got shape {ch.shape}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
     if noise_std and rng is None:
         raise ValueError("an rng is required when noise_std > 0")
+    if snr_linear is not None:
+        _require_positive("snr_linear", snr_linear)
 
     z = _accepted_null_vectors(ch[1:])[None]
     ch = ch[None]
@@ -258,10 +262,14 @@ def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
     count, n_pre, K = v.shape[:3]
     if power is None:
         return np.ones((count, n_pre + 1))
-    if power <= 0:
-        raise ValueError("power must be positive")
+    _require_positive("power", power)
     fro = np.sum(np.abs(v) ** 2, axis=(2, 3, 4))
     return np.sqrt(power / np.concatenate([np.full((count, 1), K * (K - 1.0)), fro], axis=1))
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> np.ndarray:

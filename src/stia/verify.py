@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import protocol
-from .channel import complex_normal
+from .channel import _require_count, complex_normal
 from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
 from .precoding import _stia_precoders, _zf_gains
 from .scheduler import account_dof, build_plan_general, validate_plan
@@ -36,6 +36,15 @@ RANK_MIN_FRACTION = 0.999
 # The power checks are exact sums, so only rounding separates them from the budget.
 POWER_RTOL = 1e-9
 
+# Round-sweep verdicts: report key, the limit's name, the limit, and the test every K's sweep must pass.
+_SWEEP_VERDICTS = (
+    ("alignment", "tolerance", ALIGNMENT_TOL, lambda s, tol: s["max_alignment_residual"] <= tol),
+    ("cancellation", "tolerance", LEAKAGE_TOL, lambda s, tol: s["max_cancellation_leakage"] <= tol),
+    ("decoding", "tolerance", DECODE_TOL, lambda s, tol: s["max_decode_error"] <= tol),
+    ("rank", "min_fraction", RANK_MIN_FRACTION,
+     lambda s, least: s["full_rank_fraction"] >= least and s["unflagged_rank_failures"] == 0),
+)
+
 
 def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> dict:
     """Alignment, cancellation, decoding and rank statistics over random rounds.
@@ -53,6 +62,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     ``kappa_F = ||A||_F ||A^-1||_F`` over the accepted rounds' interferer
     stacks, an upper bound on their spectral condition numbers.
     """
+    _require_count("rounds", rounds, 1)
     rng = np.random.default_rng((seed & (1 << 64) - 1, K))
     ch, heff, conds, resamples = protocol.batch_rounds(K, rounds, rng)
     v = _stia_precoders(ch[:, 1:], -ch[:, :1] if inject_fault else ch[:, :1])
@@ -98,6 +108,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
 
 def plan_suite(k_values=(3, 4, 5, 6), n_max: int = 50) -> dict:
     """Partition and accounting invariants for every plan in the grid."""
+    _require_count("n_max", n_max, 1)
     checked = 0
     failures = []
     for K in k_values:
@@ -108,6 +119,8 @@ def plan_suite(k_values=(3, 4, 5, 6), n_max: int = 50) -> dict:
             except ValueError as err:
                 failures.append(f"K={K} n={n}: {err}")
             checked += 1
+    if not checked:
+        raise ValueError("k_values must not be empty")
     golden = build_plan_general(3, 3)
     golden_ok = (
         golden.stia_rounds == ((1, 6, 8), (4, 9, 11), (7, 12, 14))
@@ -132,6 +145,7 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     standard-basis symbol vectors; every realization must meet the budget.
     Runs at K=3 with a budget of 10.
     """
+    _require_count("trials", trials, 1)
     rng = np.random.default_rng((seed & (1 << 64) - 1, 101))
     K, power = 3, 10.0
     n_t = K - 1
@@ -177,39 +191,25 @@ def run_all(
     """Run every suite and aggregate a JSON-ready pass/fail report."""
     if inject_fault not in ("none", "alignment"):
         raise ValueError("inject_fault must be 'none' or 'alignment'")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    k_values = tuple(int(k) for k in k_values)
-    if not k_values or len(set(k_values)) != len(k_values) or min(k_values) < 3:
+    k_values = tuple(k_values)
+    for k in k_values:
+        _require_count("each of k_values", k, 3)
+    if not k_values or len(set(k_values)) != len(k_values):
         raise ValueError(f"k_values must be distinct user counts of at least 3, got {list(k_values)}")
-    sweeps = {
-        k: round_sweep(k, rounds, seed, inject_fault=(inject_fault == "alignment"))
-        for k in k_values
-    }
-    alignment_ok = all(s["max_alignment_residual"] <= ALIGNMENT_TOL for s in sweeps.values())
-    leakage_ok = all(s["max_cancellation_leakage"] <= LEAKAGE_TOL for s in sweeps.values())
-    decode_ok = all(s["max_decode_error"] <= DECODE_TOL for s in sweeps.values())
-    rank_ok = all(
-        s["full_rank_fraction"] >= RANK_MIN_FRACTION and s["unflagged_rank_failures"] == 0
-        for s in sweeps.values()
-    )
-    plans = plan_suite(k_values=k_values)
-    power = power_suite(seed=seed)
+    sweeps = {str(k): round_sweep(k, rounds, seed, inject_fault == "alignment") for k in k_values}
     report = {
         "schema_version": 1,
         "seed": seed,
         "rounds_per_k": rounds,
-        "k_values": list(k_values),
+        "k_values": list(map(int, k_values)),
         "inject_fault": inject_fault,
-        "round_sweeps": {str(k): sweeps[k] for k in k_values},
-        "alignment": {"tolerance": ALIGNMENT_TOL, "passed": alignment_ok},
-        "cancellation": {"tolerance": LEAKAGE_TOL, "passed": leakage_ok},
-        "decoding": {"tolerance": DECODE_TOL, "passed": decode_ok},
-        "rank": {"min_fraction": RANK_MIN_FRACTION, "passed": rank_ok},
-        "plans": plans,
-        "power": power,
+        "round_sweeps": sweeps,
+        **{
+            name: {limit_name: limit, "passed": all(test(s, limit) for s in sweeps.values())}
+            for name, limit_name, limit, test in _SWEEP_VERDICTS
+        },
+        "plans": plan_suite(k_values=k_values),
+        "power": power_suite(seed=seed),
     }
-    report["passed"] = bool(
-        alignment_ok and leakage_ok and decode_ok and rank_ok and plans["passed"] and power["passed"]
-    )
+    report["passed"] = all(v["passed"] for v in report.values() if isinstance(v, dict) and "passed" in v)
     return report

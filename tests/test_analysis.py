@@ -1,5 +1,6 @@
 """Tests for the trade-off curves and DoF slope estimation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -328,3 +329,43 @@ def test_slope_matches_the_exact_accounting_at_high_snr(key):
     (scheme, K, delay, trials), dof = _EXACT_DOF[key]
     est = estimate_dof_slope(scheme, K, delay, (120.0, 130.0, 140.0), trials, seed=7)
     assert abs(est.slope - float(dof)) <= 1e-6
+
+
+@pytest.mark.parametrize("field,value", [
+    ("trials", True), ("trials", 2.5), ("K", 3.5), ("seed", 2.5), ("seed", "1"), ("rounds_per_trial", 1.5),
+])
+def test_estimate_rejects_counts_and_seeds_that_are_not_integers(field, value):
+    args = {"scheme": "tdma", "K": 3, "delay": DelayConfig(3, 3), "snr_grid_db": (40, 50),
+            "trials": 4, "seed": 0}
+    args[field] = value
+    with pytest.raises(ValueError, match=field):
+        estimate_dof_slope(**args)
+
+
+def test_estimate_accepts_a_negative_seed():
+    est = estimate_dof_slope("tdma", 3, DelayConfig(3, 3), (40, 50), 4, -3)
+    assert est.seed == -3 and est.trials == 4
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_emit_table_rejects_a_non_finite_gamma_by_value(bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        emit_tradeoff_table([THIRD, bad])
+
+
+def test_emit_table_baselines_follow_the_time_share_lines():
+    gammas = [Fraction(i, 12) for i in range(0, 31)]
+    rows = {(r.scheme, r.gamma): r.dof for r in emit_tradeoff_table(gammas)}
+    for g in gammas:
+        assert rows["zf_tdma", g] == (2 - g if g <= 1 else 1)
+        assert rows["zf_mat", g] == (2 - g / 2 if g <= 1 else Fraction(3, 2))
+
+
+def test_estimate_to_dict_holds_every_field():
+    est = estimate_dof_slope("tdma", 3, DelayConfig(3, 1), (40, 50), 8, seed=2)
+    d = est.to_dict()
+    names = {f.name for f in dataclasses.fields(est)} - {"gamma"}
+    assert set(d) == names | {"gamma_num", "gamma_den"}
+    assert d["snr_grid_db"] == [40.0, 50.0] and d["mean_sum_rates"] == list(est.mean_sum_rates)
+    assert (d["gamma_num"], d["gamma_den"]) == (1, 3)
+    assert all(d[name] == getattr(est, name) for name in names - {"snr_grid_db", "mean_sum_rates"})

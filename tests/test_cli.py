@@ -1,5 +1,7 @@
 """Tests for the command-line front end."""
 
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -336,3 +338,78 @@ def test_tradeoff_bad_gamma_names_the_value(capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "'1/0'" in err
+
+
+_TRADEOFF_GRID_CSV = """\
+schema_version,scheme,gamma_num,gamma_den,dof_num,dof_den
+1,stia,0,1,2,1
+1,zf_tdma,0,1,2,1
+1,zf_mat,0,1,2,1
+1,tdma,0,1,1,1
+1,mat,0,1,3,2
+1,stia,1,3,2,1
+1,zf_tdma,1,3,5,3
+1,zf_mat,1,3,11,6
+1,tdma,1,3,1,1
+1,mat,1,3,3,2
+1,stia,1,1,3,2
+1,zf_tdma,1,1,1,1
+1,zf_mat,1,1,3,2
+1,tdma,1,1,1,1
+1,mat,1,1,3,2
+1,stia,4,3,3,2
+1,zf_tdma,4,3,1,1
+1,zf_mat,4,3,3,2
+1,tdma,4,3,1,1
+1,mat,4,3,3,2
+"""
+
+
+def test_tradeoff_csv_matches_golden_text(tmp_path):
+    # Exact rationals, so the text is the same on every platform.
+    out = tmp_path / "t.csv"
+    assert run_cli(["tradeoff", "--gammas", "0,1/3,1,4/3", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_bytes() == _TRADEOFF_GRID_CSV.encode()
+
+
+def test_tradeoff_json_matches_golden_digest(tmp_path):
+    out = tmp_path / "t.json"
+    assert run_cli(["tradeoff", "--gammas", "0,1/3,1,4/3", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "a03cfd69279c068fede51a5b33cd170122d56145c9087f325dbde7cc42c11d58"
+
+
+def test_simulate_json_and_csv_agree_field_by_field(tmp_path):
+    flags = ["simulate", "--scheme", "zf_tdma", "--tc", "3", "--tfb", "1", "--snr", "30,45,60",
+             "--trials", "300", "--seed", "5"]
+    assert run_cli(flags + ["--out", str(tmp_path / "a.json")]) == 0
+    assert run_cli(flags + ["--format", "csv", "--out", str(tmp_path / "a.csv")]) == 0
+    payload = json.loads((tmp_path / "a.json").read_text())
+    with open(tmp_path / "a.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(payload["snr_grid_db"]) == 3
+    for row, db, rate in zip(rows, payload["snr_grid_db"], payload["mean_sum_rates"]):
+        assert float(row["snr_db"]) == db and float(row["mean_sum_rate_bits"]) == rate
+        assert row["scheme"] == payload["scheme"] == "zf_tdma"
+        gamma = (int(row["gamma_num"]), int(row["gamma_den"]))
+        assert gamma == (payload["gamma_num"], payload["gamma_den"]) == (1, 3)
+        assert int(row["schema_version"]) == payload["schema_version"] == 1
+
+
+_SUITES = ("alignment", "cancellation", "decoding", "rank", "plans", "power")
+
+
+def test_verify_prints_one_status_line_per_suite(tmp_path, capsys):
+    argv = ["verify", "--k-values", "3", "--rounds", "50", "--seed", "3"]
+    assert run_cli(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert capsys.readouterr().out == "".join(f"{name}: ok\n" for name in _SUITES)
+
+
+def test_verify_status_lines_follow_the_report_under_a_fault(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["verify", "--k-values", "3", "--rounds", "50", "--seed", "3", "--inject-fault", "alignment"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    want = [f"{name}: {'ok' if report[name]['passed'] else 'FAIL'}" for name in _SUITES]
+    assert capsys.readouterr().out.splitlines() == want
+    assert "alignment: FAIL" in want

@@ -554,3 +554,42 @@ def test_null_vector_guard_flags_singular_stacks_and_the_redraw_replaces_them(K,
     assert not np.array_equal(got[1], bad[1]) and not np.array_equal(got[3], bad[3])
     assert np.all(conds <= CONDITION_LIMIT) and np.all(np.isfinite(heff))
     np.testing.assert_array_equal(heff[keep], batch_effective_channels(ch, z0)[keep])
+
+
+@pytest.mark.parametrize("kwargs,word", [
+    ({"power": float("nan")}, "power"),
+    ({"power": float("inf")}, "power"),
+    ({"power": 0.0}, "power"),
+    ({"power": -1.0}, "power"),
+    ({"noise_std": float("nan")}, "noise_std"),
+    ({"noise_std": float("inf")}, "noise_std"),
+    ({"noise_std": -1.0}, "noise_std"),
+    ({"snr_linear": 0.0}, "snr_linear"),
+    ({"snr_linear": -1.0}, "snr_linear"),
+    ({"snr_linear": float("nan")}, "snr_linear"),
+    ({"snr_linear": float("inf")}, "snr_linear"),
+])
+def test_run_stia_round_rejects_bad_power_noise_and_snr(kwargs, word):
+    ch, sb = _round(3, 60)
+    with pytest.raises(ValueError, match=word):
+        run_stia_round(ch, sb, rng=np.random.default_rng(0), **kwargs)
+
+
+@pytest.mark.parametrize("snr", [0.0, -1.0, float("nan"), float("inf")])
+def test_round_rate_rejects_snr_that_is_not_positive_and_finite(snr):
+    with pytest.raises(ValueError, match="snr_linear"):
+        round_rate(np.eye(2, dtype=complex), snr, 3)
+
+
+@pytest.mark.parametrize("eff", [np.eye(3)[:2], np.eye(3), np.eye(2)[0]])
+def test_round_rate_rejects_an_effective_channel_of_the_wrong_shape(eff):
+    with pytest.raises(ValueError, match="shape"):
+        round_rate(eff, 10.0, 3)
+
+
+def test_symbol_block_leaves_the_callers_dict_alone():
+    d = {1: [1, 2], 2: [1, 2], 3: [1, 2]}
+    block = SymbolBlock(d)
+    assert d == {1: [1, 2], 2: [1, 2], 3: [1, 2]} and all(type(v) is list for v in d.values())
+    for vec in block.per_user.values():
+        assert vec.dtype == complex and vec.shape == (2,)

@@ -66,3 +66,38 @@ def test_power_suite_exact_where_a_sampled_mean_strayed(seed):
     r = verify.power_suite(seed=seed)
     assert r["passed"]
     assert r["max_relative_error"] <= verify.POWER_RTOL
+
+
+@pytest.mark.parametrize("kwargs,word", [
+    ({"k_values": [3.9], "rounds": 5}, "k_values"),
+    ({"k_values": ["3"], "rounds": 5}, "k_values"),
+    ({"k_values": [True, 3], "rounds": 5}, "k_values"),
+    ({"k_values": (3,), "rounds": 2.5}, "rounds"),
+    ({"k_values": (3,), "rounds": True}, "rounds"),
+])
+def test_run_all_rejects_counts_that_are_not_integers(kwargs, word):
+    with pytest.raises(ValueError, match=word):
+        verify.run_all(**kwargs)
+
+
+def test_suites_reject_empty_counts():
+    with pytest.raises(ValueError, match="rounds"):
+        verify.round_sweep(3, 0, 0)
+    with pytest.raises(ValueError, match="trials"):
+        verify.power_suite(trials=0)
+    with pytest.raises(ValueError, match="n_max"):
+        verify.plan_suite(k_values=(3,), n_max=0)
+    for k_values in ((), iter(())):
+        with pytest.raises(ValueError, match="k_values"):
+            verify.plan_suite(k_values=k_values, n_max=3)
+
+
+def test_run_all_report_keys_and_order():
+    report = verify.run_all(k_values=(4, 3), rounds=20, seed=5)
+    assert list(report) == [
+        "schema_version", "seed", "rounds_per_k", "k_values", "inject_fault", "round_sweeps",
+        "alignment", "cancellation", "decoding", "rank", "plans", "power", "passed",
+    ]
+    assert list(report["round_sweeps"]) == ["4", "3"] and report["k_values"] == [4, 3]
+    assert report["rank"] == {"min_fraction": verify.RANK_MIN_FRACTION, "passed": True}
+    assert report["alignment"] == {"tolerance": verify.ALIGNMENT_TOL, "passed": True}

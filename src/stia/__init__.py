@@ -30,7 +30,6 @@ from .channel import DelayConfig, coherence_time_estimate, complex_normal
 from .numerics import (
     SingularMatrixError,
     condition_estimate,
-    rank_with_tol,
     solve_right,
 )
 from .precoding import (
@@ -85,7 +84,6 @@ __all__ = [
     "emit_tradeoff_table",
     "estimate_dof_slope",
     "fit_dof_slope",
-    "rank_with_tol",
     "round_rate",
     "run_stia_round",
     "solve_right",

@@ -272,10 +272,10 @@ def estimate_dof_slope(
         raise ValueError(f"snr_grid_db point {min(db)} dB has no positive linear SNR")
     if len(db) < 2 or any(x2 <= x1 for x1, x2 in zip(db, db[1:])):
         raise ValueError("snr_grid_db must be strictly increasing with at least 2 points")
-    _require_count("trials", trials, 1)
-    _require_count("K", K, 2)
-    _require_count("rounds_per_trial", rounds_per_trial, 1)
-    _require_integer("seed", seed)
+    trials = _require_count("trials", trials, 1)
+    K = _require_count("K", K, 2)
+    rounds_per_trial = _require_count("rounds_per_trial", rounds_per_trial, 1)
+    seed = _require_integer("seed", seed)
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
     mix = _slot_mix(scheme, K, delay, rounds_per_trial)

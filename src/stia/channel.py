@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,15 +47,16 @@ def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     return out[()]
 
 
-def _require_integer(name: str, value) -> None:
+def _require_integer(name: str, value) -> int:
     if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
-def _require_count(name: str, value, least: int) -> None:
-    _require_integer(name, value)
-    if value < least:
+def _require_count(name: str, value, least: int) -> int:
+    if _require_integer(name, value) < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+    return operator.index(value)
 
 
 def block_of_slot(slot: int, t_c: int) -> int:

@@ -2,9 +2,9 @@
 
 Everything here operates on stacked channel matrices no larger than a
 handful of rows, so direct LAPACK factorizations through numpy are used
-throughout. Beamformers come from solves. The guard on the precoder, ZF
-and :func:`solve_right` solves reuses the inverse of each solved matrix
-(which the ZF gains need anyway) instead of an SVD; singular values are
+throughout. Every beamformer (aligning precoders, ZF beams and gains,
+:func:`solve_right`) comes from the inverse :func:`_guarded_solve` returns,
+and its guard reuses that inverse instead of an SVD; singular values are
 computed only where a caller reports rank or the spectral condition number.
 """
 
@@ -17,7 +17,6 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "SingularMatrixError",
     "condition_estimate",
-    "rank_with_tol",
     "solve_right",
 ]
 
@@ -89,15 +88,6 @@ def condition_estimate(a) -> float:
     if m.size == 0:
         return float("inf")
     return float(_conditioning(m)[1])
-
-
-def rank_with_tol(a) -> int:
-    """Numerical rank: singular values above :data:`DEFAULT_RANK_TOL` times the largest."""
-    m = _as_matrix(a)
-    if m.size == 0:
-        return 0
-    s = _conditioning(m)[0]
-    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0]))
 
 
 def solve_right(a, b) -> np.ndarray:

@@ -4,8 +4,8 @@ The aligning precoder for user k maps the current channels of the other
 K-1 users onto their channels at an earlier reference slot. Every receiver
 then observes, during the precoded slots, exactly the interference mixture
 it already recorded at the reference slot, so a single subtraction cancels
-all of it. With ``n_t = K - 1`` transmit antennas the stacked interferer
-matrix is square and the construction is a direct solve.
+all of it. With ``n_t = K - 1`` transmit antennas every interferer stack is
+square, and one inverse per slot, of the stack of users 1..K-1, gives all K.
 
 Precoders are built unnormalized; power scaling is a per-slot scalar
 applied by the protocol layer, which commutes with the alignment property.
@@ -40,8 +40,8 @@ class IllConditionedChannelError(Exception):
         )
 
 
-def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left null vectors ``z = (c, -1)`` (..., K) of slot channels (..., K, K-1), each user's kappa_F.
+def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Null vectors ``z = (c, -1)`` (..., K), each user's kappa_F and ``A^-1`` of slot channels (..., K, K-1).
 
     ``c = h_K A^-1`` for ``A`` the stack of users 1..K-1, which is user K's stack. User k's is ``A``
     with row k set to ``h_K`` (row order keeps Frobenius norms), inverted by the rank-one update
@@ -57,27 +57,31 @@ def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cond = np.sqrt((rows.sum(axis=-1, keepdims=True) - rows[..., :-1]) * np.stack(inv_fro, axis=-1))
     cond = np.where(np.isfinite(cond) & np.isfinite(cond_ref)[..., None], cond, np.inf)
     z = np.concatenate([c, np.full(c[..., :1].shape, -1.0)], axis=-1)
-    return z, np.concatenate([cond, cond_ref[..., None]], axis=-1)
+    return z, np.concatenate([cond, cond_ref[..., None]], axis=-1), inv
 
 
-def _stia_precoders(current: np.ndarray, outdated: np.ndarray) -> np.ndarray:
-    """Aligning precoders (..., K, n_t, n_t): each user's interferer stack solved for its reference rows."""
-    K, n_t = current.shape[-2:]
-    v = np.empty(current.shape[:-2] + (K, n_t, n_t), dtype=complex)
-    for k in range(K):
-        rows = [j for j in range(K) if j != k]
-        a = current[..., rows, :]
-        v[..., k, :, :] = np.linalg.solve(a, np.broadcast_to(outdated[..., rows, :], a.shape))
+def _stia_precoders(inv: np.ndarray, z: np.ndarray, outdated: np.ndarray) -> np.ndarray:
+    """Aligning precoders (..., K, K-1, K-1) from a slot's guard inverse ``A^-1`` and ``z = (c, -1)``.
+
+    ``V_K = A^-1 B`` for B the reference rows of users 1..K-1; for k < K, ``V_k = V_K - A^-1 e_k m / c_k``
+    with ``m = z^T H_ref``, so rows j < K but k keep ``h_j V_K = b_j`` and ``h_K = c A`` meets ``b_K``.
+    """
+    v_last = inv @ outdated[..., :-1, :]
+    mix = (z[..., None, :] @ outdated) / z[..., :-1, None]  # row k: m / c_k
+    v = np.empty(v_last.shape[:-2] + z.shape[-1:] + v_last.shape[-2:], dtype=complex)
+    v[..., -1, :, :] = v_last
+    for k in range(z.shape[-1] - 1):
+        v[..., k, :, :] = v_last - inv[..., :, k, None] * mix[..., k, None, :]
     return v
 
 
-def _accepted_null_vectors(current: np.ndarray) -> np.ndarray:
-    """:func:`_interferer_guard`'s null vectors; raises :class:`IllConditionedChannelError` past the limit."""
-    z, cond = _interferer_guard(current)
+def _accepted_null_vectors(current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_interferer_guard`'s ``z`` and ``A^-1``; raises IllConditionedChannelError past the limit."""
+    z, cond, inv = _interferer_guard(current)
     worst = cond.reshape(-1, current.shape[-2]).max(axis=0)
     if worst.max() > CONDITION_LIMIT:
         raise IllConditionedChannelError(int(np.argmax(worst > CONDITION_LIMIT)) + 1, worst.max())
-    return z
+    return z, inv
 
 
 def build_stia_precoders(current, outdated) -> np.ndarray:
@@ -105,8 +109,8 @@ def build_stia_precoders(current, outdated) -> np.ndarray:
         raise ValueError("the square construction needs n_t == K - 1 antennas")
     if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(out))):
         raise ValueError("channel entries must be finite")
-    _accepted_null_vectors(cur)
-    return _stia_precoders(cur, out)
+    z, inv = _accepted_null_vectors(cur)
+    return _stia_precoders(inv, z, out)
 
 
 def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
 :func:`batch_rounds` yields effective channels from each precoded slot's
 left null vector; only callers that transmit (:func:`run_stia_round`, a
-batch of one, and ``verify``) solve precoders. :func:`_round_bits` prices
-every round as ``log2 det(C + p H H^H) - log2 det C``, C the noise covariance.
+batch of one, and ``verify``) form precoders, from that slot's guard inverse.
+:func:`_round_bits` prices every round as ``log2 det(C + p H H^H) - log2 det C``.
 
 At finite transmit power a scalar is applied per slot so the expected
 transmit power equals the budget; receivers divide it back out (they know
@@ -188,9 +188,9 @@ def run_stia_round(
     if snr_linear is not None:
         _require_positive("snr_linear", snr_linear)
 
-    z = _accepted_null_vectors(ch[1:])[None]
-    ch = ch[None]
-    v = _stia_precoders(ch[:, 1:], ch[:, :1])
+    z, inv = _accepted_null_vectors(ch[1:])
+    v = _stia_precoders(inv, z, ch[:1])[None]
+    ch, z = ch[None], z[None]
     sent = symbols.stacked()[None]
     scales = _slot_scales(v, power)
     noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
@@ -250,7 +250,7 @@ def batch_rounds(
     """
 
     def guard(ch):
-        z, cond = _interferer_guard(ch[:, 1:])
+        z, cond, _ = _interferer_guard(ch[:, 1:])
         return cond.max(axis=(1, 2)), z
 
     ch, z, conds, resamples = _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import protocol
-from .channel import _require_count, complex_normal
+from .channel import _require_count, _require_integer, complex_normal
 from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
-from .precoding import _stia_precoders, _zf_gains
+from .precoding import _interferer_guard, _stia_precoders, _zf_gains
 from .scheduler import account_dof, build_plan_general, validate_plan
 
 __all__ = [
@@ -62,20 +62,22 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     ``kappa_F = ||A||_F ||A^-1||_F`` over the accepted rounds' interferer
     stacks, an upper bound on their spectral condition numbers.
     """
-    _require_count("rounds", rounds, 1)
+    K = _require_count("K", K, 3)
+    rounds = _require_count("rounds", rounds, 1)
+    seed = _require_integer("seed", seed)
     rng = np.random.default_rng((seed & (1 << 64) - 1, K))
     ch, heff, conds, resamples = protocol.batch_rounds(K, rounds, rng)
-    v = _stia_precoders(ch[:, 1:], -ch[:, :1] if inject_fault else ch[:, :1])
+    z, _, inv = _interferer_guard(ch[:, 1:])
+    v = _stia_precoders(inv, z, -ch[:, :1] if inject_fault else ch[:, :1])
 
-    # Coefficient-level alignment: h_j[m] V_k[m] against h_j[ref] for j != k.
-    got = np.einsum("cmji,cmkia->cmkja", ch[:, 1:], v)
-    got -= ch[:, 0][:, None, None, :, :]  # in place: the largest array of the sweep
-    num = np.max(np.abs(got), axis=-1)
-    den = np.max(np.abs(ch[:, 0]), axis=-1)[:, None, None, :]
-    rel = num / den
-    k_idx = np.arange(K)
-    rel[:, :, k_idx, k_idx] = 0.0  # own rows carry the data, not interference
-    alignment = float(rel.max())
+    # Coefficient-level alignment, one user k at a time: h_j[m] V_k[m] against h_j[ref] for j != k.
+    den = np.max(np.abs(ch[:, 0]), axis=-1)[:, None, :]
+    alignment = 0.0
+    for k in range(K):
+        got = np.einsum("cmji,cmia->cmja", ch[:, 1:], v[:, :, k]) - ch[:, :1]
+        rel = np.max(np.abs(got), axis=-1) / den
+        rel[:, :, k] = 0.0  # own rows carry the data, not interference
+        alignment = max(alignment, float(rel.max()))
 
     # Noise-free signal path: broadcast, precoded slots, differences.
     symbols = complex_normal(rng, (rounds, K, K - 1))
@@ -145,13 +147,15 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     standard-basis symbol vectors; every realization must meet the budget.
     Runs at K=3 with a budget of 10.
     """
-    _require_count("trials", trials, 1)
+    trials = _require_count("trials", trials, 1)
+    seed = _require_integer("seed", seed)
     rng = np.random.default_rng((seed & (1 << 64) - 1, 101))
     K, power = 3, 10.0
     n_t = K - 1
 
     ch, _, _, _ = protocol.batch_rounds(K, trials, rng)
-    v = _stia_precoders(ch[:, 1:], ch[:, :1])
+    z, _, inv = _interferer_guard(ch[:, 1:])
+    v = _stia_precoders(inv, z, ch[:, :1])
     scales = protocol._slot_scales(v, power)
     slot_power = np.zeros((trials, K))
     for e in np.eye(K * n_t, dtype=complex):
@@ -191,6 +195,7 @@ def run_all(
     """Run every suite and aggregate a JSON-ready pass/fail report."""
     if inject_fault not in ("none", "alignment"):
         raise ValueError("inject_fault must be 'none' or 'alignment'")
+    seed = _require_integer("seed", seed)
     k_values = tuple(k_values)
     for k in k_values:
         _require_count("each of k_values", k, 3)

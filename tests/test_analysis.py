@@ -1,6 +1,7 @@
 """Tests for the trade-off curves and DoF slope estimation."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -345,6 +346,13 @@ def test_estimate_rejects_counts_and_seeds_that_are_not_integers(field, value):
 def test_estimate_accepts_a_negative_seed():
     est = estimate_dof_slope("tdma", 3, DelayConfig(3, 3), (40, 50), 4, -3)
     assert est.seed == -3 and est.trials == 4
+
+
+def test_estimate_takes_numpy_integers_as_python_ints():
+    # A numpy seed is masked like the int it holds, and the artifact stays JSON-ready.
+    est = estimate_dof_slope("tdma", 3, DelayConfig(3, 3), (40, 50), np.int64(4), np.int64(-1))
+    assert est == estimate_dof_slope("tdma", 3, DelayConfig(3, 3), (40, 50), 4, -1)
+    assert json.loads(json.dumps(est.to_dict()))["trials"] == 4
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])

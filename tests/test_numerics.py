@@ -7,7 +7,6 @@ from stia.numerics import (
     SingularMatrixError,
     _guarded_solve,
     condition_estimate,
-    rank_with_tol,
     solve_right,
 )
 
@@ -67,36 +66,6 @@ def test_solve_shape_validation():
         solve_right(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         solve_right(np.array([[np.inf, 0], [0, 1]]), np.eye(2))
-
-
-def test_rank_zero_matrix():
-    assert rank_with_tol(np.zeros((3, 3))) == 0
-
-
-def test_rank_identity():
-    for m in (1, 2, 5):
-        assert rank_with_tol(np.eye(m)) == m
-
-
-def test_rank_repeated_row_gram_oracle():
-    rng = np.random.default_rng(3)
-    rows = _cn(rng, (2, 3))
-    a = np.vstack([rows[0], rows[1], rows[0]])
-    # independent oracle: Gram determinants certify rank 2, not 3
-    g = a @ a.conj().T
-    assert abs(np.linalg.det(g)) < 1e-10
-    assert abs(np.linalg.det(g[:2, :2])) > 1e-10
-    assert rank_with_tol(a) == a.shape[0] - 1
-
-
-def test_rank_invariances():
-    rng = np.random.default_rng(4)
-    a = _cn(rng, (4, 4))
-    r = rank_with_tol(a)
-    perm = rng.permutation(4)
-    assert rank_with_tol(a[perm]) == r
-    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    assert rank_with_tol(phases[:, None] * a) == r
 
 
 def test_condition_identity_and_diagonal():

@@ -7,6 +7,7 @@ from stia.analysis import _mix_chunk, _slot_mix
 from stia.channel import DelayConfig, complex_normal
 from stia.precoding import (
     IllConditionedChannelError,
+    _interferer_guard,
     _stia_precoders,
     build_stia_precoders,
     build_zf_precoder,
@@ -53,7 +54,8 @@ def test_k3_alignment_products():
 def test_alignment_exactness_sweep(K):
     rng = np.random.default_rng(100 + K)
     ch, _, _, _ = batch_rounds(K, 1000, rng)
-    v = _stia_precoders(ch[:, 1:], ch[:, :1])
+    z, _, inv = _interferer_guard(ch[:, 1:])
+    v = _stia_precoders(inv, z, ch[:, :1])
     got = np.einsum("cmji,cmkia->cmkja", ch[:, 1:], v)
     want = ch[:, 0][:, None, None, :, :]
     rel = np.max(np.abs(got - want), axis=-1) / np.max(np.abs(ch[:, 0]), axis=-1)[:, None, None, :]

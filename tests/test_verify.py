@@ -1,5 +1,6 @@
 """Tests for the property-suite driver."""
 
+import numpy as np
 import pytest
 
 from stia import verify
@@ -101,3 +102,20 @@ def test_run_all_report_keys_and_order():
     assert list(report["round_sweeps"]) == ["4", "3"] and report["k_values"] == [4, 3]
     assert report["rank"] == {"min_fraction": verify.RANK_MIN_FRACTION, "passed": True}
     assert report["alignment"] == {"tolerance": verify.ALIGNMENT_TOL, "passed": True}
+
+
+@pytest.mark.parametrize("suite,kwargs,word", [
+    (verify.round_sweep, {"K": 2, "rounds": 5, "seed": 0}, "K"),
+    (verify.round_sweep, {"K": 3.5, "rounds": 5, "seed": 0}, "K"),
+    (verify.round_sweep, {"K": 3, "rounds": 5, "seed": 2.5}, "seed"),
+    (verify.power_suite, {"trials": 5, "seed": 2.5}, "seed"),
+    (verify.run_all, {"k_values": (3,), "rounds": 5, "seed": 2.5}, "seed"),
+])
+def test_suites_reject_user_counts_and_seeds_they_cannot_use(suite, kwargs, word):
+    with pytest.raises(ValueError, match=word):
+        suite(**kwargs)
+
+
+def test_round_sweep_reports_numpy_counts_as_ints():
+    r = verify.round_sweep(np.int64(3), np.int64(5), np.int64(-1))
+    assert r == verify.round_sweep(3, 5, -1) and type(r["rounds"]) is int

@@ -214,17 +214,22 @@ def _slot_mix(scheme: str, K: int, delay: DelayConfig, rounds_per_trial: int) ->
 
 
 def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
-    """Per-slot sum rates of ``size`` trials: draws rounds, then ZF stacks, then TDMA rows."""
+    """Per-slot sum rates of ``size`` trials: draws rounds, then ZF stacks, then TDMA rows.
+
+    The rounds are one :func:`protocol.batch_rounds` draw, priced slice by slice into one array.
+    """
     rounds, zf, tdma, horizon = mix
     parts = []
     resamples = 0
     if rounds:
-        _, heff, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
-        gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
+        ch, z, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
         cov = protocol.difference_noise_covariance(K)
         bits = np.empty((size * rounds, snr_lin.size))
-        for gi, p in enumerate(snr_lin):
-            bits[:, gi] = protocol._round_bits(gram, cov, p, K).sum(axis=1)
+        for sl in protocol._slices(ch):
+            heff = protocol.batch_effective_channels(ch[sl], z[sl])
+            gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
+            for gi, p in enumerate(snr_lin):
+                bits[sl, gi] = protocol._round_bits(gram, cov, p, K).sum(axis=1)
         parts.append(bits.reshape(size, rounds, -1).sum(axis=1))
     if zf:
         bits, zf_res = _zf_stack_bits(K - 1, size * zf, snr_lin, rng)
@@ -284,6 +289,7 @@ def estimate_dof_slope(
         index, _, size = entry
         return _mix_chunk(K, mix, snr_lin, size, _chunk_rng(seed, index))
 
+    threads = None if threads is None else _require_count("threads", threads, 1)
     layout = _chunk_layout(trials)
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

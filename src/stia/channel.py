@@ -42,7 +42,8 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
     """CN(0,1) draws: real and imaginary parts each N(0, 1/2)."""
     out = np.empty(shape, dtype=complex)
-    out.real, out.imag = rng.standard_normal(shape), rng.standard_normal(shape)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
     out *= np.sqrt(0.5)
     return out[()]
 

@@ -128,7 +128,7 @@ def _threads_from_env() -> int | None:
     except ValueError as err:
         raise ValueError(f"STIA_THREADS must be an integer, got {raw!r}") from err
     if value < 1:
-        raise ValueError("STIA_THREADS must be at least 1")
+        raise ValueError(f"STIA_THREADS must be at least 1, got {value}")
     return value
 
 

@@ -11,9 +11,11 @@ one, so the round delivers K(K-1) symbols in K slots.
 
 Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
-:func:`batch_rounds` yields effective channels from each precoded slot's
-left null vector; only callers that transmit (:func:`run_stia_round`, a
-batch of one, and ``verify``) form precoders, from that slot's guard inverse.
+:func:`batch_rounds` draws a batch at once and returns each precoded slot's
+left null vector; every stage after a draw runs on :func:`_slices` of it, so
+the working set does not grow with the batch. Only callers that transmit
+(:func:`run_stia_round`, a batch of one, and ``verify``) form precoders,
+from that slot's guard inverse.
 :func:`_round_bits` prices every round as ``log2 det(C + p H H^H) - log2 det C``.
 
 At finite transmit power a scalar is applied per slot so the expected
@@ -50,6 +52,10 @@ __all__ = [
 # Draw passes before a guarded draw gives up; continuous fading makes even
 # one rejection rare, so this many in a row means the draws are degenerate.
 _MAX_PASSES = 64
+
+# Channel bytes per slice of the batched round kernels: each temporary after a draw is
+# a small multiple of one slice, and a K=3 slice still holds 1,820 rounds.
+_SLICE_BYTES = 1 << 19
 
 
 class DecodeFailureError(Exception):
@@ -214,15 +220,27 @@ def draw_round_channels(K: int, count: int, rng: np.random.Generator) -> np.ndar
     return complex_normal(rng, (count, K, K, K - 1))
 
 
+def _slices(items) -> list[slice]:
+    """Consecutive slices of ``items``' leading axis of at most :data:`_SLICE_BYTES` each, one item at least."""
+    step = max(1, _SLICE_BYTES // max(items[:1].nbytes, 1))
+    return [slice(i, i + step) for i in range(0, max(len(items), 1), step)]
+
+
 def _redraw_guarded(draw, guard, count: int):
     """Draw ``count`` items, redrawing each whose ``guard`` value exceeds :data:`CONDITION_LIMIT`.
 
     ``guard(items)`` returns guard values and per-item results, such as the
-    null vectors or ZF gains the guard computed on the way.
+    null vectors or ZF gains the guard computed on the way. Each pass is one
+    ``draw`` call, guarded and concatenated per :func:`_slices` slice.
     Raises :class:`IllConditionedChannelError` after ``_MAX_PASSES`` passes.
     """
+
+    def sliced_guard(items):
+        parts = [guard(items[s]) for s in _slices(items)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+
     items = draw(count)
-    conds, results = guard(items)
+    conds, results = sliced_guard(items)
     pending = np.flatnonzero(conds > CONDITION_LIMIT)
     resamples = 0
     for _ in range(_MAX_PASSES - 1):
@@ -230,7 +248,7 @@ def _redraw_guarded(draw, guard, count: int):
             break
         resamples += int(pending.size)
         items[pending] = draw(pending.size)
-        cond, sub = guard(items[pending])
+        cond, sub = sliced_guard(items[pending])
         conds[pending] = cond
         results[pending] = sub
         pending = pending[cond > CONDITION_LIMIT]
@@ -244,17 +262,17 @@ def batch_rounds(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Draw ``count`` rounds at once, resampling ill-conditioned draws.
 
-    Returns ``(channels, effective_channels, conds, resamples)``: shapes
-    (count, K, K, K-1) and (count, K, K-1, K-1), the worst interferer-stack
-    ``kappa_F = ||A||_F ||A^-1||_F`` per round and the redrawn rounds.
+    Returns ``(channels, null_vectors, conds, resamples)``: shapes
+    (count, K, K, K-1) and (count, K-1, K), the worst interferer-stack
+    ``kappa_F = ||A||_F ||A^-1||_F`` per round and the redrawn rounds. Callers
+    build effective channels per :func:`_slices` slice with :func:`batch_effective_channels`.
     """
 
     def guard(ch):
         z, cond, _ = _interferer_guard(ch[:, 1:])
         return cond.max(axis=(1, 2)), z
 
-    ch, z, conds, resamples = _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)
-    return ch, batch_effective_channels(ch, z), conds, resamples
+    return _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)
 
 
 def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:

@@ -58,6 +58,9 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     reference CSI inside the precoder build, which must blow the alignment
     and cancellation residuals up to order one.
 
+    Rounds and symbols are one draw each; the checks run per :func:`protocol._slices`
+    slice, keeping running maxima and counts, so no temporary grows with ``rounds``.
+
     ``worst_condition`` is the largest precoder guard value
     ``kappa_F = ||A||_F ||A^-1||_F`` over the accepted rounds' interferer
     stacks, an upper bound on their spectral condition numbers.
@@ -66,42 +69,44 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     rounds = _require_count("rounds", rounds, 1)
     seed = _require_integer("seed", seed)
     rng = np.random.default_rng((seed & (1 << 64) - 1, K))
-    ch, heff, conds, resamples = protocol.batch_rounds(K, rounds, rng)
-    z, _, inv = _interferer_guard(ch[:, 1:])
-    v = _stia_precoders(inv, z, -ch[:, :1] if inject_fault else ch[:, :1])
-
-    # Coefficient-level alignment, one user k at a time: h_j[m] V_k[m] against h_j[ref] for j != k.
-    den = np.max(np.abs(ch[:, 0]), axis=-1)[:, None, :]
-    alignment = 0.0
-    for k in range(K):
-        got = np.einsum("cmji,cmia->cmja", ch[:, 1:], v[:, :, k]) - ch[:, :1]
-        rel = np.max(np.abs(got), axis=-1) / den
-        rel[:, :, k] = 0.0  # own rows carry the data, not interference
-        alignment = max(alignment, float(rel.max()))
-
-    # Noise-free signal path: broadcast, precoded slots, differences.
+    ch, z, conds, resamples = protocol.batch_rounds(K, rounds, rng)
     symbols = complex_normal(rng, (rounds, K, K - 1))
-    scales = protocol._slot_scales(v, None)
-    diffs = protocol._differences(ch, protocol._transmit(v, symbols, scales), scales)
-    leakage = float(protocol._leakage(ch, v, diffs, symbols).max())
+    alignment = leakage = decode_error = 0.0
+    full_rounds = unflagged_failures = 0
+    for sl in protocol._slices(ch):
+        c, sent = ch[sl], symbols[sl]
+        v = _stia_precoders(_interferer_guard(c[:, 1:])[2], z[sl], -c[:, :1] if inject_fault else c[:, :1])
 
-    decoded = protocol._decode(heff, np.moveaxis(diffs, 1, 2))
-    err = np.max(np.abs(decoded - symbols), axis=-1)
-    mag = np.max(np.abs(symbols), axis=-1)
-    decode_error = float((err / mag).max())
+        # Coefficient-level alignment, one user k at a time: h_j[m] V_k[m] against h_j[ref] for j != k.
+        den = np.max(np.abs(c[:, 0]), axis=-1)[:, None, :]
+        for k in range(K):
+            got = np.einsum("cmji,cmia->cmja", c[:, 1:], v[:, :, k]) - c[:, :1]
+            rel = np.max(np.abs(got), axis=-1) / den
+            rel[:, :, k] = 0.0  # own rows carry the data, not interference
+            alignment = max(alignment, float(rel.max()))
 
-    s, cond_eff = _conditioning(heff)
-    full = s[..., -1] > DEFAULT_RANK_TOL * s[..., 0]
-    round_full = full.all(axis=1)
-    flagged = cond_eff > CONDITION_LIMIT
-    unflagged_failures = int(np.count_nonzero(~full & ~flagged))
+        # Noise-free signal path: broadcast, precoded slots, differences.
+        scales = protocol._slot_scales(v, None)
+        diffs = protocol._differences(c, protocol._transmit(v, sent, scales), scales)
+        leakage = np.maximum(leakage, protocol._leakage(c, v, diffs, sent).max())
+
+        heff = protocol.batch_effective_channels(c, z[sl])
+        decoded = protocol._decode(heff, np.moveaxis(diffs, 1, 2))
+        err = np.max(np.abs(decoded - sent), axis=-1)
+        mag = np.max(np.abs(sent), axis=-1)
+        decode_error = np.maximum(decode_error, (err / mag).max())
+
+        s, cond_eff = _conditioning(heff)
+        full = s[..., -1] > DEFAULT_RANK_TOL * s[..., 0]
+        full_rounds += int(np.count_nonzero(full.all(axis=1)))
+        unflagged_failures += int(np.count_nonzero(~full & ~(cond_eff > CONDITION_LIMIT)))
 
     return {
         "rounds": rounds,
         "max_alignment_residual": alignment,
-        "max_cancellation_leakage": leakage,
-        "max_decode_error": decode_error,
-        "full_rank_fraction": float(round_full.mean()),
+        "max_cancellation_leakage": float(leakage),
+        "max_decode_error": float(decode_error),
+        "full_rank_fraction": full_rounds / rounds,
         "unflagged_rank_failures": unflagged_failures,
         "worst_condition": float(conds.max()),
         "resamples": int(resamples),
@@ -153,9 +158,8 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     K, power = 3, 10.0
     n_t = K - 1
 
-    ch, _, _, _ = protocol.batch_rounds(K, trials, rng)
-    z, _, inv = _interferer_guard(ch[:, 1:])
-    v = _stia_precoders(inv, z, ch[:, :1])
+    ch, z, _, _ = protocol.batch_rounds(K, trials, rng)
+    v = _stia_precoders(_interferer_guard(ch[:, 1:])[2], z, ch[:, :1])
     scales = protocol._slot_scales(v, power)
     slot_power = np.zeros((trials, K))
     for e in np.eye(K * n_t, dtype=complex):

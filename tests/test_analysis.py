@@ -343,6 +343,14 @@ def test_estimate_rejects_counts_and_seeds_that_are_not_integers(field, value):
         estimate_dof_slope(**args)
 
 
+@pytest.mark.parametrize("threads,word", [
+    (0, "at least 1, got 0"), (-3, "at least 1, got -3"), (2.5, "integer"), (True, "integer"), ("2", "integer"),
+])
+def test_estimate_rejects_a_thread_count_that_is_not_a_positive_integer(threads, word):
+    with pytest.raises(ValueError, match=f"threads must be .*{word}"):
+        estimate_dof_slope("tdma", 3, DelayConfig(3, 3), (40, 50), 4, 0, threads=threads)
+
+
 def test_estimate_accepts_a_negative_seed():
     est = estimate_dof_slope("tdma", 3, DelayConfig(3, 3), (40, 50), 4, -3)
     assert est.seed == -3 and est.trials == 4
@@ -377,3 +385,14 @@ def test_estimate_to_dict_holds_every_field():
     assert d["snr_grid_db"] == [40.0, 50.0] and d["mean_sum_rates"] == list(est.mean_sum_rates)
     assert (d["gamma_num"], d["gamma_den"]) == (1, 3)
     assert all(d[name] == getattr(est, name) for name in names - {"snr_grid_db", "mean_sum_rates"})
+
+
+@pytest.mark.parametrize("K", [4, 5, 6])
+def test_mix_chunk_peaks_under_twice_its_channel_draw(K, traced_peak):
+    # The draw itself peaks at 1.5x (real and imaginary parts are filled one at
+    # a time); pricing runs in slices, so nothing after it grows with the chunk.
+    mix = analysis._slot_mix("stia", K, DelayConfig(K, 1), 16)
+    draw = analysis._CHUNK * mix[0] * K * K * (K - 1) * np.dtype(complex).itemsize
+    snr_lin = np.array([1e4, 1e5, 1e6])
+    chunk = lambda: analysis._mix_chunk(K, mix, snr_lin, analysis._CHUNK, np.random.default_rng(K))
+    assert traced_peak(chunk) < 2 * draw

@@ -63,6 +63,15 @@ def test_simulate_thread_count_does_not_change_bytes(tmp_path, monkeypatch, sche
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_simulate_rejects_a_thread_count_below_one(raw, monkeypatch, capsys):
+    monkeypatch.setenv("STIA_THREADS", raw)
+    assert run_cli(["simulate", "--scheme", "tdma", "--trials", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"STIA_THREADS must be at least 1, got {raw}" in err
+
+
 def test_simulate_csv_format(tmp_path):
     out = tmp_path / "rates.csv"
     rc = run_cli([

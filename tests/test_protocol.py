@@ -238,8 +238,8 @@ def test_effective_channel_degenerate_self_cancellation():
 @pytest.mark.parametrize("K", [3, 4])
 def test_effective_channel_rank(K):
     rng = np.random.default_rng(17 + K)
-    _, heff, _, _ = batch_rounds(K, 1000, rng)
-    s = np.linalg.svd(heff, compute_uv=False)
+    ch, z, _, _ = batch_rounds(K, 1000, rng)
+    s = np.linalg.svd(batch_effective_channels(ch, z), compute_uv=False)
     full = s[..., -1] > 1e-9 * s[..., 0]
     assert full.all(axis=1).sum() >= 999
 
@@ -386,8 +386,8 @@ def _exact_round_bits(h, snr, K):
 
 @pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_round_bits_match_an_exact_log_det_on_the_worst_conditioned_rounds(K):
-    _, heff, conds, _ = batch_rounds(K, 4000, np.random.default_rng(90 + K))
-    worst = heff[np.argsort(conds)[-4:]]
+    ch, z, conds, _ = batch_rounds(K, 4000, np.random.default_rng(90 + K))
+    worst = batch_effective_channels(ch, z)[np.argsort(conds)[-4:]]
     gram = np.einsum("ckaj,ckbj->ckab", worst, worst.conj())
     cov = difference_noise_covariance(K)
     for db in (40.0, 60.0, 90.0):
@@ -463,8 +463,9 @@ def test_zf_gains_match_explicit_inverse():
 def test_batch_matches_reference_round():
     rng = np.random.default_rng(27)
     for K in (3, 4):
-        ch, heff, _, _ = batch_rounds(K, 3, rng)
-        z, _, inv = _interferer_guard(ch[:, 1:])
+        ch, z, _, _ = batch_rounds(K, 3, rng)
+        heff = batch_effective_channels(ch, z)
+        _, _, inv = _interferer_guard(ch[:, 1:])
         v = _stia_precoders(inv, z, ch[:, :1])
         for c in range(3):
             for k in range(1, K + 1):
@@ -534,7 +535,8 @@ def test_null_vector_guard_flags_singular_stacks_and_the_redraw_replaces_them(K,
         return bad.copy() if len(draws) == 1 else draw_round_channels(K_, n, rng_)
 
     monkeypatch.setattr(protocol, "draw_round_channels", draw)
-    got, heff, conds, resamples = batch_rounds(K, 6, rng)
+    got, null, conds, resamples = batch_rounds(K, 6, rng)
+    heff = batch_effective_channels(got, null)
     assert draws == [6, 2] and resamples == 2
     np.testing.assert_array_equal(got[keep], bad[keep])
     assert not np.array_equal(got[1], bad[1]) and not np.array_equal(got[3], bad[3])
@@ -579,3 +581,58 @@ def test_symbol_block_leaves_the_callers_dict_alone():
     assert d == {1: [1, 2], 2: [1, 2], 3: [1, 2]} and all(type(v) is list for v in d.values())
     for vec in block.per_user.values():
         assert vec.dtype == complex and vec.shape == (2,)
+
+
+# --------------------------------------------------------------------------
+# slicing
+# --------------------------------------------------------------------------
+
+_SNR = np.array([1e2, 1e5, 1e9])
+
+
+def _rounds_per_slice(K):
+    return protocol._SLICE_BYTES // (K * K * (K - 1) * np.dtype(complex).itemsize)
+
+
+def _whole_array_reference(K, ch):
+    """Null vectors, worst guard values and per-round bits of ``ch`` in one pass over all rounds."""
+    z, cond, _ = _interferer_guard(ch[:, 1:])
+    heff = batch_effective_channels(ch, z)
+    gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
+    cov = difference_noise_covariance(K)
+    bits = np.stack([protocol._round_bits(gram, cov, p, K).sum(axis=1) for p in _SNR], axis=1)
+    return z, cond.max(axis=(1, 2)), bits
+
+
+@pytest.mark.parametrize("K", [3, 6])
+@pytest.mark.parametrize("slices,extra", [(0, 1), (1, 0), (1, 1), (2, 3)])
+def test_sliced_rounds_are_bit_equal_to_the_whole_array_reference(K, slices, extra):
+    # One round, exactly one slice, one slice and one round, two slices and three rounds.
+    count = slices * _rounds_per_slice(K) + extra
+    seed = 70 + K + count
+    ch, z, conds, resamples = batch_rounds(K, count, np.random.default_rng(seed))
+    assert resamples == 0 and len(protocol._slices(ch)) == slices + (extra > 0)
+    np.testing.assert_array_equal(ch, draw_round_channels(K, count, np.random.default_rng(seed)))
+    # One round per trial over a one-slot horizon: the rates are the per-round bits.
+    rates, _ = analysis._mix_chunk(K, (1, 0, 0, 1), _SNR, count, np.random.default_rng(seed))
+    z_ref, conds_ref, bits_ref = _whole_array_reference(K, ch)
+    np.testing.assert_array_equal(z, z_ref)
+    np.testing.assert_array_equal(conds, conds_ref)
+    np.testing.assert_array_equal(rates, bits_ref)
+
+
+def test_sliced_redraw_is_bit_equal_to_the_whole_array_reference(rare_singular_guard):
+    K = 3
+    per_slice = _rounds_per_slice(K)
+    count = 2 * per_slice + 3
+    ch, z, conds, resamples = batch_rounds(K, count, np.random.default_rng(77))
+    first = draw_round_channels(K, count, np.random.default_rng(77))
+    redrawn = np.flatnonzero((ch != first).any(axis=(1, 2, 3)))
+    # Rejections in both full slices of the first pass, each redrawn round replaced once or more.
+    assert np.unique(redrawn // per_slice).size >= 2 and resamples >= redrawn.size
+    rates, rate_resamples = analysis._mix_chunk(K, (1, 0, 0, 1), _SNR, count, np.random.default_rng(77))
+    assert rate_resamples == resamples and np.all(conds <= CONDITION_LIMIT)
+    z_ref, conds_ref, bits_ref = _whole_array_reference(K, ch)
+    np.testing.assert_array_equal(z, z_ref)
+    np.testing.assert_array_equal(conds, conds_ref)
+    np.testing.assert_array_equal(rates, bits_ref)

@@ -1,5 +1,8 @@
 """Tests for the property-suite driver."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,26 @@ def test_suites_reject_user_counts_and_seeds_they_cannot_use(suite, kwargs, word
 def test_round_sweep_reports_numpy_counts_as_ints():
     r = verify.round_sweep(np.int64(3), np.int64(5), np.int64(-1))
     assert r == verify.round_sweep(3, 5, -1) and type(r["rounds"]) is int
+
+
+# sha256 of round_sweep(K, 1500, 11) as sorted-key JSON, recorded when every
+# check ran on the whole draw at once: slicing may change no byte of a report.
+_SWEEP_DIGESTS = {
+    3: "76e1e1b96292b048407ed398b5e8bb82cc61fc6b496aa3fbebd864377aebff3f",
+    4: "bd6a57b983ba3e5f46344d0690b097379012ceaa377b5ba0a1e587fe09072c00",
+    5: "6ede06ed4cff2554e312dc28a2179c92ea874d283dbb30cda241d1fe22ff04a8",
+    6: "6d2cf5bcfceb87b75df0c15cff31e067383c7bb4c1313445396bb91f3df59075",
+}
+
+
+@pytest.mark.parametrize("K", list(_SWEEP_DIGESTS))
+def test_round_sweep_report_is_pinned(K):
+    report = json.dumps(verify.round_sweep(K, 1500, 11), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == _SWEEP_DIGESTS[K]
+
+
+def test_round_sweep_peaks_under_three_times_its_channel_draw(traced_peak):
+    # Channels, null vectors and symbols are held whole; every check runs in slices.
+    K, rounds = 6, 2000
+    draw = rounds * K * K * (K - 1) * np.dtype(complex).itemsize
+    assert traced_peak(lambda: verify.round_sweep(K, rounds, 4)) < 3 * draw

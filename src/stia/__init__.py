@@ -35,7 +35,6 @@ from .numerics import (
 from .precoding import (
     IllConditionedChannelError,
     build_stia_precoders,
-    build_zf_precoder,
 )
 from .protocol import (
     DecodeFailureError,
@@ -75,7 +74,6 @@ __all__ = [
     "build_plan_general",
     "build_plan_k3",
     "build_stia_precoders",
-    "build_zf_precoder",
     "coherence_time_estimate",
     "complex_normal",
     "condition_estimate",

@@ -138,8 +138,8 @@ def fit_dof_slope(snr_grid_db, mean_rates) -> float:
     """Least-squares slope of rate against log2 of the linear SNR."""
     db = np.asarray(snr_grid_db, dtype=float)
     y = np.asarray(mean_rates, dtype=float)
-    if db.shape != y.shape or db.size < 2:
-        raise ValueError("need matching grids with at least two SNR points")
+    if db.shape != y.shape or db.size < 2 or db.min() == db.max() or not np.isfinite([db, y]).all():
+        raise ValueError("need matching finite grids with at least two distinct SNR points")
     x = db / (10.0 * np.log10(2.0))
     design = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -223,13 +223,10 @@ def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) 
     resamples = 0
     if rounds:
         ch, z, _, resamples = protocol.batch_rounds(K, size * rounds, rng)
-        cov = protocol.difference_noise_covariance(K)
         bits = np.empty((size * rounds, snr_lin.size))
         for sl in protocol._slices(ch):
             heff = protocol.batch_effective_channels(ch[sl], z[sl])
-            gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
-            for gi, p in enumerate(snr_lin):
-                bits[sl, gi] = protocol._round_bits(gram, cov, p, K).sum(axis=1)
+            bits[sl] = protocol._round_bits(heff, snr_lin).sum(axis=-1).T
         parts.append(bits.reshape(size, rounds, -1).sum(axis=1))
     if zf:
         bits, zf_res = _zf_stack_bits(K - 1, size * zf, snr_lin, rng)
@@ -262,9 +259,10 @@ def estimate_dof_slope(
     error of the per-trial slopes (0 for a single trial).
 
     Every scheme needs integers K >= 2, ``trials >= 1``, ``rounds_per_trial
-    >= 1`` and ``seed``, and SNR points finite in dB, and positive and
-    finite as linear SNR. The aligned scheme requires ``delay == (t_c=K,
-    t_fb=1)``, pure ZF ``t_fb == 0`` and the time share ``t_fb <= t_c``.
+    >= 1`` and ``seed``, and SNR points finite in dB, positive and finite as
+    linear SNR, and with rates inside float range. The aligned scheme requires
+    ``delay == (t_c=K, t_fb=1)``, pure ZF ``t_fb == 0`` and the time share
+    ``t_fb <= t_c``.
     """
     db = tuple(float(x) for x in snr_grid_db)
     if not all(np.isfinite(db)):
@@ -286,8 +284,13 @@ def estimate_dof_slope(
     mix = _slot_mix(scheme, K, delay, rounds_per_trial)
 
     def compute(entry):
+        # Set per chunk: a worker thread does not inherit the caller's error state.
         index, _, size = entry
-        return _mix_chunk(K, mix, snr_lin, size, _chunk_rng(seed, index))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return _mix_chunk(K, mix, snr_lin, size, _chunk_rng(seed, index))
+        except FloatingPointError as err:
+            raise ValueError(f"snr_grid_db {list(db)} has rates past float range ({err})") from None
 
     threads = None if threads is None else _require_count("threads", threads, 1)
     layout = _chunk_layout(trials)

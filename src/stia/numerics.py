@@ -2,10 +2,10 @@
 
 Everything here operates on stacked channel matrices no larger than a
 handful of rows, so direct LAPACK factorizations through numpy are used
-throughout. Every beamformer (aligning precoders, ZF beams and gains,
-:func:`solve_right`) comes from the inverse :func:`_guarded_solve` returns,
-and its guard reuses that inverse instead of an SVD; singular values are
-computed only where a caller reports rank or the spectral condition number.
+throughout. Every beamformer (aligning precoders, ZF beams and gains) comes
+from the inverse :func:`_guarded_solve` returns, whose guard reuses it instead
+of an SVD; singular values are computed only where a caller reports rank or
+the spectral condition number.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ def _conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.where(np.isfinite(cond), cond, np.inf)
 
 
-def _guarded_solve(a: np.ndarray, b: np.ndarray | None = None):
-    """``A^-1 B``, ``A^-1`` and ``kappa_F = ||A||_F ||A^-1||_F`` of stacked square matrices.
+def _guarded_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A^-1`` and ``kappa_F = ||A||_F ||A^-1||_F`` of stacked square matrices.
 
     ``kappa_F`` lies between ``kappa_2`` and ``n kappa_2``. Exactly singular
-    items are solved against the identity instead and get ``inf``; with ``b``
-    omitted the first result is ``A^-1``.
+    items are inverted as the identity instead and get ``inf``.
     """
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
     singular = np.zeros(a.shape[:-2], dtype=bool)
@@ -76,10 +75,9 @@ def _guarded_solve(a: np.ndarray, b: np.ndarray | None = None):
         singular = np.linalg.slogdet(a)[0] == 0
         a = np.where(singular[..., None, None], eye, a)
         inv = np.linalg.solve(a, eye)
-    x = inv if b is None else np.linalg.solve(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    return x, inv, np.where(np.isfinite(cond) & ~singular, cond, np.inf)
+    return inv, np.where(np.isfinite(cond) & ~singular, cond, np.inf)
 
 
 def condition_estimate(a) -> float:
@@ -91,7 +89,7 @@ def condition_estimate(a) -> float:
 
 
 def solve_right(a, b) -> np.ndarray:
-    """Solve ``A X = B`` for X by the guarded solve.
+    """Solve ``A X = B`` for X once :func:`_guarded_solve` accepts ``A``.
 
     Raises :class:`SingularMatrixError`, carrying ``kappa_F``, when
     ``kappa_F = ||A||_F ||A^-1||_F`` of the square ``a`` exceeds
@@ -104,7 +102,7 @@ def solve_right(a, b) -> np.ndarray:
         raise ValueError("A must be square")
     if bm.shape[0] != am.shape[0]:
         raise ValueError("A and B are not conformable")
-    x, _, cond = _guarded_solve(am, bm)
+    cond = _guarded_solve(am)[1]
     if cond > CONDITION_LIMIT:
         raise SingularMatrixError(cond)
-    return x
+    return np.linalg.solve(am, bm)

@@ -1,4 +1,4 @@
-"""Beamformer constructions: aligning precoders and the zero-forcing baseline.
+"""Beamformer constructions: aligning precoders and the zero-forcing gains.
 
 The aligning precoder for user k maps the current channels of the other
 K-1 users onto their channels at an earlier reference slot. Every receiver
@@ -9,18 +9,20 @@ square, and one inverse per slot, of the stack of users 1..K-1, gives all K.
 
 Precoders are built unnormalized; power scaling is a per-slot scalar
 applied by the protocol layer, which commutes with the alignment property.
+No ZF precoder is formed: :func:`_zf_gains` takes the ZF gains from the
+served stack's inverse, whose columns scaled to unit norm are the ZF beams.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import CONDITION_LIMIT, SingularMatrixError, _guarded_solve, solve_right
+from .numerics import CONDITION_LIMIT, _guarded_solve
+from .numerics import solve_right  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
 __all__ = [
     "IllConditionedChannelError",
     "build_stia_precoders",
-    "build_zf_precoder",
 ]
 
 
@@ -47,7 +49,7 @@ def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     with row k set to ``h_K`` (row order keeps Frobenius norms), inverted by the rank-one update
     ``A^-1 - A^-1 e_k (c - e_k)^T / c_k``. ``kappa_F`` is ``inf`` for a singular stack.
     """
-    _, inv, cond_ref = _guarded_solve(current[..., :-1, :])
+    inv, cond_ref = _guarded_solve(current[..., :-1, :])
     c = np.einsum("...i,...ij->...j", current[..., -1, :], inv)
     rows = np.sum(np.abs(current) ** 2, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -115,28 +117,6 @@ def build_stia_precoders(current, outdated) -> np.ndarray:
 
 def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ZF gains ``1 / ||column i of h^-1||^2`` of stacked served channels, ``h^-1`` and its guard value."""
-    _, inv, cond = _guarded_solve(h)
+    inv, cond = _guarded_solve(h)
     return 1.0 / np.sum(np.abs(inv) ** 2, axis=-2), inv, cond
 
-
-def build_zf_precoder(current, served_users) -> np.ndarray:
-    """Zero-forcing precoder for ``n_t`` served users with current CSI.
-
-    Column i of the result has unit norm and is orthogonal to the channel
-    of every served user except ``served_users[i]``.
-    """
-    cur = np.asarray(current, dtype=complex)
-    if cur.ndim != 2:
-        raise ValueError("expected a (K, n_t) channel array")
-    k_users, n_t = cur.shape
-    served = list(served_users)
-    if len(served) != n_t or len(set(served)) != n_t:
-        raise ValueError(f"served_users must be {n_t} distinct users")
-    if not all(1 <= u <= k_users for u in served):
-        raise ValueError(f"served users must lie in 1..{k_users}")
-    h = cur[[u - 1 for u in served]]
-    try:
-        w = solve_right(h, np.eye(n_t, dtype=complex))
-    except SingularMatrixError as err:
-        raise IllConditionedChannelError(tuple(served), err.condition) from err
-    return w / np.linalg.norm(w, axis=0, keepdims=True)

@@ -16,7 +16,7 @@ left null vector; every stage after a draw runs on :func:`_slices` of it, so
 the working set does not grow with the batch. Only callers that transmit
 (:func:`run_stia_round`, a batch of one, and ``verify``) form precoders,
 from that slot's guard inverse.
-:func:`_round_bits` prices every round as ``log2 det(C + p H H^H) - log2 det C``.
+:func:`_round_bits` prices rounds from effective channels H as ``log2 det(C + p H H^H) - log2 det C``.
 
 At finite transmit power a scalar is applied per slot so the expected
 transmit power equals the budget; receivers divide it back out (they know
@@ -81,8 +81,8 @@ class SymbolBlock:
             raise ValueError("per_user must map users 1..K")
         self.per_user = {u: np.asarray(self.per_user[u], dtype=complex).reshape(-1) for u in users}
         for u, vec in self.per_user.items():
-            if vec.shape != (k - 1,):
-                raise ValueError(f"user {u}: expected {k - 1} symbols, got {vec.shape[0]}")
+            if vec.shape != (k - 1,) or not np.isfinite(vec).all():
+                raise ValueError(f"user {u}: expected {k - 1} finite symbols, got {vec}")
 
     @property
     def K(self) -> int:
@@ -131,27 +131,21 @@ def decode_round(eff, differences) -> np.ndarray:
     """
     mat = np.asarray(eff, dtype=complex)
     d = np.asarray(differences, dtype=complex)
-    if d.shape != mat.shape[:-1]:
-        raise ValueError("differences do not match the effective channel")
+    if d.shape != mat.shape[:-1] or not (np.isfinite(mat).all() and np.isfinite(d).all()):
+        raise ValueError("the differences must match the effective channel, and both be finite")
     s, cond = _conditioning(mat)
     if np.any(s[..., -1] <= DEFAULT_RANK_TOL * s[..., 0]):
         raise DecodeFailureError(cond.max())
     return _decode(mat, d)
 
 
-def round_rate(eff, snr_linear: float, K: int, noise_cov=None) -> float:
-    """Per-user achievable bits per slot of one round at a given SNR.
-
-    :func:`_round_bits` of the effective channel spread over the round's K
-    slots. ``noise_cov`` defaults to :func:`difference_noise_covariance`;
-    one that is not positive definite raises ValueError.
-    """
+def round_rate(eff, snr_linear: float, K: int) -> float:
+    """Per-user achievable bits per slot of one round: :func:`_round_bits` of a batch of one over K slots."""
     _require_positive("snr_linear", snr_linear)
-    h = np.asarray(eff, dtype=complex)[None]
-    if h.shape[1:] != (K - 1, K - 1):
-        raise ValueError(f"expected an effective channel of shape {(K - 1, K - 1)}, got shape {h.shape[1:]}")
-    cov = difference_noise_covariance(K) if noise_cov is None else noise_cov
-    return float(_round_bits(h @ h.conj().swapaxes(-1, -2), cov, snr_linear, K)[0] / K)
+    h = np.asarray(eff, dtype=complex)
+    if h.shape != (K - 1, K - 1) or not np.isfinite(h).all():
+        raise ValueError(f"expected a finite effective channel of shape {(K - 1, K - 1)}, got shape {h.shape}")
+    return float(_round_bits(h, snr_linear) / K)
 
 
 def run_stia_round(
@@ -205,8 +199,7 @@ def run_stia_round(
     decoded = decode_round(heff[0], np.moveaxis(diffs, 1, 2)[0])
     residual = _leakage(ch, v, diffs, sent)[0]
     users = range(1, K + 1)
-    h, cov = heff[0], difference_noise_covariance(K)
-    bits = None if snr_linear is None else _round_bits(h @ h.conj().swapaxes(-1, -2), cov, snr_linear, K) / K
+    bits = None if snr_linear is None else _round_bits(heff[0], snr_linear) / K
     return StiaRoundResult(
         decoded=SymbolBlock({k: decoded[k - 1] for k in users}),
         residual_interference={k: float(residual[k - 1]) for k in users},
@@ -333,13 +326,20 @@ def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarr
     return np.where(scale > 0.0, rel, np.where(leak < 1e-12, 0.0, np.inf))
 
 
-def _round_bits(gram: np.ndarray, cov, snr_linear: float, K: int) -> np.ndarray:
-    """Bits ``log2 det(C + p G) - log2 det C`` of stacked Gram matrices G (..., K-1, K-1).
+def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
+    """Bits ``log2 det(C + p H H^H) - log2 det C`` of stacked effective channels H (..., K-1, K-1).
 
-    C is the noise covariance and ``p = snr / (K (K-1))`` the per-symbol
-    power: the whitened log-det ``log2 det(I + p C^-1/2 G C^-1/2)`` unwhitened.
+    The one pricing call; the axes of ``snr``, a linear SNR or an array of them, lead the result's.
+    C is :func:`difference_noise_covariance` and ``p = snr / (K (K-1))`` the per-symbol power:
+    the whitened log-det ``log2 det(I + p C^-1/2 H H^H C^-1/2)`` unwhitened. The Gram is formed
+    once and each point takes one log-det of it, so the working set is that of one point.
     """
-    return _log2det(cov + snr_linear / (K * (K - 1)) * gram) - _log2det(cov)
+    K = heff.shape[-1] + 1
+    cov = difference_noise_covariance(K)
+    gram = np.einsum("...aj,...bj->...ab", heff, heff.conj())
+    p = np.asarray(snr, dtype=float) / (K * (K - 1))
+    bits = np.stack([_log2det(cov + q * gram) for q in p.ravel()])
+    return bits.reshape(p.shape + bits.shape[1:]) - _log2det(cov)
 
 
 def _log2det(a) -> np.ndarray:

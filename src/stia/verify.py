@@ -150,7 +150,8 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
 
     For unit-variance symbols it is the sum of ``||x(e_i)||^2`` over the
     standard-basis symbol vectors; every realization must meet the budget.
-    Runs at K=3 with a budget of 10.
+    Runs at K=3 with a budget of 10. The aligned rounds are one draw, checked
+    per :func:`protocol._slices` slice; the ZF and TDMA draws follow it whole.
     """
     trials = _require_count("trials", trials, 1)
     seed = _require_integer("seed", seed)
@@ -159,12 +160,13 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     n_t = K - 1
 
     ch, z, _, _ = protocol.batch_rounds(K, trials, rng)
-    v = _stia_precoders(_interferer_guard(ch[:, 1:])[2], z, ch[:, :1])
-    scales = protocol._slot_scales(v, power)
     slot_power = np.zeros((trials, K))
-    for e in np.eye(K * n_t, dtype=complex):
-        x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (trials, K, n_t)), scales)
-        slot_power += np.sum(np.abs(x) ** 2, axis=-1)
+    for sl in protocol._slices(ch):
+        v = _stia_precoders(_interferer_guard(ch[sl, 1:])[2], z[sl], ch[sl, :1])
+        scales = protocol._slot_scales(v, power)
+        for e in np.eye(K * n_t, dtype=complex):
+            x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (len(v), K, n_t)), scales)
+            slot_power[sl] += np.sum(np.abs(x) ** 2, axis=-1)
 
     gains, inv, _ = _zf_gains(complex_normal(rng, (trials, n_t, n_t)))
     beams = inv * np.sqrt(gains)[:, None, :]  # unit-norm columns

@@ -18,9 +18,9 @@ def singular_guard(monkeypatch):
     """Make the precoder and ZF guard report every matrix as singular."""
     real = precoding._guarded_solve
 
-    def singular(a, b=None):
-        x, inv, cond = real(a, b)
-        return x, inv, np.full(cond.shape, np.inf)
+    def singular(a):
+        inv, cond = real(a)
+        return inv, np.full(cond.shape, np.inf)
 
     monkeypatch.setattr(precoding, "_guarded_solve", singular)
 
@@ -31,9 +31,9 @@ def rare_singular_guard(monkeypatch):
     in magnitude: about one CN(0,1) matrix in 500, so a large batch redraws a few of its items."""
     real = precoding._guarded_solve
 
-    def rare(a, b=None):
-        x, inv, cond = real(a, b)
-        return x, inv, np.where(np.abs(a[..., 0, 0]) > 2.5, np.inf, cond)
+    def rare(a):
+        inv, cond = real(a)
+        return inv, np.where(np.abs(a[..., 0, 0]) > 2.5, np.inf, cond)
 
     monkeypatch.setattr(precoding, "_guarded_solve", rare)
 

@@ -131,6 +131,13 @@ def test_fit_recovers_injected_slope_exactly():
 def test_fit_requires_two_points():
     with pytest.raises(ValueError):
         fit_dof_slope((40.0,), (1.0,))
+    # Two points at one SNR have no slope; lstsq would return its minimum-norm answer.
+    with pytest.raises(ValueError, match="distinct"):
+        fit_dof_slope((1.0, 1.0), (1.0, 2.0))
+    # A non-finite point made lstsq print LAPACK errors and raise LinAlgError, or return nan.
+    for db, rates in [((np.nan, 50.0), (1.0, 2.0)), ((40.0, np.inf), (1.0, 2.0)), ((40.0, 50.0), (1.0, np.nan))]:
+        with pytest.raises(ValueError, match="finite"):
+            fit_dof_slope(db, rates)
 
 
 def test_estimate_validates_inputs():
@@ -170,6 +177,15 @@ def test_estimate_deterministic_and_thread_invariant(scheme):
     b = estimate_dof_slope(*args, rounds_per_trial=2)
     c = estimate_dof_slope(*args, rounds_per_trial=2, threads=4)
     assert a == b == c
+
+
+@pytest.mark.parametrize("scheme", analysis.SIMULATION_SCHEMES)
+@pytest.mark.parametrize("threads", [None, 2])
+def test_estimate_rejects_a_grid_whose_rates_overflow(scheme, threads):
+    # 3082 dB has a finite linear SNR, but rates past it overflow in the engine, in a worker thread too.
+    delay = DelayConfig(3, 0 if scheme == "zf" else 1)
+    with pytest.raises(ValueError, match=r"\[3000.0, 3082.0\]"):
+        estimate_dof_slope(scheme, 3, delay, (3000.0, 3082.0), 1100, 0, rounds_per_trial=2, threads=threads)
 
 
 def test_estimate_to_dict_round_trips_values():

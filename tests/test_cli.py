@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,21 @@ def test_simulate_rejects_snr_without_a_positive_linear_value(via, tmp_path, cap
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "-3300" in err and "positive" in err
+
+
+@pytest.mark.parametrize("via", ["flags", "config"])
+@pytest.mark.parametrize("scheme,t_fb,trials", [("zf", 0, 40), ("stia", 1, 4)])
+def test_simulate_rejects_snr_whose_rates_overflow(scheme, t_fb, trials, via, tmp_path, capsys):
+    # 10 ** 308.2 is a float, but the rates at it are not: no warning, no NaN slope, no artifact
+    out_path = tmp_path / "est.json"
+    argv = _flags_or_config(via, "simulate", tmp_path, scheme=scheme, k=3, t_c=3, t_fb=t_fb,
+                            snr_grid_db=[3000, 3082], trials=trials, output_path=str(out_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "[3000.0, 3082.0]" in err and not out_path.exists()
 
 
 def test_verify_rejects_zero_rounds(capsys):

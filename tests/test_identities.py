@@ -58,7 +58,7 @@ def test_stack_inverses_are_rank_one_updates_of_one_inverse(case):
     # so its inverse is A^-1 - A^-1 e_k (c - e_k)^T / c_k (Sherman-Morrison).
     K, ch = _draw(case)
     cur = ch[:, 1:]
-    inv = _guarded_solve(cur[..., :-1, :])[1]
+    inv = _guarded_solve(cur[..., :-1, :])[0]
     c = _interferer_guard(cur)[0][..., :-1]
     assert _rel(inv, np.linalg.inv(cur[..., :-1, :]), (-2, -1)) <= RTOL
     for k in range(K - 1):

@@ -103,8 +103,7 @@ def test_guard_value_brackets_spectral_condition(n):
     u, s, vh = np.linalg.svd(a)
     s[100:, -1] *= np.logspace(-2, -10, 100)
     a[100:] = (u[100:] * s[100:, None, :]) @ vh[100:]
-    x, inv, cond = _guarded_solve(a)
-    np.testing.assert_array_equal(x, inv)
+    inv, cond = _guarded_solve(a)
     kappa2 = np.array([condition_estimate(m) for m in a])
     slack = 1.0 + n * kappa2 * np.finfo(float).eps
     assert np.all(kappa2 <= cond * slack)
@@ -115,11 +114,9 @@ def test_guard_value_brackets_spectral_condition(n):
 def test_guard_singular_item_gives_inf_without_raising():
     rng = np.random.default_rng(20)
     a = _cn(rng, (4, 3, 3))
-    b = _cn(rng, (4, 3, 2))
     a[2, 1] = a[2, 0]
-    x, inv, cond = _guarded_solve(a, b)
+    inv, cond = _guarded_solve(a)
     assert cond[2] == np.inf
     assert np.all(np.isfinite(cond[[0, 1, 3]]))
     for c in (0, 1, 3):
-        np.testing.assert_array_equal(x[c], np.linalg.solve(a[c], b[c]))
         np.testing.assert_array_equal(inv[c], np.linalg.solve(a[c], np.eye(3)))

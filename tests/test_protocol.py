@@ -20,7 +20,6 @@ from stia.precoding import (
     _stia_precoders,
     _zf_gains,
     build_stia_precoders,
-    build_zf_precoder,
 )
 from stia.protocol import (
     DecodeFailureError,
@@ -329,9 +328,10 @@ def test_round_rate_vanishes_at_zero_snr():
 
 
 def test_round_rate_identity_closed_form():
+    # H = I at per-symbol power 1 with C = I + 11^T: det(aI + 11^T) = a^(m-1) (a + m) for m = K - 1.
     for K in (3, 4, 5):
-        rate = round_rate(np.eye(K - 1, dtype=complex), float(K * (K - 1)), K, noise_cov=np.eye(K - 1))
-        assert rate == pytest.approx((K - 1) / K)
+        rate = round_rate(np.eye(K - 1, dtype=complex), float(K * (K - 1)), K)
+        assert rate == pytest.approx((K - 2 + np.log2((K + 1) / K)) / K)
 
 
 def test_round_rate_slope_near_two_per_round():
@@ -388,11 +388,9 @@ def _exact_round_bits(h, snr, K):
 def test_round_bits_match_an_exact_log_det_on_the_worst_conditioned_rounds(K):
     ch, z, conds, _ = batch_rounds(K, 4000, np.random.default_rng(90 + K))
     worst = batch_effective_channels(ch, z)[np.argsort(conds)[-4:]]
-    gram = np.einsum("ckaj,ckbj->ckab", worst, worst.conj())
-    cov = difference_noise_covariance(K)
     for db in (40.0, 60.0, 90.0):
         snr = 10.0 ** (db / 10.0)
-        bits = protocol._round_bits(gram, cov, snr, K)
+        bits = protocol._round_bits(worst, snr)
         want = [[_exact_round_bits(h, snr, K) for h in rnd] for rnd in worst]
         np.testing.assert_allclose(bits, want, rtol=1e-13, atol=0)
 
@@ -401,10 +399,11 @@ def test_round_bits_match_an_exact_log_det_on_the_worst_conditioned_rounds(K):
     [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
 ])
 def test_round_rate_rejects_a_covariance_that_is_not_positive_definite(cov):
+    # round_rate prices with the fixed difference covariance; the log-det it prices with rejects these.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="positive definite"):
-            round_rate(np.eye(2, dtype=complex), 100.0, 3, noise_cov=np.asarray(cov))
+            protocol._log2det(np.asarray(cov, dtype=complex))
 
 
 def test_zf_slot_orthonormal_channels():
@@ -427,14 +426,15 @@ def test_tdma_slope_near_one():
 
 
 def test_zf_and_tdma_transmit_power():
-    # ZF gains against the beams of build_zf_precoder, and the transmit
-    # power of the normalized ZF and TDMA beams, exactly, per realization.
+    # ZF gains against unit-norm beams from the explicit inverse, and the
+    # transmit power of the normalized ZF and TDMA beams, exactly, per realization.
     rng = np.random.default_rng(26)
     power = 10.0
     for _ in range(200):
         ch = complex_normal(rng, (3, 2))
         gains, inv, _ = _zf_gains(ch[None, :2])
-        w = build_zf_precoder(ch, [1, 2])
+        w = np.linalg.inv(ch[:2])
+        w = w / np.linalg.norm(w, axis=0)
         for i in range(2):
             assert gains[0, i] == pytest.approx(abs(ch[i] @ w[:, i]) ** 2, rel=1e-9)
         beams = inv[0] * np.sqrt(gains[0])
@@ -575,6 +575,23 @@ def test_round_rate_rejects_an_effective_channel_of_the_wrong_shape(eff):
         round_rate(eff, 10.0, 3)
 
 
+_NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("call,word", [
+    (lambda: decode_round(_NAN_2X2, np.ones(2)), "effective channel"),
+    (lambda: decode_round(np.eye(2), np.array([1.0, np.nan])), "differences"),
+    (lambda: round_rate(_NAN_2X2, 10.0, 3), "effective channel"),
+    (lambda: SymbolBlock({1: [1.0, np.nan], 2: [1.0, 1.0], 3: [1.0, 1.0]}), "user 1"),
+    (lambda: SymbolBlock({1: [1.0, 1.0], 2: [1.0, 1.0], 3: [np.inf, 1.0]}), "user 3"),
+])
+def test_library_fronts_reject_non_finite_input_by_name(call, word):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{word}.*finite|finite.*{word}"):
+            call()
+
+
 def test_symbol_block_leaves_the_callers_dict_alone():
     d = {1: [1, 2], 2: [1, 2], 3: [1, 2]}
     block = SymbolBlock(d)
@@ -600,7 +617,8 @@ def _whole_array_reference(K, ch):
     heff = batch_effective_channels(ch, z)
     gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
     cov = difference_noise_covariance(K)
-    bits = np.stack([protocol._round_bits(gram, cov, p, K).sum(axis=1) for p in _SNR], axis=1)
+    log2det = protocol._log2det
+    bits = np.stack([(log2det(cov + p / (K * (K - 1)) * gram) - log2det(cov)).sum(axis=1) for p in _SNR], axis=1)
     return z, cond.max(axis=(1, 2)), bits
 
 

@@ -145,3 +145,10 @@ def test_round_sweep_peaks_under_three_times_its_channel_draw(traced_peak):
     K, rounds = 6, 2000
     draw = rounds * K * K * (K - 1) * np.dtype(complex).itemsize
     assert traced_peak(lambda: verify.round_sweep(K, rounds, 4)) < 3 * draw
+
+
+def test_power_suite_peaks_under_three_and_a_half_times_its_channel_draw(traced_peak):
+    # The aligned rounds are one draw; precoders and transmit vectors exist one slice at a time.
+    K, trials = 3, 10_000
+    draw = trials * K * K * (K - 1) * np.dtype(complex).itemsize
+    assert traced_peak(lambda: verify.power_suite(trials, 7)) < 3.5 * draw

@@ -164,14 +164,8 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed & (1 << 64) - 1, index))
 
 
-def _tdma_bits(h: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
-    """Rates of single-user slots with full power on the matched beam: (count, len(snr))."""
-    gains = np.sum(np.abs(h) ** 2, axis=1)
-    return np.log2(1.0 + snr_lin[None, :] * gains[:, None])
-
-
 def _zf_bits(gains: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
-    """Sum rates of ZF slots from (count, n_t) ZF gains with equal power per stream."""
+    """ZF sum rates from (count, n_t) gains at equal power per stream; TDMA is one stream of gain ||h||^2."""
     return np.log2(1.0 + (snr_lin[None, None, :] / gains.shape[-1]) * gains[:, :, None]).sum(axis=1)
 
 
@@ -233,7 +227,8 @@ def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) 
         parts.append(bits.reshape(size, zf, -1).sum(axis=1))
         resamples += zf_res
     if tdma:
-        bits = _tdma_bits(complex_normal(rng, (size * tdma, K - 1)), snr_lin)
+        gains = np.sum(np.abs(complex_normal(rng, (size * tdma, K - 1))) ** 2, axis=1, keepdims=True)
+        bits = _zf_bits(gains, snr_lin)
         parts.append(bits.reshape(size, tdma, -1).sum(axis=1))
     return sum(parts) / horizon, resamples
 

@@ -54,11 +54,11 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of stacked matrices and ``s_max / s_min``, ``inf`` where singular."""
+    """Stacked matrices' full-rank flags ``s_min > DEFAULT_RANK_TOL s_max`` and ``kappa_2``, inf if singular."""
     s = np.linalg.svd(a, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = s[..., 0] / s[..., -1]
-    return s, np.where(np.isfinite(cond), cond, np.inf)
+    return s[..., -1] > DEFAULT_RANK_TOL * s[..., 0], np.where(np.isfinite(cond), cond, np.inf)
 
 
 def _guarded_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

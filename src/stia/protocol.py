@@ -13,9 +13,9 @@ Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
 :func:`batch_rounds` draws a batch at once and returns each precoded slot's
 left null vector; every stage after a draw runs on :func:`_slices` of it, so
-the working set does not grow with the batch. Only callers that transmit
-(:func:`run_stia_round`, a batch of one, and ``verify``) form precoders,
-from that slot's guard inverse.
+the working set does not grow with the batch. Callers that transmit
+(:func:`run_stia_round`, a batch of one, and ``verify``) send rounds through
+:func:`_send`, the one signal path, which precodes from each slot's guard inverse.
 :func:`_round_bits` prices rounds from effective channels H as ``log2 det(C + p H H^H) - log2 det C``.
 
 At finite transmit power a scalar is applied per slot so the expected
@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import complex_normal
-from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
+from .channel import _require_count, complex_normal
+from .numerics import CONDITION_LIMIT, _conditioning
 from .precoding import IllConditionedChannelError, _accepted_null_vectors, _interferer_guard, _stia_precoders
 from .precoding import build_stia_precoders  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
@@ -131,16 +131,19 @@ def decode_round(eff, differences) -> np.ndarray:
     """
     mat = np.asarray(eff, dtype=complex)
     d = np.asarray(differences, dtype=complex)
-    if d.shape != mat.shape[:-1] or not (np.isfinite(mat).all() and np.isfinite(d).all()):
-        raise ValueError("the differences must match the effective channel, and both be finite")
-    s, cond = _conditioning(mat)
-    if np.any(s[..., -1] <= DEFAULT_RANK_TOL * s[..., 0]):
+    if (mat.ndim < 2 or not mat.shape[-1] == mat.shape[-2] > 0 or d.shape != mat.shape[:-1]
+            or not (np.isfinite(mat).all() and np.isfinite(d).all())):
+        raise ValueError(f"the effective channels must be square (..., n, n) with n >= 1 and the differences "
+                         f"(..., n), both finite; got shapes {mat.shape} and {d.shape}")
+    full, cond = _conditioning(mat)
+    if not full.all():
         raise DecodeFailureError(cond.max())
-    return _decode(mat, d)
+    return np.linalg.solve(mat, d[..., None])[..., 0]
 
 
 def round_rate(eff, snr_linear: float, K: int) -> float:
     """Per-user achievable bits per slot of one round: :func:`_round_bits` of a batch of one over K slots."""
+    K = _require_count("K", K, 2)
     _require_positive("snr_linear", snr_linear)
     h = np.asarray(eff, dtype=complex)
     if h.shape != (K - 1, K - 1) or not np.isfinite(h).all():
@@ -156,7 +159,7 @@ def run_stia_round(
     rng: np.random.Generator | None = None,
     snr_linear: float | None = None,
 ) -> StiaRoundResult:
-    """Execute one complete round on explicit per-slot channels.
+    """Execute one complete round on explicit per-slot channels: :func:`_send` on a batch of one.
 
     Parameters
     ----------
@@ -188,15 +191,11 @@ def run_stia_round(
     if snr_linear is not None:
         _require_positive("snr_linear", snr_linear)
 
-    z, inv = _accepted_null_vectors(ch[1:])
-    v = _stia_precoders(inv, z, ch[:1])[None]
-    ch, z = ch[None], z[None]
-    sent = symbols.stacked()[None]
-    scales = _slot_scales(v, power)
+    ch, sent = ch[None], symbols.stacked()[None]
+    z, inv = _accepted_null_vectors(ch[:, 1:])
     noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
-    diffs = _differences(ch, _transmit(v, sent, scales), scales, noise)
-    heff = batch_effective_channels(ch, z)
-    decoded = decode_round(heff[0], np.moveaxis(diffs, 1, 2)[0])
+    v, diffs, heff = _send(ch, z, inv, ch[:, :1], sent, power, noise)
+    decoded = decode_round(heff[0], diffs[0])
     residual = _leakage(ch, v, diffs, sent)[0]
     users = range(1, K + 1)
     bits = None if snr_linear is None else _round_bits(heff[0], snr_linear) / K
@@ -290,13 +289,19 @@ def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> np.ndar
     return np.concatenate([x0[:, None], xm], axis=1) * scales[..., None]
 
 
-def _differences(ch: np.ndarray, x: np.ndarray, scales: np.ndarray, noise=None) -> np.ndarray:
-    """Differences ``y[broadcast] - y[m]`` (count, K-1, K) after dividing out each slot's scale."""
-    y = np.einsum("cmki,cmi->cmk", ch, x)
+def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precoders, differences ``y[broadcast] - y[m]`` (count, K, K-1) and effective channels of rounds ``ch``.
+
+    Precoders align to ``reference`` from each slot's guard ``z`` and ``A^-1``; slots are scaled to ``power``
+    (None: unscaled), received with ``noise`` (count, K, K) or none, and unscaled; differences are user-major.
+    """
+    v = _stia_precoders(inv, z, reference)
+    scales = _slot_scales(v, power)
+    y = np.einsum("cmki,cmi->cmk", ch, _transmit(v, symbols, scales))
     if noise is not None:
         y = y + noise
     y = y / scales[..., None]
-    return y[:, :1] - y[:, 1:]
+    return v, np.moveaxis(y[:, :1] - y[:, 1:], 1, 2), batch_effective_channels(ch, z)
 
 
 def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> np.ndarray:
@@ -309,16 +314,11 @@ def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> 
     return mixed[:, None] / np.moveaxis(null_vectors, 1, 2)[..., None]
 
 
-def _decode(heff: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Solve ``H_eff s = d`` for stacked effective channels (..., K-1, K-1)."""
-    return np.linalg.solve(heff, d[..., None])[..., 0]
-
-
 def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """Worst ``|d - (h_k[ref] - h_k[m] V_k[m]) s_k|`` per round and user over the interference it recorded."""
     vs = np.einsum("cmkab,ckb->cmka", v, symbols)
-    own = np.einsum("cka,cka->ck", ch[:, 0], symbols)[:, None] - np.einsum("cmka,cmka->cmk", ch[:, 1:], vs)
-    leak = np.abs(diffs - own).max(axis=1)
+    own = np.einsum("cka,cka->ck", ch[:, 0], symbols)[..., None] - np.einsum("cmka,cmka->ckm", ch[:, 1:], vs)
+    leak = np.abs(diffs - own).max(axis=2)
     cross = np.abs(np.einsum("cki,cji->ckj", ch[:, 0], symbols))
     scale = cross.sum(axis=2) - np.diagonal(cross, axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import protocol
 from .channel import _require_count, _require_integer, complex_normal
-from .numerics import CONDITION_LIMIT, DEFAULT_RANK_TOL, _conditioning
-from .precoding import _interferer_guard, _stia_precoders, _zf_gains
+from .numerics import CONDITION_LIMIT, _conditioning, _guarded_solve
+from .precoding import _stia_precoders, _zf_gains
 from .scheduler import account_dof, build_plan_general, validate_plan
 
 __all__ = [
@@ -49,17 +49,18 @@ _SWEEP_VERDICTS = (
 def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> dict:
     """Alignment, cancellation, decoding and rank statistics over random rounds.
 
-    Runs the noise-free signal path end to end on ``rounds`` random rounds:
+    Sends ``rounds`` random rounds noise-free through :func:`protocol._send`:
     coefficient-level alignment residuals, signal-level leakage of every
     interferer after cancellation, relative decoding error, and the
     numerical rank of every effective channel. Decoding and rank use the
     kernel's null-vector effective channels, so every round checks the
     precoded signal against that algebra. ``inject_fault`` negates the
-    reference CSI inside the precoder build, which must blow the alignment
+    reference CSI the precoders align to, which must blow the alignment
     and cancellation residuals up to order one.
 
     Rounds and symbols are one draw each; the checks run per :func:`protocol._slices`
     slice, keeping running maxima and counts, so no temporary grows with ``rounds``.
+    Each slot's ``A^-1`` is the guard's: one guarded solve of its stack of users 1..K-1.
 
     ``worst_condition`` is the largest precoder guard value
     ``kappa_F = ||A||_F ||A^-1||_F`` over the accepted rounds' interferer
@@ -75,7 +76,8 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     full_rounds = unflagged_failures = 0
     for sl in protocol._slices(ch):
         c, sent = ch[sl], symbols[sl]
-        v = _stia_precoders(_interferer_guard(c[:, 1:])[2], z[sl], -c[:, :1] if inject_fault else c[:, :1])
+        ref = -c[:, :1] if inject_fault else c[:, :1]
+        v, diffs, heff = protocol._send(c, z[sl], _guarded_solve(c[:, 1:, :-1])[0], ref, sent, None, None)
 
         # Coefficient-level alignment, one user k at a time: h_j[m] V_k[m] against h_j[ref] for j != k.
         den = np.max(np.abs(c[:, 0]), axis=-1)[:, None, :]
@@ -85,19 +87,13 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
             rel[:, :, k] = 0.0  # own rows carry the data, not interference
             alignment = max(alignment, float(rel.max()))
 
-        # Noise-free signal path: broadcast, precoded slots, differences.
-        scales = protocol._slot_scales(v, None)
-        diffs = protocol._differences(c, protocol._transmit(v, sent, scales), scales)
         leakage = np.maximum(leakage, protocol._leakage(c, v, diffs, sent).max())
-
-        heff = protocol.batch_effective_channels(c, z[sl])
-        decoded = protocol._decode(heff, np.moveaxis(diffs, 1, 2))
+        decoded = np.linalg.solve(heff, diffs[..., None])[..., 0]
         err = np.max(np.abs(decoded - sent), axis=-1)
         mag = np.max(np.abs(sent), axis=-1)
         decode_error = np.maximum(decode_error, (err / mag).max())
 
-        s, cond_eff = _conditioning(heff)
-        full = s[..., -1] > DEFAULT_RANK_TOL * s[..., 0]
+        full, cond_eff = _conditioning(heff)
         full_rounds += int(np.count_nonzero(full.all(axis=1)))
         unflagged_failures += int(np.count_nonzero(~full & ~(cond_eff > CONDITION_LIMIT)))
 
@@ -151,7 +147,7 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     For unit-variance symbols it is the sum of ``||x(e_i)||^2`` over the
     standard-basis symbol vectors; every realization must meet the budget.
     Runs at K=3 with a budget of 10. The aligned rounds are one draw, checked
-    per :func:`protocol._slices` slice; the ZF and TDMA draws follow it whole.
+    per :func:`protocol._slices` slice, precoded as :func:`round_sweep`; the ZF and TDMA draws follow it whole.
     """
     trials = _require_count("trials", trials, 1)
     seed = _require_integer("seed", seed)
@@ -162,7 +158,7 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     ch, z, _, _ = protocol.batch_rounds(K, trials, rng)
     slot_power = np.zeros((trials, K))
     for sl in protocol._slices(ch):
-        v = _stia_precoders(_interferer_guard(ch[sl, 1:])[2], z[sl], ch[sl, :1])
+        v = _stia_precoders(_guarded_solve(ch[sl, 1:, :-1])[0], z[sl], ch[sl, :1])
         scales = protocol._slot_scales(v, power)
         for e in np.eye(K * n_t, dtype=complex):
             x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (len(v), K, n_t)), scales)

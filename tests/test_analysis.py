@@ -233,14 +233,22 @@ def test_stia_engine_slot_mix_follows_the_plan(key, monkeypatch):
         counts["zf"] += count
         return np.ones((count, snr_lin.size)), 0
 
-    def tdma(h, snr_lin):
-        assert h.shape[1] == K - 1
-        counts["tdma"] += len(h)
-        return np.ones((len(h), snr_lin.size))
+    # With the ZF stacks faked, the engine's own draws and pricing are its TDMA rows.
+    complex_normal = analysis.complex_normal
+
+    def tdma_rows(rng, shape):
+        assert shape[1] == K - 1
+        counts["tdma"] += shape[0]
+        return complex_normal(rng, shape)
+
+    def tdma(gains, snr_lin):
+        assert gains.shape[1] == 1
+        return np.ones((len(gains), snr_lin.size))
 
     monkeypatch.setattr(protocol, "batch_rounds", draw_rounds)
     monkeypatch.setattr(analysis, "_zf_stack_bits", zf)
-    monkeypatch.setattr(analysis, "_tdma_bits", tdma)
+    monkeypatch.setattr(analysis, "complex_normal", tdma_rows)
+    monkeypatch.setattr(analysis, "_zf_bits", tdma)
     bits, _ = analysis._mix_chunk(K, mix, np.array([1e-30]), size, np.random.default_rng(K))
     assert counts == {"rounds": size * rounds, "zf": size * zf_slots, "tdma": size * tdma_slots}
     np.testing.assert_allclose(bits, (zf_slots + tdma_slots) / horizon, rtol=1e-12)

@@ -1,6 +1,9 @@
-"""Package layout: every name a ``stia`` module imports is used there or re-exported."""
+"""Package layout: every name a ``stia`` module imports is used there or re-exported; the knobs are listed."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,52 @@ def test_every_import_is_used_or_exported(path):
     allowed = {name for module, name in _PERFBENCH_LOOKUP_SITES if module == path.stem}
     assert _unused_imports(path) == allowed
 
+
+# Every keyword default of a function or class method defined in src/stia, as module.function(param).
+# A new knob fails this test, so it is added here, and reviewed, on purpose.
+_KNOBS = [
+    "analysis.estimate_dof_slope(rounds_per_trial)",
+    "analysis.estimate_dof_slope(threads)",
+    "channel.complex_normal(shape)",
+    "cli.main(argv)",
+    "protocol.run_stia_round(noise_std)",
+    "protocol.run_stia_round(power)",
+    "protocol.run_stia_round(rng)",
+    "protocol.run_stia_round(snr_linear)",
+    "verify.plan_suite(k_values)",
+    "verify.plan_suite(n_max)",
+    "verify.power_suite(seed)",
+    "verify.power_suite(trials)",
+    "verify.round_sweep(inject_fault)",
+    "verify.run_all(inject_fault)",
+    "verify.run_all(k_values)",
+    "verify.run_all(rounds)",
+    "verify.run_all(seed)",
+]
+
+
+def _functions(module):
+    """(qualified name, function) for the module's own functions and its own classes' methods.
+
+    A dataclass ``__init__`` is generated from the fields, so its defaults are field defaults, not knobs.
+    """
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(member) and not (attr == "__init__" and dataclasses.is_dataclass(obj)):
+                    yield f"{name}.{attr}", member
+
+
+def test_every_keyword_default_is_a_listed_knob():
+    knobs = []
+    for path in sorted(_SRC.glob("*.py")):
+        module = importlib.import_module(f"stia.{path.stem}".removesuffix(".__init__"))
+        for name, fn in _functions(module):
+            knobs += [f"{path.stem}.{name}({p.name})" for p in inspect.signature(fn).parameters.values()
+                      if p.default is not p.empty]
+    assert sorted(knobs) == _KNOBS

@@ -4,6 +4,7 @@ Kernel stages are checked against explicit per-user, per-slot loops written
 here, so each check stays independent of the kernel's batched arithmetic.
 """
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -16,6 +17,7 @@ from stia.channel import complex_normal
 from stia.numerics import CONDITION_LIMIT
 from stia.precoding import (
     IllConditionedChannelError,
+    _accepted_null_vectors,
     _interferer_guard,
     _stia_precoders,
     _zf_gains,
@@ -50,11 +52,12 @@ def _transmit_one(v, sb, power=None):
     return protocol._transmit(v, sb.stacked()[None], protocol._slot_scales(v, power))[0]
 
 
-def _differences_one(ch, v, sb):
-    """Kernel differences of one noise-free round, indexed [precoded slot - 1, user - 1]."""
-    v = v[None]
-    scales = protocol._slot_scales(v, None)
-    return protocol._differences(ch[None], protocol._transmit(v, sb.stacked()[None], scales), scales)[0]
+def _send_one(ch, symbols):
+    """The signal path on one round: precoders and differences indexed [user - 1, precoded slot - 1]."""
+    ch = ch[None]
+    z, inv = _accepted_null_vectors(ch[:, 1:])
+    v, diffs, _ = protocol._send(ch, z, inv, ch[:, :1], symbols[None], None, None)
+    return v[0], diffs[0]
 
 
 def _reference_differences(ch, v, sb):
@@ -63,7 +66,7 @@ def _reference_differences(ch, v, sb):
     xs = [sum(sb.per_user[k] for k in range(1, K + 1))]
     xs += [sum(v[m - 1, k - 1] @ sb.per_user[k] for k in range(1, K + 1)) for m in range(1, K)]
     y = [[ch[m, k - 1] @ xs[m] for k in range(1, K + 1)] for m in range(K)]
-    return np.array([[y[0][k] - y[m][k] for k in range(K)] for m in range(1, K)])
+    return np.array([[y[0][k] - y[m][k] for m in range(1, K)] for k in range(K)])
 
 
 def _identity_precoders(K, slots):
@@ -138,21 +141,27 @@ def test_phase_two_interference_matches_reference_slot():
 
 
 def test_receive_zero_input():
-    ch = complex_normal(np.random.default_rng(12), (1, 3, 3, 2))
-    d = protocol._differences(ch, np.zeros((1, 3, 2), dtype=complex), np.ones((1, 3)))
-    np.testing.assert_array_equal(d, np.zeros((1, 2, 3)))
+    ch = complex_normal(np.random.default_rng(12), (3, 3, 2))
+    _, d = _send_one(ch, np.zeros((3, 2), dtype=complex))
+    np.testing.assert_array_equal(d, np.zeros((3, 2)))
 
 
 def test_receive_basis_inner_product():
     # Two slots, three users: nothing sent at the broadcast slot, so every
     # difference is minus the user's inner product h^T x at the second slot.
+    # A unit inverse, z = (1, 1, -1) and reference rows (0, 0, -e_1) give the
+    # mixture row e_1 and precoders V_3 = 0, V_k = -e_k e_1^T, so symbols that
+    # sum to zero send x = -(s_1[0], s_2[0]) = (3 + 1j, 7) at the second slot.
     ch = np.zeros((1, 2, 3, 2), dtype=complex)
     ch[0, 1, 0] = [1.0, 0.0]
     ch[0, 1, 2] = [0.0, 2.0]
-    x = np.zeros((1, 2, 2), dtype=complex)
-    x[0, 1] = [3.0 + 1j, 7.0]
-    d = protocol._differences(ch, x, np.ones((1, 2)))
-    np.testing.assert_allclose(d[0, 0], [-(3.0 + 1j), 0.0, -14.0])
+    z = np.array([[[1.0, 1.0, -1.0]]], dtype=complex)
+    inv = np.eye(2, dtype=complex)[None, None]
+    reference = np.zeros((1, 1, 3, 2), dtype=complex)
+    reference[0, 0, 2] = [-1.0, 0.0]
+    symbols = np.array([[[-(3.0 + 1j), 0.0], [-7.0, 0.0], [10.0 + 1j, 0.0]]])
+    _, d, _ = protocol._send(ch, z, inv, reference, symbols, None, None)
+    np.testing.assert_allclose(d[0, :, 0], [-(3.0 + 1j), 0.0, -14.0])
 
 
 def test_receive_noise_variance_audit():
@@ -186,16 +195,15 @@ def test_cancel_differences_depend_only_on_own_symbols():
     ch, sb = _round(3, 13)
     for j in (2, 3):
         sb.per_user[j] = np.zeros(2, dtype=complex)
-    v = build_stia_precoders(ch[1:], ch[0])
+    v, d = _send_one(ch, sb.stacked())
     d_direct = [(ch[0, 0] - ch[m, 0] @ v[m - 1, 0]) @ sb.per_user[1] for m in (1, 2)]
-    np.testing.assert_allclose(_differences_one(ch, v, sb)[:, 0], d_direct, atol=1e-10)
+    np.testing.assert_allclose(d[0], d_direct, atol=1e-10)
 
 
 def test_cancel_interferers_only_leaves_nothing():
     ch, sb = _round(3, 14)
     sb.per_user[1] = np.zeros(2, dtype=complex)
-    v = build_stia_precoders(ch[1:], ch[0])
-    d = _differences_one(ch, v, sb)[:, 0]
+    d = _send_one(ch, sb.stacked())[1][0]
     scale = sum(abs(ch[0, 0] @ sb.per_user[j]) for j in (2, 3))
     assert np.max(np.abs(d)) <= 1e-9 * scale
 
@@ -203,13 +211,12 @@ def test_cancel_interferers_only_leaves_nothing():
 def test_cancel_matches_symbolwise_expansion():
     # Both sides of the subtraction, expanded slot by slot and symbol by symbol.
     ch, sb = _round(3, 15)
-    v = build_stia_precoders(ch[1:], ch[0])
-    d = _differences_one(ch, v, sb)
+    v, d = _send_one(ch, sb.stacked())
     np.testing.assert_allclose(d, _reference_differences(ch, v, sb), rtol=1e-12, atol=1e-12)
     own_ref = ch[0, 0] @ sb.per_user[1]
     for m in (1, 2):
         own_slot = (ch[m, 0] @ v[m - 1, 0]) @ sb.per_user[1]
-        assert d[m - 1, 0] == pytest.approx(own_ref - own_slot, rel=1e-9, abs=1e-12)
+        assert d[0, m - 1] == pytest.approx(own_ref - own_slot, rel=1e-9, abs=1e-12)
 
 
 def test_cancel_needs_two_slots():
@@ -293,6 +300,35 @@ def test_power_scaling_preserves_cancellation():
     for k in (1, 2, 3):
         err = np.max(np.abs(res.decoded.per_user[k] - sb.per_user[k]))
         assert err <= 1e-8
+
+
+def _library_rounds_digest():
+    """sha256 over decoded symbols, rates, residuals and effective channels of 60 rounds per K=3,4,5.
+
+    Rounds alternate a noise-free round at power 1e5 priced at SNR 1e5 and a
+    noisy one (power 10, noise_std 0.3) priced at SNR 1e3.
+    """
+    digest = hashlib.sha256()
+    for K in (3, 4, 5):
+        rng = np.random.default_rng((12, K))
+        users = range(1, K + 1)
+        for index in range(60):
+            ch = draw_round_channels(K, 1, rng)[0]
+            sb = SymbolBlock.random(K, rng)
+            if index % 2:
+                res = run_stia_round(ch, sb, power=10.0, noise_std=0.3, rng=rng, snr_linear=1e3)
+            else:
+                res = run_stia_round(ch, sb, power=1e5, snr_linear=1e5)
+            digest.update(res.decoded.stacked().tobytes())
+            digest.update(np.array([res.per_user_rate_bits[k] for k in users]).tobytes())
+            digest.update(np.array([res.residual_interference[k] for k in users]).tobytes())
+            digest.update(np.stack([res.effective_channels[k] for k in users]).tobytes())
+    return digest.hexdigest()
+
+
+def test_library_rounds_are_pinned():
+    # The library signal path, noise-free and noisy, bit for bit.
+    assert _library_rounds_digest() == "4dc8a4d28e2ef347c686bc5b4f1815d7e068e46b937ada6e8f31a79f5e45dd18"
 
 
 def test_redraw_loop_replaces_rejected_draws_and_gives_up():
@@ -421,7 +457,7 @@ def test_tdma_slope_near_one():
     hi = np.mean(np.log2(1 + 1e6 * gains))
     slope = (hi - lo) / (np.log2(1e6) - np.log2(1e4))
     assert 0.95 <= slope <= 1.05
-    bits = analysis._tdma_bits(np.array([[1.0, 0.0]]), np.array([1e4]))
+    bits = analysis._zf_bits(np.array([[1.0]]), np.array([1e4]))  # a TDMA slot: one stream of gain ||h||^2
     assert bits[0, 0] == pytest.approx(np.log2(1 + 1e4))
 
 
@@ -575,6 +611,16 @@ def test_round_rate_rejects_an_effective_channel_of_the_wrong_shape(eff):
         round_rate(eff, 10.0, 3)
 
 
+@pytest.mark.parametrize("eff,K,word", [
+    (np.eye(0), 1, "at least 2"), (np.eye(1), True, "an integer"), (np.eye(2), 3.0, "an integer"),
+])
+def test_round_rate_rejects_a_user_count_that_is_not_an_integer_of_at_least_two(eff, K, word):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"K must be {word}"):
+            round_rate(eff, 10.0, K)
+
+
 _NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
 
 
@@ -590,6 +636,14 @@ def test_library_fronts_reject_non_finite_input_by_name(call, word):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{word}.*finite|finite.*{word}"):
             call()
+
+
+@pytest.mark.parametrize("eff,differences", [
+    (np.ones((2, 3)), np.ones(2)), (np.ones((3, 2)), np.ones(3)), (np.zeros((0, 0)), np.zeros(0)),
+])
+def test_decode_round_rejects_effective_channels_that_are_not_square_or_are_empty(eff, differences):
+    with pytest.raises(ValueError, match=r"square \(\.\.\., n, n\) with n >= 1"):
+        decode_round(eff, differences)
 
 
 def test_symbol_block_leaves_the_callers_dict_alone():

@@ -16,7 +16,6 @@ almost all Monte Carlo noise from the slope.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -138,8 +137,8 @@ def fit_dof_slope(snr_grid_db, mean_rates) -> float:
     """Least-squares slope of rate against log2 of the linear SNR."""
     db = np.asarray(snr_grid_db, dtype=float)
     y = np.asarray(mean_rates, dtype=float)
-    if db.shape != y.shape or db.size < 2 or db.min() == db.max() or not np.isfinite([db, y]).all():
-        raise ValueError("need matching finite grids with at least two distinct SNR points")
+    if db.ndim != 1 or db.shape != y.shape or db.size < 2 or db.min() == db.max() or not np.isfinite([db, y]).all():
+        raise ValueError("need matching finite 1-d grids with at least two distinct SNR points")
     x = db / (10.0 * np.log10(2.0))
     design = np.stack([np.ones_like(x), x], axis=1)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -290,6 +289,7 @@ def estimate_dof_slope(
     threads = None if threads is None else _require_count("threads", threads, 1)
     layout = _chunk_layout(trials)
     if threads is not None and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(compute, layout))
     else:

@@ -8,7 +8,8 @@ reaches the transmitter ``t_fb`` slots later. Inside a block the
 transmitter is therefore blind for the first ``t_fb`` slots and has
 current CSI afterwards; blocks whose report has arrived remain available
 as outdated CSI forever. The timing predicates below are the whole CSIT
-model: what the transmitter knows at a slot depends only on them.
+model: what the transmitter knows at a slot depends only on them. They
+guard their arguments, then evaluate the private slot arithmetic below.
 
 The ratio ``gamma = t_fb / t_c`` controls the knowledge regime: 0 means
 instantaneous feedback, values of 1 and above mean only completely
@@ -60,30 +61,41 @@ def _require_count(name: str, value, least: int) -> int:
     return operator.index(value)
 
 
+def _block(slot: int, t_c: int) -> int:
+    return (slot - 1) // t_c + 1
+
+
+def _arrival(block: int, t_c: int, t_fb: int) -> int:
+    return (block - 1) * t_c + 1 + t_fb
+
+
+def _blind_slots(t_c: int, t_fb: int, horizon: int) -> frozenset[int]:
+    """Slots 1..horizon without current CSIT: the first ``t_fb`` of each block."""
+    return frozenset(s for s in range(1, horizon + 1) if (s - 1) % t_c < t_fb)
+
+
 def block_of_slot(slot: int, t_c: int) -> int:
     """Index of the coherence block containing a slot (both 1-based)."""
-    _require_count("slot", slot, 1)
-    _require_count("t_c", t_c, 1)
-    return (slot - 1) // t_c + 1
+    return _block(_require_count("slot", slot, 1), _require_count("t_c", t_c, 1))
 
 
 def block_start(block_index: int, t_c: int) -> int:
     """First slot of a coherence block."""
-    _require_count("block_index", block_index, 1)
-    _require_count("t_c", t_c, 1)
-    return (block_index - 1) * t_c + 1
+    return _arrival(_require_count("block_index", block_index, 1), _require_count("t_c", t_c, 1), 0)
 
 
 def feedback_arrival_slot(block_index: int, t_c: int, t_fb: int) -> int:
     """Slot at which the report sent at the block's first slot reaches the transmitter."""
-    _require_count("t_fb", t_fb, 0)
-    return block_start(block_index, t_c) + t_fb
+    t_fb = _require_count("t_fb", t_fb, 0)
+    return _arrival(_require_count("block_index", block_index, 1), _require_count("t_c", t_c, 1), t_fb)
 
 
 def has_current_csit(t_c: int, t_fb: int, slot: int) -> bool:
     """Whether the transmitter knows the slot's own block channel at this slot."""
-    _require_count("t_fb", t_fb, 0)
-    return slot - block_start(block_of_slot(slot, t_c), t_c) >= t_fb
+    t_fb = _require_count("t_fb", t_fb, 0)
+    slot = _require_count("slot", slot, 1)
+    t_c = _require_count("t_c", t_c, 1)
+    return slot >= _arrival(_block(slot, t_c), t_c, t_fb)
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ path for the alignment and decoding checks.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,8 +186,8 @@ def run_stia_round(
     K = symbols.K
     if ch.shape != (K, K, K - 1) or not np.all(np.isfinite(ch)):
         raise ValueError(f"expected finite channels of shape {(K, K, K - 1)}, got shape {ch.shape}")
-    if not 0 <= noise_std < np.inf:
-        raise ValueError(f"noise_std must be finite and non-negative, got {noise_std!r}")
+    if not (_is_real(noise_std) and 0 <= noise_std < np.inf):
+        raise ValueError(f"noise_std must be a finite non-negative real number, got {noise_std!r}")
     if noise_std and rng is None:
         raise ValueError("an rng is required when noise_std > 0")
     if snr_linear is not None:
@@ -277,9 +279,13 @@ def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
     return np.sqrt(power / np.concatenate([np.full((count, 1), K * (K - 1.0)), fro], axis=1))
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_positive(name: str, value: float) -> None:
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not (_is_real(value) and 0 < value < np.inf):
+        raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
 
 
 def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -339,7 +345,13 @@ def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
     gram = np.einsum("...aj,...bj->...ab", heff, heff.conj())
     p = np.asarray(snr, dtype=float) / (K * (K - 1))
     bits = np.stack([_log2det(cov + q * gram) for q in p.ravel()])
-    return bits.reshape(p.shape + bits.shape[1:]) - _log2det(cov)
+    return bits.reshape(p.shape + bits.shape[1:]) - _noise_bits(K)
+
+
+@functools.cache
+def _noise_bits(K: int) -> float:
+    """``log2 det C`` of :func:`difference_noise_covariance`, a constant per user count."""
+    return float(_log2det(difference_noise_covariance(K)))
 
 
 def _log2det(a) -> np.ndarray:

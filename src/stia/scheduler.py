@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import _require_count, block_of_slot, feedback_arrival_slot, has_current_csit
+from .channel import _arrival, _blind_slots, _block, _require_count
 
 __all__ = [
     "DofAccount",
@@ -96,75 +96,51 @@ def build_plan_general(K: int, n: int) -> SchedulerPlan:
     Round k starts at the first slot of block k (no CSIT) and takes its
     j-th precoded slot at position K-j+1 of block k+j, which keeps every
     round inside K distinct blocks and every (block, position) pair used
-    at most once. Residual slots are classified by CSIT availability.
+    at most once. Residual slots with current CSIT are ZF, the blind rest TDMA.
     """
-    _require_count("K", K, 3)
-    _require_count("n", n, 1)
-    t_c = K
-    t_fb = 1
+    K, n = _require_count("K", K, 3), _require_count("n", n, 1)
     horizon = K * (n + K - 1)
-    rounds = []
-    used = set()
-    for k in range(1, n + 1):
-        ref = K * (k - 1) + 1
-        phase_two = [K * k + j * (K - 1) + 1 for j in range(1, K)]
-        slots = (ref, *phase_two)
-        rounds.append(slots)
-        used.update(slots)
-    zf = set()
-    tdma = set()
-    for s in range(1, horizon + 1):
-        if s in used:
-            continue
-        if has_current_csit(t_c, t_fb, s):
-            zf.add(s)
-        else:
-            tdma.add(s)
-    return SchedulerPlan(
-        K=K,
-        n=n,
-        t_c=t_c,
-        t_fb=t_fb,
-        horizon=horizon,
-        stia_rounds=tuple(rounds),
-        zf_slots=frozenset(zf),
-        tdma_slots=frozenset(tdma),
-    )
+    rounds = tuple((K * (k - 1) + 1, *(K * k + j * (K - 1) + 1 for j in range(1, K))) for k in range(1, n + 1))
+    residual = frozenset(range(1, horizon + 1)).difference(*rounds)
+    blind = _blind_slots(K, 1, horizon)
+    return SchedulerPlan(K=K, n=n, t_c=K, t_fb=1, horizon=horizon, stia_rounds=rounds,
+                         zf_slots=residual - blind, tdma_slots=residual & blind)
 
 
 def validate_plan(plan: SchedulerPlan) -> None:
-    """Check the partition and CSIT invariants; raise ValueError on violation.
+    """Check the plan's values, partition and CSIT invariants; raise ValueError on violation.
 
-    Disjointness and exhaustiveness over the horizon; every round has one
-    no-CSIT slot in its own block followed by current-CSIT slots in K-1
-    further distinct blocks, all after the reference block's report has
-    arrived; ZF slots have current CSIT and TDMA slots none.
+    Integer counts and slots in range; disjointness and exhaustiveness over
+    the horizon; every round has one no-CSIT slot in its own block followed
+    by current-CSIT slots in K-1 further distinct blocks, all after the
+    reference block's report has arrived; ZF slots have current CSIT and
+    TDMA slots none, else the error names the smallest slot that breaks it.
     """
-    listed = [s for r in plan.stia_rounds for s in r]
-    listed += list(plan.zf_slots) + list(plan.tdma_slots)
-    if len(listed) != plan.horizon or set(listed) != set(range(1, plan.horizon + 1)):
+    K = _require_count("K", plan.K, 2)
+    t_c, t_fb = _require_count("t_c", plan.t_c, 1), _require_count("t_fb", plan.t_fb, 0)
+    horizon = _require_count("horizon", plan.horizon, 0)
+    listed = [_require_count("slot", s, 1) for r in (*plan.stia_rounds, plan.zf_slots, plan.tdma_slots) for s in r]
+    if len(listed) != horizon or set(listed) != set(range(1, horizon + 1)):
         raise ValueError("plan does not partition the slot horizon")
+    blind = _blind_slots(t_c, t_fb, horizon)
     for round_slots in plan.stia_rounds:
-        if len(round_slots) != plan.K:
+        if len(round_slots) != K:
             raise ValueError("each round must span K slots")
         ref, *phase_two = round_slots
-        if has_current_csit(plan.t_c, plan.t_fb, ref):
+        if ref not in blind:
             raise ValueError(f"round reference slot {ref} has current CSIT")
-        blocks = {block_of_slot(s, plan.t_c) for s in round_slots}
-        if len(blocks) != plan.K:
+        if len({_block(s, t_c) for s in round_slots}) != K:
             raise ValueError(f"round {round_slots} does not span distinct blocks")
-        arrival = feedback_arrival_slot(block_of_slot(ref, plan.t_c), plan.t_c, plan.t_fb)
+        arrival = _arrival(_block(ref, t_c), t_c, t_fb)
         for s in phase_two:
-            if not has_current_csit(plan.t_c, plan.t_fb, s):
+            if s in blind:
                 raise ValueError(f"precoded slot {s} lacks current CSIT")
             if s < arrival:
                 raise ValueError(f"precoded slot {s} precedes the reference report")
-    for s in plan.zf_slots:
-        if not has_current_csit(plan.t_c, plan.t_fb, s):
-            raise ValueError(f"ZF slot {s} lacks current CSIT")
-    for s in plan.tdma_slots:
-        if has_current_csit(plan.t_c, plan.t_fb, s):
-            raise ValueError(f"TDMA slot {s} has current CSIT")
+    if wrong := blind.intersection(plan.zf_slots):
+        raise ValueError(f"ZF slot {min(wrong)} lacks current CSIT")
+    if wrong := set(plan.tdma_slots) - blind:
+        raise ValueError(f"TDMA slot {min(wrong)} has current CSIT")
 
 
 def account_dof(plan: SchedulerPlan) -> DofAccount:

@@ -81,11 +81,10 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
 
         # Coefficient-level alignment, one user k at a time: h_j[m] V_k[m] against h_j[ref] for j != k.
         den = np.max(np.abs(c[:, 0]), axis=-1)[:, None, :]
-        for k in range(K):
-            got = np.einsum("cmji,cmia->cmja", c[:, 1:], v[:, :, k]) - c[:, :1]
-            rel = np.max(np.abs(got), axis=-1) / den
-            rel[:, :, k] = 0.0  # own rows carry the data, not interference
-            alignment = max(alignment, float(rel.max()))
+        for k, j in enumerate(~np.eye(K, dtype=bool)):  # own rows (j = k) carry the data
+            got = np.einsum("cmji,cmia->cmja", c[:, 1:, j], v[:, :, k])
+            got -= c[:, :1, j]  # in place: one fewer temporary of the slice's size
+            alignment = max(alignment, float((np.max(np.abs(got), axis=-1) / den[..., j]).max()))
 
         leakage = np.maximum(leakage, protocol._leakage(c, v, diffs, sent).max())
         decoded = np.linalg.solve(heff, diffs[..., None])[..., 0]

@@ -138,6 +138,9 @@ def test_fit_requires_two_points():
     for db, rates in [((np.nan, 50.0), (1.0, 2.0)), ((40.0, np.inf), (1.0, 2.0)), ((40.0, 50.0), (1.0, np.nan))]:
         with pytest.raises(ValueError, match="finite"):
             fit_dof_slope(db, rates)
+    # A 2-d grid reached lstsq with a stacked design and raised LinAlgError.
+    with pytest.raises(ValueError, match="1-d"):
+        fit_dof_slope([[40.0, 50.0]], [[1.0, 2.0]])
 
 
 def test_estimate_validates_inputs():

@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,12 @@ def test_every_keyword_default_is_a_listed_knob():
             knobs += [f"{path.stem}.{name}({p.name})" for p in inspect.signature(fn).parameters.values()
                       if p.default is not p.empty]
     assert sorted(knobs) == _KNOBS
+
+
+def test_importing_the_package_and_cli_loads_no_thread_pool():
+    # estimate_dof_slope imports the pool only when it runs threads.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(_SRC.parent), os.environ.get("PYTHONPATH")))))
+    code = "import sys, stia, stia.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -592,6 +592,13 @@ def test_null_vector_guard_flags_singular_stacks_and_the_redraw_replaces_them(K,
     ({"snr_linear": -1.0}, "snr_linear"),
     ({"snr_linear": float("nan")}, "snr_linear"),
     ({"snr_linear": float("inf")}, "snr_linear"),
+    # Bools and strings are not real numbers: True was read as 1 and "0.1" raised TypeError.
+    ({"power": True}, "power"),
+    ({"power": "10"}, "power"),
+    ({"noise_std": True}, "noise_std"),
+    ({"noise_std": "0.1"}, "noise_std"),
+    ({"snr_linear": True}, "snr_linear"),
+    ({"snr_linear": "1e3"}, "snr_linear"),
 ])
 def test_run_stia_round_rejects_bad_power_noise_and_snr(kwargs, word):
     ch, sb = _round(3, 60)
@@ -599,7 +606,7 @@ def test_run_stia_round_rejects_bad_power_noise_and_snr(kwargs, word):
         run_stia_round(ch, sb, rng=np.random.default_rng(0), **kwargs)
 
 
-@pytest.mark.parametrize("snr", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("snr", [0.0, -1.0, float("nan"), float("inf"), True, "10"])
 def test_round_rate_rejects_snr_that_is_not_positive_and_finite(snr):
     with pytest.raises(ValueError, match="snr_linear"):
         round_rate(np.eye(2, dtype=complex), snr, 3)

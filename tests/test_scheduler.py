@@ -1,12 +1,14 @@
 """Tests for slot plans and DoF accounting."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stia.channel import block_of_slot, feedback_arrival_slot, has_current_csit
+from stia.channel import block_of_slot, block_start, feedback_arrival_slot, has_current_csit
 from stia.scheduler import (
+    SchedulerPlan,
     account_dof,
     build_plan_general,
     build_plan_k3,
@@ -140,8 +142,6 @@ def test_role_map_and_dict():
 
 
 def test_validate_rejects_broken_plans():
-    from dataclasses import replace
-
     plan = build_plan_k3(2)
     broken = replace(plan, tdma_slots=frozenset({2, 3}), zf_slots=frozenset({7, 10, 5, 12}))
     with pytest.raises(ValueError):
@@ -149,3 +149,78 @@ def test_validate_rejects_broken_plans():
     overlap = replace(plan, zf_slots=plan.zf_slots | {1})
     with pytest.raises(ValueError):
         validate_plan(overlap)
+
+
+_K3N2 = build_plan_k3(2)  # rounds (1, 6, 8), (4, 9, 11); ZF {2, 3, 5, 12}; TDMA {7, 10}
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"t_c": 0}, "t_c must be at least 1, got 0"),
+    ({"t_c": 3.0}, "t_c must be an integer, got 3.0"),
+    ({"t_fb": -1}, "t_fb must be at least 0, got -1"),
+    ({"t_fb": True}, "t_fb must be an integer, got True"),
+    ({"zf_slots": frozenset({2.0, 3, 5, 12})}, "slot must be an integer, got 2.0"),
+    ({"stia_rounds": ((True, 6, 8), (4, 9, 11))}, "slot must be an integer, got True"),
+    ({"zf_slots": _K3N2.zf_slots | {1}}, "plan does not partition the slot horizon"),
+    ({"tdma_slots": frozenset({2, 3}), "zf_slots": frozenset({7, 10, 5, 12})}, "ZF slot 7 lacks current CSIT"),
+    ({"tdma_slots": frozenset({7, 10, 3}), "zf_slots": frozenset({2, 5, 12})}, "TDMA slot 3 has current CSIT"),
+    ({"stia_rounds": ((6, 1, 8), (4, 9, 11))}, "round reference slot 6 has current CSIT"),
+    # A float horizon raised TypeError and a float K was accepted.
+    ({"horizon": 12.0}, "horizon must be an integer, got 12.0"),
+    ({"K": 3.0}, "K must be an integer, got 3.0"),
+])
+def test_validate_rejects_malformed_plan_values(changes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_plan(replace(_K3N2, **changes))
+
+
+def _reference_plan(K, n):
+    """The plan built one slot at a time with the public timing predicates."""
+    t_c, t_fb, horizon = K, 1, K * (n + K - 1)
+    rounds = tuple((block_start(k, t_c), *(block_start(k + j, t_c) + K - j for j in range(1, K)))
+                   for k in range(1, n + 1))
+    used = {s for r in rounds for s in r}
+    zf, tdma = set(), set()
+    for s in range(1, horizon + 1):
+        if s not in used:
+            (zf if has_current_csit(t_c, t_fb, s) else tdma).add(s)
+    return SchedulerPlan(K=K, n=n, t_c=t_c, t_fb=t_fb, horizon=horizon, stia_rounds=rounds,
+                         zf_slots=frozenset(zf), tdma_slots=frozenset(tdma))
+
+
+def test_plans_match_a_slot_by_slot_reference():
+    for K in range(3, 9):
+        for n in range(1, 61):
+            assert build_plan_general(K, n) == _reference_plan(K, n)
+
+
+def _moved_zf_to_tdma(plan):
+    s = min(plan.zf_slots)
+    return replace(plan, zf_slots=plan.zf_slots - {s}, tdma_slots=plan.tdma_slots | {s})
+
+
+def _swapped_reference(plan):
+    ref, first, *rest = plan.stia_rounds[0]
+    return replace(plan, stia_rounds=((first, ref, *rest), *plan.stia_rounds[1:]))
+
+
+def _dropped(plan):
+    return replace(plan, tdma_slots=plan.tdma_slots - {max(plan.tdma_slots)})
+
+
+def _duplicated(plan):
+    return replace(plan, zf_slots=plan.zf_slots | {plan.stia_rounds[-1][-1]})
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_moved_zf_to_tdma, "TDMA slot .* has current CSIT"),
+    (_swapped_reference, "round reference slot .* has current CSIT"),
+    (_dropped, "plan does not partition the slot horizon"),
+    (_duplicated, "plan does not partition the slot horizon"),
+])
+@pytest.mark.parametrize("K,n", [(3, 1), (4, 5), (6, 12), (8, 3)])
+def test_validate_rejects_single_slot_mutations(K, n, mutate, message):
+    plan = build_plan_general(K, n)
+    validate_plan(plan)
+    with pytest.raises(ValueError, match=message):
+        validate_plan(mutate(plan))

@@ -13,7 +13,16 @@ Modules: ``channel`` (feedback timing and CN(0,1) draws), ``numerics``
 (round execution and rates), ``scheduler`` (slot partitioning),
 ``analysis`` (trade-off curves and slope estimation), ``verify``
 (property suites), ``cli`` (command-line front end).
+
+Imported before numpy, stia caps the whole process at one OpenBLAS thread unless
+a BLAS thread count is set; a process that loaded numpy first keeps its pool.
 """
+
+import os
+
+# Matrices of at most K-1 columns never reach OpenBLAS's threading threshold; a count the user chose wins.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import (
     MAT_DOF_K3,

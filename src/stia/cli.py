@@ -10,7 +10,7 @@ schedule   Slot plan for one (K, n), as JSON slot-to-role mapping.
 Each subcommand takes ``--config`` and the flags of the RunConfig fields
 its runner reads (``_SUBCOMMANDS``); any other flag is a usage error.
 Identical flags and seed produce byte-identical output files, regardless
-of the STIA_THREADS worker cap.
+of the STIA_THREADS worker cap and of the BLAS thread count.
 """
 
 from __future__ import annotations

@@ -110,15 +110,18 @@ def build_plan_general(K: int, n: int) -> SchedulerPlan:
 def validate_plan(plan: SchedulerPlan) -> None:
     """Check the plan's values, partition and CSIT invariants; raise ValueError on violation.
 
-    Integer counts and slots in range; disjointness and exhaustiveness over
-    the horizon; every round has one no-CSIT slot in its own block followed
-    by current-CSIT slots in K-1 further distinct blocks, all after the
-    reference block's report has arrived; ZF slots have current CSIT and
-    TDMA slots none, else the error names the smallest slot that breaks it.
+    Integer counts and slots in range; n equal to the number of rounds;
+    disjointness and exhaustiveness over the horizon; every round has one
+    no-CSIT slot in its own block followed by current-CSIT slots in K-1
+    further distinct blocks, all after the reference block's report has
+    arrived; ZF slots have current CSIT and TDMA slots none, else the error
+    names the smallest slot that breaks it.
     """
     K = _require_count("K", plan.K, 2)
     t_c, t_fb = _require_count("t_c", plan.t_c, 1), _require_count("t_fb", plan.t_fb, 0)
     horizon = _require_count("horizon", plan.horizon, 0)
+    if _require_count("n", plan.n, 1) != len(plan.stia_rounds):
+        raise ValueError(f"n={plan.n} but the plan has {len(plan.stia_rounds)} rounds")
     listed = [_require_count("slot", s, 1) for r in (*plan.stia_rounds, plan.zf_slots, plan.tdma_slots) for s in r]
     if len(listed) != horizon or set(listed) != set(range(1, horizon + 1)):
         raise ValueError("plan does not partition the slot horizon")

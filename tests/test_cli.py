@@ -169,16 +169,32 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
-def test_console_entry_point_runs():
-    # The child imports stia from this checkout, installed or not.
+def _run_fresh_cli(args, **env_vars):
+    """``python -m stia.cli args`` in a fresh process that imports stia from this checkout, installed or not."""
     src = str(Path(stia.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "stia.cli", "schedule", "--k", "3", "--n", "1"],
-        capture_output=True, text=True, env=env,
-    )
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "stia.cli", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_console_entry_point_runs():
+    proc = _run_fresh_cli(["schedule", "--k", "3", "--n", "1"])
     assert proc.returncode == 0
     assert '"horizon": 9' in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [
+    ["simulate", "--scheme", "stia", "--k", "3", "--trials", "64"],
+    ["simulate", "--scheme", "zf_tdma", "--k", "6", "--tc", "6", "--tfb", "2", "--trials", "512"],
+    ["verify", "--rounds", "50"],
+], ids=["stia-k3", "zf_tdma-k6", "verify"])
+def test_blas_thread_count_does_not_change_bytes(tmp_path, flags):
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.json"
+        proc = _run_fresh_cli([*flags, "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

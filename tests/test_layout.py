@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -94,10 +95,37 @@ def test_every_keyword_default_is_a_listed_knob():
     assert sorted(knobs) == _KNOBS
 
 
-def test_importing_the_package_and_cli_loads_no_thread_pool():
-    # estimate_dof_slope imports the pool only when it runs threads.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(_SRC.parent), os.environ.get("PYTHONPATH")))))
-    code = "import sys, stia, stia.cli; print('concurrent.futures' in sys.modules)"
+# The variables OpenBLAS reads its thread count from, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_child(code: str, **preset: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports stia from this checkout,
+    with only ``preset`` of the BLAS thread variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.pathsep.join(filter(None, (str(_SRC.parent), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_importing_the_package_and_cli_loads_no_thread_pool():
+    # estimate_dof_slope imports the pool only when it runs threads.
+    assert _fresh_child("import sys, stia, stia.cli; print('concurrent.futures' in sys.modules)") == "False"
+
+
+def test_importing_the_package_first_runs_openblas_on_one_thread():
+    code = ("import json, os, stia, stia.cli, numpy; print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "numpy.__config__.CONFIG['Build Dependencies']['blas']['name'], "
+            "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))")
+    setting, blas, threads = json.loads(_fresh_child(code))
+    assert setting == "1"
+    if threads is None or "openblas" not in blas.lower():
+        pytest.skip(f"no per-thread listing in /proc, or numpy's BLAS ({blas}) is not OpenBLAS")
+    assert threads == 1
+
+
+@pytest.mark.parametrize("preset", [{"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}], ids=lambda p: next(iter(p)))
+def test_a_blas_thread_count_the_user_set_is_kept(preset):
+    code = f"import json, os, stia, stia.cli; print(json.dumps([os.environ.get(v) for v in {_BLAS_THREAD_VARS!r}]))"
+    assert json.loads(_fresh_child(code, **preset)) == [preset.get(v) for v in _BLAS_THREAD_VARS]

@@ -168,6 +168,12 @@ _K3N2 = build_plan_k3(2)  # rounds (1, 6, 8), (4, 9, 11); ZF {2, 3, 5, 12}; TDMA
     # A float horizon raised TypeError and a float K was accepted.
     ({"horizon": 12.0}, "horizon must be an integer, got 12.0"),
     ({"K": 3.0}, "K must be an integer, got 3.0"),
+    # n was never checked: each of these was accepted for a plan of 2 rounds.
+    ({"n": 7}, "n=7 but the plan has 2 rounds"),
+    ({"n": 2.5}, "n must be an integer, got 2.5"),
+    ({"n": "x"}, "n must be an integer, got 'x'"),
+    ({"n": None}, "n must be an integer, got None"),
+    ({"n": True}, "n must be an integer, got True"),
 ])
 def test_validate_rejects_malformed_plan_values(changes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -4,11 +4,13 @@ Slot scheduling and DoF accounting
 
 How a slot horizon splits into aligned rounds, ZF slots and TDMA slots,
 and how the symbols-per-slot count approaches K-1 as the horizon grows.
+The ZF/TDMA baseline is a plan too: one block with no rounds.
 """
 
 from fractions import Fraction
 
-from stia import account_dof, build_plan_general, build_plan_k3, validate_plan
+from stia import (account_dof, baseline_zf_tdma, build_plan_general, build_plan_k3,
+                  build_plan_time_share, validate_plan)
 
 # the 3-user plan with three rounds: 15 slots total
 plan = build_plan_k3(3)
@@ -50,3 +52,13 @@ print("\ndof gap to the limit, exact rationals (K=3):")
 for n in (1, 10, 100):
     d = account_dof(build_plan_k3(n)).dof
     print(f"  n={n:>3}: 2 - {d} = {Fraction(2) - d}")
+
+# the baselines are plans without rounds: one block, TDMA while the
+# transmitter is blind and ZF after its report arrives
+print("\nZF/TDMA time share (3 users, t_c=6): plan DoF and baseline 2 - gamma")
+for t_fb in range(7):
+    plan = build_plan_time_share(3, 6, t_fb)
+    validate_plan(plan)
+    d, baseline = account_dof(plan).dof, baseline_zf_tdma(Fraction(t_fb, 6))
+    assert d == baseline
+    print(f"  t_fb={t_fb}: TDMA {sorted(plan.tdma_slots)}, ZF {sorted(plan.zf_slots)}; DoF {d}, baseline {baseline}")

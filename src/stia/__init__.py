@@ -10,7 +10,7 @@ as high-SNR rate slopes.
 
 Modules: ``channel`` (feedback timing and CN(0,1) draws), ``numerics``
 (small dense solves), ``precoding`` (beamformer construction), ``protocol``
-(round execution and rates), ``scheduler`` (slot partitioning),
+(round execution and rates), ``scheduler`` (slot plans),
 ``analysis`` (trade-off curves and slope estimation), ``verify``
 (property suites), ``cli`` (command-line front end).
 
@@ -60,6 +60,7 @@ from .scheduler import (
     account_dof,
     build_plan_general,
     build_plan_k3,
+    build_plan_time_share,
     validate_plan,
 )
 
@@ -82,6 +83,7 @@ __all__ = [
     "baseline_zf_tdma",
     "build_plan_general",
     "build_plan_k3",
+    "build_plan_time_share",
     "build_stia_precoders",
     "coherence_time_estimate",
     "complex_normal",

@@ -6,8 +6,8 @@ time-sharing baselines (ZF with TDMA fill-in, ZF with the outdated-CSI
 scheme whose DoF of 3/2 enters only as a constant).
 
 The empirical side estimates the DoF as the high-SNR slope of Monte Carlo
-mean sum rates against log2(SNR). One engine runs every scheme as its
-per-trial slot mix of aligned rounds, ZF slots and TDMA slots. Trials are
+mean sum rates against log2(SNR). One engine runs every scheme from its
+per-trial slot plan of aligned rounds, ZF slots and TDMA slots. Trials are
 drawn in fixed-size chunks whose generators are keyed by (seed, chunk
 index), so results are byte identical regardless of execution order or
 worker count; channel draws are shared across the SNR grid, which removes
@@ -24,7 +24,7 @@ import numpy as np
 from . import protocol
 from .channel import DelayConfig, _require_count, _require_integer, complex_normal
 from .precoding import _zf_gains
-from .scheduler import build_plan_general
+from .scheduler import SchedulerPlan, build_plan_general, build_plan_time_share
 
 __all__ = [
     "MAT_DOF_K3",
@@ -146,7 +146,7 @@ def fit_dof_slope(snr_grid_db, mean_rates) -> float:
 
 
 # ---------------------------------------------------------------------------
-# One batched rate engine for every scheme. A trial is the scheme's slot mix
+# One batched rate engine for every scheme. A trial is the scheme's slot plan
 # (aligned rounds, ZF slots, TDMA slots, horizon); the engine returns
 # (rates, resamples) with rates of shape (trials, len(snr)) holding per-slot
 # sum rates in bits. Slots and rounds are drawn independently; mean rates
@@ -186,32 +186,24 @@ def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.n
     return _zf_bits(gains, snr_lin), resamples
 
 
-def _slot_mix(scheme: str, K: int, delay: DelayConfig, rounds_per_trial: int) -> tuple[int, int, int, int]:
-    """Aligned rounds, ZF slots, TDMA slots and horizon of one trial of ``scheme``."""
+def _scheme_plan(scheme: str, K: int, delay: DelayConfig, rounds_per_trial: int) -> SchedulerPlan:
+    """The slot plan of one trial of ``scheme``; pure ZF and TDMA are one-slot time shares."""
     if scheme == "stia":
         plan = build_plan_general(K, rounds_per_trial)
         if (delay.t_c, delay.t_fb) != (plan.t_c, plan.t_fb):
-            raise ValueError(
-                "no aligned plan for this delay configuration; need t_c == K and t_fb == 1"
-            )
-        return len(plan.stia_rounds), len(plan.zf_slots), len(plan.tdma_slots), plan.horizon
-    if scheme == "zf_tdma":
-        if delay.t_fb > delay.t_c:
-            raise ValueError("the ZF/TDMA time share needs t_fb <= t_c")
-        return 0, delay.t_c - delay.t_fb, delay.t_fb, delay.t_c
-    if scheme == "zf":
-        if delay.t_fb != 0:
-            raise ValueError("pure ZF needs t_fb == 0")
-        return 0, 1, 0, 1
-    return 0, 0, 1, 1
+            raise ValueError("no aligned plan for this delay configuration; need t_c == K and t_fb == 1")
+        return plan
+    if scheme == "zf" and delay.t_fb != 0:
+        raise ValueError("pure ZF needs t_fb == 0")
+    return build_plan_time_share(K, *{"zf_tdma": (delay.t_c, delay.t_fb), "zf": (1, 0), "tdma": (1, 1)}[scheme])
 
 
-def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
-    """Per-slot sum rates of ``size`` trials: draws rounds, then ZF stacks, then TDMA rows.
+def _mix_chunk(K: int, plan: SchedulerPlan, snr_lin, size: int, rng) -> tuple[np.ndarray, int]:
+    """Per-slot sum rates of ``size`` trials of the plan: draws rounds, then ZF stacks, then TDMA rows.
 
     The rounds are one :func:`protocol.batch_rounds` draw, priced slice by slice into one array.
     """
-    rounds, zf, tdma, horizon = mix
+    rounds, zf, tdma = len(plan.stia_rounds), len(plan.zf_slots), len(plan.tdma_slots)
     parts = []
     resamples = 0
     if rounds:
@@ -229,7 +221,7 @@ def _mix_chunk(K: int, mix: tuple[int, int, int, int], snr_lin, size: int, rng) 
         gains = np.sum(np.abs(complex_normal(rng, (size * tdma, K - 1))) ** 2, axis=1, keepdims=True)
         bits = _zf_bits(gains, snr_lin)
         parts.append(bits.reshape(size, tdma, -1).sum(axis=1))
-    return sum(parts) / horizon, resamples
+    return sum(parts) / plan.horizon, resamples
 
 
 def estimate_dof_slope(
@@ -244,11 +236,11 @@ def estimate_dof_slope(
 ) -> DofEstimate:
     """Monte Carlo DoF slope of one scheme over an SNR grid.
 
-    Per trial the scheme's slot mix is simulated end to end (the rounds, ZF
-    and TDMA slots of a full scheduled horizon for the aligned scheme,
-    t_c - t_fb ZF and t_fb TDMA slots for the ZF/TDMA time share, a single
-    slot for pure ZF or TDMA) and the sum rate per slot is recorded at every
-    grid point. The slope of the mean rates against log2(SNR) is the DoF
+    Per trial the scheme's slot plan is simulated end to end (the rounds, ZF
+    and TDMA slots of a full scheduled horizon for the aligned scheme, one
+    block of t_c - t_fb ZF and t_fb TDMA slots for the ZF/TDMA time share, a
+    single slot for pure ZF or TDMA) and the sum rate per slot is recorded at
+    every grid point. The slope of the mean rates against log2(SNR) is the DoF
     estimate; the confidence half width is 1.96 times the exact standard
     error of the per-trial slopes (0 for a single trial).
 
@@ -275,14 +267,14 @@ def estimate_dof_slope(
     seed = _require_integer("seed", seed)
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
-    mix = _slot_mix(scheme, K, delay, rounds_per_trial)
+    plan = _scheme_plan(scheme, K, delay, rounds_per_trial)
 
     def compute(entry):
         # Set per chunk: a worker thread does not inherit the caller's error state.
         index, _, size = entry
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return _mix_chunk(K, mix, snr_lin, size, _chunk_rng(seed, index))
+                return _mix_chunk(K, plan, snr_lin, size, _chunk_rng(seed, index))
         except FloatingPointError as err:
             raise ValueError(f"snr_grid_db {list(db)} has rates past float range ({err})") from None
 

@@ -55,6 +55,10 @@ def _require_integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_count(name: str, value, least: int) -> int:
     if _require_integer(name, value) < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -106,8 +110,8 @@ class DelayConfig:
     t_fb: int
 
     def __post_init__(self):
-        _require_count("t_c", self.t_c, 1)
-        _require_count("t_fb", self.t_fb, 0)
+        object.__setattr__(self, "t_c", _require_count("t_c", self.t_c, 1))
+        object.__setattr__(self, "t_fb", _require_count("t_fb", self.t_fb, 0))
 
     @property
     def gamma(self) -> Fraction:
@@ -120,6 +124,6 @@ def coherence_time_estimate(carrier_hz: float, speed_m_per_s: float) -> float:
 
     Scales inversely with both the carrier frequency and the speed.
     """
-    if not (0 < carrier_hz < math.inf and 0 < speed_m_per_s < math.inf):
-        raise ValueError("carrier frequency and speed must be positive and finite")
+    if not all(_is_real(x) and 0 < x < math.inf for x in (carrier_hz, speed_m_per_s)):
+        raise ValueError("carrier frequency and speed must be positive finite real numbers")
     return SPEED_OF_LIGHT / (8.0 * carrier_hz * speed_m_per_s)

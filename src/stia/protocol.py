@@ -28,12 +28,11 @@ path for the alignment and decoding checks.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _require_count, complex_normal
+from .channel import _is_real, _require_count, complex_normal
 from .numerics import CONDITION_LIMIT, _conditioning
 from .precoding import IllConditionedChannelError, _accepted_null_vectors, _interferer_guard, _stia_precoders
 from .precoding import build_stia_precoders  # noqa: F401  (a lookup site perfbench's tracer wraps)
@@ -277,10 +276,6 @@ def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
     _require_positive("power", power)
     fro = np.sum(np.abs(v) ** 2, axis=(2, 3, 4))
     return np.sqrt(power / np.concatenate([np.full((count, 1), K * (K - 1.0)), fro], axis=1))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _require_positive(name: str, value: float) -> None:

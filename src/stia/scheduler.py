@@ -1,12 +1,12 @@
-"""Slot partitioning: alignment rounds, ZF slots, TDMA slots, DoF accounting.
+"""Slot plans: how one trial of each scheme spends the slots of a horizon.
 
-With coherence time ``t_c = K`` and one slot of feedback delay, a horizon
-of ``K (n + K - 1)`` slots is split into n alignment rounds plus residual
-slots. Round k pairs the first (no-CSIT) slot of block k with one
-current-CSIT slot from each of the next K-1 blocks, picked so rounds
-interleave without collision. Residual slots are classified by what the
-transmitter knows there: current CSIT means ZF with K-1 streams, no CSIT
-means TDMA with one stream.
+Every slot goes to an alignment round, to ZF with K-1 streams (current
+CSIT) or to TDMA with one stream (no CSIT). The aligned plan, for t_c = K
+and one slot of feedback delay, splits ``K (n + K - 1)`` slots into n rounds
+plus residual slots: round k pairs the first (no-CSIT) slot of block k with
+one current-CSIT slot from each of the next K-1 blocks, picked so rounds
+interleave without collision. The time-share plan spends one block on TDMA
+while the transmitter is blind and on ZF after that.
 
 Accounting is exact rational arithmetic: rounds deliver K(K-1) symbols in
 K slots, ZF slots K-1 symbols, TDMA slots one symbol.
@@ -25,6 +25,7 @@ __all__ = [
     "account_dof",
     "build_plan_general",
     "build_plan_k3",
+    "build_plan_time_share",
     "validate_plan",
 ]
 
@@ -34,7 +35,6 @@ class SchedulerPlan:
     """Disjoint, exhaustive partition of a slot horizon by transmission strategy."""
 
     K: int
-    n: int
     t_c: int
     t_fb: int
     horizon: int
@@ -59,7 +59,7 @@ class SchedulerPlan:
         account = account_dof(self)
         return {
             "K": self.K,
-            "n": self.n,
+            "n": len(self.stia_rounds),
             "t_c": self.t_c,
             "t_fb": self.t_fb,
             "horizon": self.horizon,
@@ -103,25 +103,36 @@ def build_plan_general(K: int, n: int) -> SchedulerPlan:
     rounds = tuple((K * (k - 1) + 1, *(K * k + j * (K - 1) + 1 for j in range(1, K))) for k in range(1, n + 1))
     residual = frozenset(range(1, horizon + 1)).difference(*rounds)
     blind = _blind_slots(K, 1, horizon)
-    return SchedulerPlan(K=K, n=n, t_c=K, t_fb=1, horizon=horizon, stia_rounds=rounds,
+    return SchedulerPlan(K=K, t_c=K, t_fb=1, horizon=horizon, stia_rounds=rounds,
                          zf_slots=residual - blind, tdma_slots=residual & blind)
+
+
+def build_plan_time_share(K: int, t_c: int, t_fb: int) -> SchedulerPlan:
+    """The ZF/TDMA time share: one block, TDMA in its ``t_fb`` blind slots and ZF after, no rounds.
+
+    Pure ZF is the ``(1, 0)`` plan and TDMA the ``(1, 1)`` plan.
+    """
+    K, t_c, t_fb = _require_count("K", K, 2), _require_count("t_c", t_c, 1), _require_count("t_fb", t_fb, 0)
+    if t_fb > t_c:
+        raise ValueError("the ZF/TDMA time share needs t_fb <= t_c")
+    blind = _blind_slots(t_c, t_fb, t_c)
+    return SchedulerPlan(K=K, t_c=t_c, t_fb=t_fb, horizon=t_c, stia_rounds=(),
+                         zf_slots=frozenset(range(1, t_c + 1)) - blind, tdma_slots=blind)
 
 
 def validate_plan(plan: SchedulerPlan) -> None:
     """Check the plan's values, partition and CSIT invariants; raise ValueError on violation.
 
-    Integer counts and slots in range; n equal to the number of rounds;
-    disjointness and exhaustiveness over the horizon; every round has one
-    no-CSIT slot in its own block followed by current-CSIT slots in K-1
-    further distinct blocks, all after the reference block's report has
-    arrived; ZF slots have current CSIT and TDMA slots none, else the error
-    names the smallest slot that breaks it.
+    Integer counts and slots in range; disjointness and exhaustiveness over
+    a horizon of at least one slot; every round has one no-CSIT slot in its
+    own block followed by current-CSIT slots in K-1 further distinct blocks,
+    all after the reference block's report has arrived; ZF slots have
+    current CSIT and TDMA slots none, else the error names the smallest slot
+    that breaks it.
     """
     K = _require_count("K", plan.K, 2)
     t_c, t_fb = _require_count("t_c", plan.t_c, 1), _require_count("t_fb", plan.t_fb, 0)
-    horizon = _require_count("horizon", plan.horizon, 0)
-    if _require_count("n", plan.n, 1) != len(plan.stia_rounds):
-        raise ValueError(f"n={plan.n} but the plan has {len(plan.stia_rounds)} rounds")
+    horizon = _require_count("horizon", plan.horizon, 1)
     listed = [_require_count("slot", s, 1) for r in (*plan.stia_rounds, plan.zf_slots, plan.tdma_slots) for s in r]
     if len(listed) != horizon or set(listed) != set(range(1, horizon + 1)):
         raise ValueError("plan does not partition the slot horizon")
@@ -150,8 +161,4 @@ def account_dof(plan: SchedulerPlan) -> DofAccount:
     """Symbols delivered over the horizon as an exact rational per slot."""
     n_t = plan.K - 1
     symbols = plan.K * n_t * len(plan.stia_rounds) + n_t * len(plan.zf_slots) + len(plan.tdma_slots)
-    return DofAccount(
-        symbols_delivered=symbols,
-        slots_used=plan.horizon,
-        dof=Fraction(symbols, plan.horizon),
-    )
+    return DofAccount(symbols_delivered=symbols, slots_used=plan.horizon, dof=Fraction(symbols, plan.horizon))

@@ -19,7 +19,7 @@ from stia.analysis import (
 )
 from stia.channel import DelayConfig
 from stia.precoding import IllConditionedChannelError
-from stia.scheduler import account_dof, build_plan_general
+from stia.scheduler import account_dof, build_plan_general, build_plan_time_share, validate_plan
 
 THIRD = Fraction(1, 3)
 
@@ -200,29 +200,29 @@ def test_estimate_to_dict_round_trips_values():
     assert d["slope"] == est.slope
 
 
-# Each scheme's trial: (scheme, K, delay, rounds per trial) and its slot mix
-# (aligned rounds, ZF slots, TDMA slots, horizon).
-_MIXES = {
-    "3": ("stia", 3, DelayConfig(3, 1), 5, (5, 4, 2, 21)),
-    "4": ("stia", 4, DelayConfig(4, 1), 5, (5, 9, 3, 32)),
-    "5": ("stia", 5, DelayConfig(5, 1), 5, (5, 16, 4, 45)),
-    "6": ("stia", 6, DelayConfig(6, 1), 5, (5, 25, 5, 60)),
-    "zf_tdma": ("zf_tdma", 3, DelayConfig(7, 3), 5, (0, 4, 3, 7)),
-    "zf": ("zf", 4, DelayConfig(3, 0), 5, (0, 1, 0, 1)),
-    "tdma": ("tdma", 4, DelayConfig(3, 1), 5, (0, 0, 1, 1)),
+# Each scheme's trial: (scheme, K, delay, rounds per trial), its plan and the
+# plan's horizon.
+_PLANS = {
+    "3": (("stia", 3, DelayConfig(3, 1), 5), build_plan_general(3, 5), 21),
+    "4": (("stia", 4, DelayConfig(4, 1), 5), build_plan_general(4, 5), 32),
+    "5": (("stia", 5, DelayConfig(5, 1), 5), build_plan_general(5, 5), 45),
+    "6": (("stia", 6, DelayConfig(6, 1), 5), build_plan_general(6, 5), 60),
+    "zf_tdma": (("zf_tdma", 3, DelayConfig(7, 3), 5), build_plan_time_share(3, 7, 3), 7),
+    "zf": (("zf", 4, DelayConfig(3, 0), 5), build_plan_time_share(4, 1, 0), 1),
+    "tdma": (("tdma", 4, DelayConfig(3, 1), 5), build_plan_time_share(4, 1, 1), 1),
 }
 
 
-@pytest.mark.parametrize("key", list(_MIXES))
+@pytest.mark.parametrize("key", list(_PLANS))
 def test_stia_engine_slot_mix_follows_the_plan(key, monkeypatch):
     # The one engine draws each scheme's rounds, ZF slots and TDMA slots per
     # trial and averages over the horizon. With ZF and TDMA slots replaced
     # by one bit each and rounds at vanishing SNR, the per-slot rate is the
-    # mix's share of ZF and TDMA slots. Schemes without rounds never draw one.
-    scheme, K, delay, n, expected = _MIXES[key]
-    mix = analysis._slot_mix(scheme, K, delay, n)
-    assert mix == expected
-    rounds, zf_slots, tdma_slots, horizon = mix
+    # plan's share of ZF and TDMA slots. Schemes without rounds never draw one.
+    (scheme, K, delay, n), expected, horizon = _PLANS[key]
+    plan = analysis._scheme_plan(scheme, K, delay, n)
+    assert plan == expected and plan.horizon == horizon
+    rounds, zf_slots, tdma_slots = len(plan.stia_rounds), len(plan.zf_slots), len(plan.tdma_slots)
     size = 3
     counts = {"rounds": 0, "zf": 0, "tdma": 0}
     batch_rounds = protocol.batch_rounds
@@ -252,26 +252,31 @@ def test_stia_engine_slot_mix_follows_the_plan(key, monkeypatch):
     monkeypatch.setattr(analysis, "_zf_stack_bits", zf)
     monkeypatch.setattr(analysis, "complex_normal", tdma_rows)
     monkeypatch.setattr(analysis, "_zf_bits", tdma)
-    bits, _ = analysis._mix_chunk(K, mix, np.array([1e-30]), size, np.random.default_rng(K))
+    bits, _ = analysis._mix_chunk(K, plan, np.array([1e-30]), size, np.random.default_rng(K))
     assert counts == {"rounds": size * rounds, "zf": size * zf_slots, "tdma": size * tdma_slots}
     np.testing.assert_allclose(bits, (zf_slots + tdma_slots) / horizon, rtol=1e-12)
-
-
-def _mix_dof(K, mix):
-    rounds, zf, tdma, horizon = mix
-    return Fraction(K * (K - 1) * rounds + (K - 1) * zf + tdma, horizon)
 
 
 @pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_slot_mix_dof_matches_the_exact_accounting(K):
     for n in (1, 2, 5, 16):
-        mix = analysis._slot_mix("stia", K, DelayConfig(K, 1), n)
-        assert _mix_dof(K, mix) == account_dof(build_plan_general(K, n)).dof
+        # n rounds, (K-1)^2 ZF slots and K-1 TDMA slots over K(n+K-1) slots.
+        plan = analysis._scheme_plan("stia", K, DelayConfig(K, 1), n)
+        assert account_dof(plan).dof == Fraction(K * (K - 1) * n + (K - 1) ** 3 + K - 1, K * (n + K - 1))
     for t_fb in range(4):
-        mix = analysis._slot_mix("zf_tdma", 3, DelayConfig(3, t_fb), 16)
-        assert _mix_dof(3, mix) == baseline_zf_tdma(Fraction(t_fb, 3))
-    assert _mix_dof(K, analysis._slot_mix("zf", K, DelayConfig(3, 0), 16)) == K - 1
-    assert _mix_dof(K, analysis._slot_mix("tdma", K, DelayConfig(3, 1), 16)) == 1
+        plan = analysis._scheme_plan("zf_tdma", 3, DelayConfig(3, t_fb), 16)
+        assert account_dof(plan).dof == baseline_zf_tdma(Fraction(t_fb, 3))
+    assert account_dof(analysis._scheme_plan("zf", K, DelayConfig(3, 0), 16)).dof == K - 1
+    assert account_dof(analysis._scheme_plan("tdma", K, DelayConfig(3, 1), 16)).dof == 1
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 6])
+def test_every_scheme_plan_is_a_valid_plan(K):
+    plans = [analysis._scheme_plan("zf_tdma", K, DelayConfig(t_c, t_fb), 16) for t_c in range(1, 8) for t_fb in range(t_c + 1)]
+    plans += [analysis._scheme_plan("zf", K, DelayConfig(3, 0), 16), analysis._scheme_plan("tdma", K, DelayConfig(3, 1), 16)]
+    plans += [analysis._scheme_plan("stia", K, DelayConfig(K, 1), n) for n in (1, 2, 5, 16) if K >= 3]
+    for plan in plans:
+        validate_plan(plan)
 
 
 @pytest.mark.parametrize("scheme,delay", [("zf", DelayConfig(3, 0)), ("zf_tdma", DelayConfig(3, 1))])
@@ -322,10 +327,10 @@ def test_halfwidth_is_the_exact_standard_error_of_the_slope(key):
     assert fit_dof_slope(db, est.mean_sum_rates) == est.slope
 
     # Rebuild the per-trial rates chunk by chunk, as the estimate draws them.
-    mix = analysis._slot_mix(scheme, K, delay, 16)
+    plan = analysis._scheme_plan(scheme, K, delay, 16)
     snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
     rates = np.concatenate([
-        analysis._mix_chunk(K, mix, snr_lin, size, analysis._chunk_rng(7, index))[0]
+        analysis._mix_chunk(K, plan, snr_lin, size, analysis._chunk_rng(7, index))[0]
         for index, _, size in analysis._chunk_layout(trials)
     ])
     x = np.asarray(db) / (10.0 * np.log10(2.0))
@@ -339,7 +344,7 @@ def test_halfwidth_is_the_exact_standard_error_of_the_slope(key):
 
 
 # Every scheme at a high-SNR grid, where the finite-SNR bias is far below
-# the bound: (scheme, K, delay, trials) and the exact DoF of its slot mix.
+# the bound: (scheme, K, delay, trials) and the exact DoF of its slot plan.
 _EXACT_DOF = {
     **{
         f"stia-k{K}": (("stia", K, DelayConfig(K, 1), trials), account_dof(build_plan_general(K, 16)).dof)
@@ -390,6 +395,14 @@ def test_estimate_takes_numpy_integers_as_python_ints():
     assert json.loads(json.dumps(est.to_dict()))["trials"] == 4
 
 
+def test_estimate_from_a_numpy_delay_config_is_json_ready():
+    # DelayConfig stores the Python ints its checks return, so gamma is a Fraction of ints.
+    est = estimate_dof_slope("zf_tdma", 3, DelayConfig(np.int64(3), np.int64(1)), (40, 50), 4, 0)
+    d = json.loads(json.dumps(est.to_dict()))
+    assert (d["gamma_num"], d["gamma_den"]) == (1, 3)
+    assert est == estimate_dof_slope("zf_tdma", 3, DelayConfig(3, 1), (40, 50), 4, 0)
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_emit_table_rejects_a_non_finite_gamma_by_value(bad):
     with pytest.raises(ValueError, match=repr(bad)):
@@ -418,8 +431,8 @@ def test_estimate_to_dict_holds_every_field():
 def test_mix_chunk_peaks_under_twice_its_channel_draw(K, traced_peak):
     # The draw itself peaks at 1.5x (real and imaginary parts are filled one at
     # a time); pricing runs in slices, so nothing after it grows with the chunk.
-    mix = analysis._slot_mix("stia", K, DelayConfig(K, 1), 16)
-    draw = analysis._CHUNK * mix[0] * K * K * (K - 1) * np.dtype(complex).itemsize
+    plan = analysis._scheme_plan("stia", K, DelayConfig(K, 1), 16)
+    draw = analysis._CHUNK * len(plan.stia_rounds) * K * K * (K - 1) * np.dtype(complex).itemsize
     snr_lin = np.array([1e4, 1e5, 1e6])
-    chunk = lambda: analysis._mix_chunk(K, mix, snr_lin, analysis._CHUNK, np.random.default_rng(K))
+    chunk = lambda: analysis._mix_chunk(K, plan, snr_lin, analysis._CHUNK, np.random.default_rng(K))
     assert traced_peak(chunk) < 2 * draw

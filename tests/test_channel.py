@@ -132,6 +132,8 @@ def test_delay_config_rejects_non_integers(t_c, t_fb):
 def test_delay_config_accepts_numpy_integers():
     cfg = DelayConfig(np.int64(3), np.int32(1))
     assert cfg.gamma == Fraction(1, 3) and cfg == DelayConfig(3, 1)
+    assert type(cfg.t_c) is int and type(cfg.t_fb) is int
+    assert type(cfg.gamma.numerator) is int and type(cfg.gamma.denominator) is int
 
 
 def test_coherence_time_lte_walking_speed():
@@ -162,3 +164,16 @@ def test_coherence_time_domain():
 def test_coherence_time_rejects_non_finite_input(carrier, speed):
     with pytest.raises(ValueError, match="finite"):
         coherence_time_estimate(carrier, speed)
+
+
+@pytest.mark.parametrize("carrier,speed", [
+    (True, 1.0), (1e9, True), ("2.1e9", 1.0), (1e9, "1"), (None, 1.0), (1e9, 1 + 0j), (np.bool_(True), 1.0),
+])
+def test_coherence_time_rejects_bools_and_non_real_input(carrier, speed):
+    # True was taken as 1 Hz (3.7e7 s), and a string raised a bare TypeError.
+    with pytest.raises(ValueError, match="positive finite real numbers"):
+        coherence_time_estimate(carrier, speed)
+
+
+def test_coherence_time_accepts_numpy_reals():
+    assert coherence_time_estimate(np.float64(2.1e9), np.int64(1)) == coherence_time_estimate(2.1e9, 1)

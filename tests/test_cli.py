@@ -420,6 +420,34 @@ def test_tradeoff_json_matches_golden_digest(tmp_path):
     assert digest == "a03cfd69279c068fede51a5b33cd170122d56145c9087f325dbde7cc42c11d58"
 
 
+# sha256 of each command's JSON artifact. Every simulated scheme draws its
+# slot types in a fixed order from keyed generators, so the bytes are fixed.
+_ARTIFACT_DIGESTS = {
+    "stia-k3": (["simulate", "--scheme", "stia", "--k", "3", "--tc", "3", "--tfb", "1",
+                 "--trials", "200", "--seed", "3"],
+        "46f6fd3807a86f1d1526c44ba39d377eb94a7cf0257776ae4489a8a0c214cfee"),
+    "zf_tdma-k6": (["simulate", "--scheme", "zf_tdma", "--k", "6", "--tc", "6", "--tfb", "2",
+                    "--trials", "300", "--seed", "6"],
+        "d04dbb37ee3b0089ad22689d46b2bbb23ea0a9921b03d34d009bde470ba14b39"),
+    "zf-k2": (["simulate", "--scheme", "zf", "--k", "2", "--tc", "3", "--tfb", "0",
+               "--trials", "500", "--seed", "8"],
+        "8e8c99f5b63de643a0a5efa24d9c01aed7e320c8205947956c3ada384bb848c6"),
+    "tdma-k4": (["simulate", "--scheme", "tdma", "--k", "4", "--tc", "3", "--tfb", "1",
+                 "--trials", "500", "--seed", "11"],
+        "fb126e2717246ae721f6cad96966253f53a753d360f32cd0ae3c6544bbccd92d"),
+    "schedule-k4-n5": (["schedule", "--k", "4", "--n", "5"],
+        "cc245fa81d0d1b193d8b030b288606865f2c94a14bc1876f1508bfd270360165"),
+}
+
+
+@pytest.mark.parametrize("key", list(_ARTIFACT_DIGESTS))
+def test_artifact_matches_golden_digest(key, tmp_path, capsys):
+    args, expected = _ARTIFACT_DIGESTS[key]
+    out = tmp_path / "a.json"
+    assert run_cli([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
 def test_simulate_json_and_csv_agree_field_by_field(tmp_path):
     flags = ["simulate", "--scheme", "zf_tdma", "--tc", "3", "--tfb", "1", "--snr", "30,45,60",
              "--trials", "300", "--seed", "5"]

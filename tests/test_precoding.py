@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stia.analysis import _mix_chunk, _slot_mix
+from stia.analysis import _mix_chunk, _scheme_plan
 from stia.channel import DelayConfig, complex_normal
 from stia.precoding import (
     IllConditionedChannelError,
@@ -147,8 +147,8 @@ def test_tdma_round_robin():
     # K=3, t_c=3, t_fb=1: two ZF slots on served stacks, then one TDMA slot,
     # per trial, drawn in that order.
     snr = np.array([1e3, 1e5])
-    mix = _slot_mix("zf_tdma", 3, DelayConfig(3, 1), 16)
-    bits, resamples = _mix_chunk(3, mix, snr, 8, np.random.default_rng(9))
+    plan = _scheme_plan("zf_tdma", 3, DelayConfig(3, 1), 16)
+    bits, resamples = _mix_chunk(3, plan, snr, 8, np.random.default_rng(9))
     rng = np.random.default_rng(9)
     stacks = complex_normal(rng, (8 * 2, 2, 2))
     rows = complex_normal(rng, (8, 2))
@@ -169,9 +169,9 @@ def test_tdma_periodicity(K):
     # With t_fb == t_c == 2K the time share is 2K TDMA slots per trial, each
     # an independent user row on its matched beam.
     snr = np.array([1e2, 1e4])
-    mix = _slot_mix("zf_tdma", K, DelayConfig(2 * K, 2 * K), 16)
-    assert mix == (0, 0, 2 * K, 2 * K)
-    bits, _ = _mix_chunk(K, mix, snr, 5, np.random.default_rng(K))
+    plan = _scheme_plan("zf_tdma", K, DelayConfig(2 * K, 2 * K), 16)
+    assert (plan.stia_rounds, plan.zf_slots, plan.tdma_slots) == ((), frozenset(), frozenset(range(1, 2 * K + 1)))
+    bits, _ = _mix_chunk(K, plan, snr, 5, np.random.default_rng(K))
     rows = complex_normal(np.random.default_rng(K), (5 * 2 * K, K - 1))
     for c in range(5):
         ref = sum(_matched_beam_bits(h, snr) for h in rows[2 * K * c: 2 * K * (c + 1)])

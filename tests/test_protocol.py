@@ -4,6 +4,7 @@ Kernel stages are checked against explicit per-user, per-slot loops written
 here, so each check stays independent of the kernel's batched arithmetic.
 """
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -34,6 +35,7 @@ from stia.protocol import (
     round_rate,
     run_stia_round,
 )
+from stia.scheduler import build_plan_general
 
 
 def _symbols(K, rng):
@@ -672,6 +674,11 @@ def _rounds_per_slice(K):
     return protocol._SLICE_BYTES // (K * K * (K - 1) * np.dtype(complex).itemsize)
 
 
+def _one_round_plan(K):
+    """One round per trial over a one-slot horizon: the engine's rates are then the per-round bits."""
+    return dataclasses.replace(build_plan_general(K, 1), horizon=1, zf_slots=frozenset(), tdma_slots=frozenset())
+
+
 def _whole_array_reference(K, ch):
     """Null vectors, worst guard values and per-round bits of ``ch`` in one pass over all rounds."""
     z, cond, _ = _interferer_guard(ch[:, 1:])
@@ -692,8 +699,7 @@ def test_sliced_rounds_are_bit_equal_to_the_whole_array_reference(K, slices, ext
     ch, z, conds, resamples = batch_rounds(K, count, np.random.default_rng(seed))
     assert resamples == 0 and len(protocol._slices(ch)) == slices + (extra > 0)
     np.testing.assert_array_equal(ch, draw_round_channels(K, count, np.random.default_rng(seed)))
-    # One round per trial over a one-slot horizon: the rates are the per-round bits.
-    rates, _ = analysis._mix_chunk(K, (1, 0, 0, 1), _SNR, count, np.random.default_rng(seed))
+    rates, _ = analysis._mix_chunk(K, _one_round_plan(K), _SNR, count, np.random.default_rng(seed))
     z_ref, conds_ref, bits_ref = _whole_array_reference(K, ch)
     np.testing.assert_array_equal(z, z_ref)
     np.testing.assert_array_equal(conds, conds_ref)
@@ -709,7 +715,7 @@ def test_sliced_redraw_is_bit_equal_to_the_whole_array_reference(rare_singular_g
     redrawn = np.flatnonzero((ch != first).any(axis=(1, 2, 3)))
     # Rejections in both full slices of the first pass, each redrawn round replaced once or more.
     assert np.unique(redrawn // per_slice).size >= 2 and resamples >= redrawn.size
-    rates, rate_resamples = analysis._mix_chunk(K, (1, 0, 0, 1), _SNR, count, np.random.default_rng(77))
+    rates, rate_resamples = analysis._mix_chunk(K, _one_round_plan(K), _SNR, count, np.random.default_rng(77))
     assert rate_resamples == resamples and np.all(conds <= CONDITION_LIMIT)
     z_ref, conds_ref, bits_ref = _whole_array_reference(K, ch)
     np.testing.assert_array_equal(z, z_ref)

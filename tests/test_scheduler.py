@@ -1,17 +1,20 @@
 """Tests for slot plans and DoF accounting."""
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stia.analysis import baseline_zf_tdma
 from stia.channel import block_of_slot, block_start, feedback_arrival_slot, has_current_csit
 from stia.scheduler import (
     SchedulerPlan,
     account_dof,
     build_plan_general,
     build_plan_k3,
+    build_plan_time_share,
     validate_plan,
 )
 
@@ -168,12 +171,9 @@ _K3N2 = build_plan_k3(2)  # rounds (1, 6, 8), (4, 9, 11); ZF {2, 3, 5, 12}; TDMA
     # A float horizon raised TypeError and a float K was accepted.
     ({"horizon": 12.0}, "horizon must be an integer, got 12.0"),
     ({"K": 3.0}, "K must be an integer, got 3.0"),
-    # n was never checked: each of these was accepted for a plan of 2 rounds.
-    ({"n": 7}, "n=7 but the plan has 2 rounds"),
-    ({"n": 2.5}, "n must be an integer, got 2.5"),
-    ({"n": "x"}, "n must be an integer, got 'x'"),
-    ({"n": None}, "n must be an integer, got None"),
-    ({"n": True}, "n must be an integer, got True"),
+    # An empty horizon has no slots to share, and its DoF divides by zero.
+    ({"horizon": 0, "stia_rounds": (), "zf_slots": frozenset(), "tdma_slots": frozenset()},
+     "horizon must be at least 1, got 0"),
 ])
 def test_validate_rejects_malformed_plan_values(changes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -190,7 +190,7 @@ def _reference_plan(K, n):
     for s in range(1, horizon + 1):
         if s not in used:
             (zf if has_current_csit(t_c, t_fb, s) else tdma).add(s)
-    return SchedulerPlan(K=K, n=n, t_c=t_c, t_fb=t_fb, horizon=horizon, stia_rounds=rounds,
+    return SchedulerPlan(K=K, t_c=t_c, t_fb=t_fb, horizon=horizon, stia_rounds=rounds,
                          zf_slots=frozenset(zf), tdma_slots=frozenset(tdma))
 
 
@@ -230,3 +230,52 @@ def test_validate_rejects_single_slot_mutations(K, n, mutate, message):
     validate_plan(plan)
     with pytest.raises(ValueError, match=message):
         validate_plan(mutate(plan))
+
+
+def test_time_share_dof_is_the_zf_tdma_baseline():
+    for t_c in range(1, 13):
+        for t_fb in range(t_c + 1):
+            plan = build_plan_time_share(3, t_c, t_fb)
+            validate_plan(plan)
+            assert account_dof(plan).dof == baseline_zf_tdma(Fraction(t_fb, t_c))
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 6])
+def test_time_share_dof_weighs_zf_and_tdma_slots(K):
+    for t_c in range(1, 13):
+        for t_fb in range(t_c + 1):
+            plan = build_plan_time_share(K, t_c, t_fb)
+            assert plan.tdma_slots == frozenset(range(1, t_fb + 1))
+            assert plan.zf_slots == frozenset(range(t_fb + 1, t_c + 1))
+            assert account_dof(plan).dof == Fraction((t_c - t_fb) * (K - 1) + t_fb, t_c)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((True, 3, 1), "K must be an integer, got True"),
+    ((3, True, 0), "t_c must be an integer, got True"),
+    ((3, 3, False), "t_fb must be an integer, got False"),
+    ((3.0, 3, 1), "K must be an integer, got 3.0"),
+    ((3, 3.0, 1), "t_c must be an integer, got 3.0"),
+    ((3, 3, 1.0), "t_fb must be an integer, got 1.0"),
+    ((1, 3, 1), "K must be at least 2, got 1"),
+    ((3, 0, 0), "t_c must be at least 1, got 0"),
+    ((3, 3, -1), "t_fb must be at least 0, got -1"),
+    ((3, 3, 4), "the ZF/TDMA time share needs t_fb <= t_c"),
+])
+def test_time_share_rejects_bad_values(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_plan_time_share(*args)
+
+
+def test_time_share_accepts_numpy_integers():
+    assert build_plan_time_share(np.int64(3), np.int32(5), np.int64(2)) == build_plan_time_share(3, 5, 2)
+
+
+def test_plan_without_rounds_describes_itself():
+    plan = build_plan_time_share(3, 5, 2)
+    assert plan.to_role_map() == {1: "tdma", 2: "tdma", 3: "zf", 4: "zf", 5: "zf"}
+    d = plan.to_dict()
+    assert (d["n"], d["stia_rounds"], d["horizon"]) == (0, [], 5)
+    assert (d["zf_slots"], d["tdma_slots"]) == ([3, 4, 5], [1, 2])
+    assert d["roles"] == {"1": "tdma", "2": "tdma", "3": "zf", "4": "zf", "5": "zf"}
+    assert (d["symbols_delivered"], d["dof"]) == (8, [8, 5])

@@ -267,6 +267,8 @@ def estimate_dof_slope(
     seed = _require_integer("seed", seed)
     if scheme not in SIMULATION_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SIMULATION_SCHEMES}")
+    if not isinstance(delay, DelayConfig):
+        raise ValueError(f"delay must be a DelayConfig, got {delay!r}")
     plan = _scheme_plan(scheme, K, delay, rounds_per_trial)
 
     def compute(entry):

@@ -1,11 +1,13 @@
 """Dense complex linear-algebra kernels for small beamforming problems.
 
 Everything here operates on stacked channel matrices no larger than a
-handful of rows, so direct LAPACK factorizations through numpy are used
-throughout. Every beamformer (aligning precoders, ZF beams and gains) comes
-from the inverse :func:`_guarded_solve` returns, whose guard reuses it instead
-of an SVD; singular values are computed only where a caller reports rank or
-the spectral condition number.
+handful of rows. A 2x2 stack, every stack of the 3-user case, is inverted
+in closed form with matrix axes first, because on matrices that small a
+LAPACK call costs more than its arithmetic; larger stacks use direct
+LAPACK factorizations through numpy. Every beamformer (aligning precoders,
+ZF beams and gains) comes from the inverse :func:`_guarded_solve` returns,
+whose guard reuses it instead of an SVD; singular values are computed only
+where a caller reports rank or the spectral condition number.
 """
 
 from __future__ import annotations
@@ -65,9 +67,26 @@ def _guarded_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A^-1`` and ``kappa_F = ||A||_F ||A^-1||_F`` of stacked square matrices.
 
     ``kappa_F`` lies between ``kappa_2`` and ``n kappa_2``. Exactly singular
-    items are inverted as the identity instead and get ``inf``.
+    items are inverted as the identity instead and get ``inf``. A 2x2 stack
+    takes the adjugate over ``det A`` and ``kappa_F = ||A||_F^2 / |det A|``,
+    entry by entry with matrix axes first: each step is one operation over
+    the flattened stack, so that one matrix rounds as it does in a stack.
     """
     eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    if a.shape[-1] == 2:
+        m = a.reshape(-1, 2, 2)
+        (p, q), (r, s) = np.moveaxis(m, 0, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = p * s - q * r
+            if np.any(det == 0):
+                singular = (det == 0).reshape(a.shape[:-2])
+                inv, cond = _guarded_solve(np.where(singular[..., None, None], eye, a))
+                return inv, np.where(singular, np.inf, cond)
+            rdet, inv = 1 / det, np.empty(m.shape, dtype=complex)
+            inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0], inv[:, 1, 1] = s * rdet, -q * rdet, -r * rdet, p * rdet
+            sq = m.real ** 2 + m.imag ** 2
+            cond = (sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1]) / np.abs(det)
+        return inv.reshape(a.shape), np.where(np.isfinite(cond), cond, np.inf).reshape(a.shape[:-2])
     singular = np.zeros(a.shape[:-2], dtype=bool)
     try:
         inv = np.linalg.solve(a, eye)

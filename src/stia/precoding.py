@@ -47,8 +47,24 @@ def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
     ``c = h_K A^-1`` for ``A`` the stack of users 1..K-1, which is user K's stack. User k's is ``A``
     with row k set to ``h_K`` (row order keeps Frobenius norms), inverted by the rank-one update
-    ``A^-1 - A^-1 e_k (c - e_k)^T / c_k``. ``kappa_F`` is ``inf`` for a singular stack.
+    ``A^-1 - A^-1 e_k (c - e_k)^T / c_k``. ``kappa_F`` is ``inf`` for a singular stack. At K=3 the
+    stacks are 2x2, with ``||.||_F^2 / |det|`` as their ``kappa_F``: user k's has determinant
+    ``+-c_k det A``, so it is ``(R - r_k) kappa_ref / ((r_1 + r_2) |c_k|)`` for ``r_k = ||h_k||^2``.
     """
+    if current.shape[-2] == 3:  # entry by entry over the flattened stack, as _guarded_solve's 2x2 case
+        cur = current.reshape(-1, 3, 2)
+        inv, cond_ref = _guarded_solve(cur[:, :2])
+        (i00, i01), (i10, i11) = np.moveaxis(inv, 0, -1)
+        x0, x1 = cur[:, 2].T
+        sq = cur.real ** 2 + cur.imag ** 2
+        r1, r2, r3 = (sq[..., 0] + sq[..., 1]).T
+        c1, c2 = x0 * i00 + x1 * i10, x0 * i01 + x1 * i11
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scale, total = cond_ref / (r1 + r2), r1 + r2 + r3
+            cond = np.stack([(total - r1) * scale / np.abs(c1), (total - r2) * scale / np.abs(c2), cond_ref], -1)
+        z, cond = np.stack([c1, c2, np.full_like(c1, -1.0)], axis=-1), np.where(np.isfinite(cond), cond, np.inf)
+        shape = current.shape[:-1]
+        return z.reshape(shape), cond.reshape(shape), inv.reshape(shape[:-1] + (2, 2))
     inv, cond_ref = _guarded_solve(current[..., :-1, :])
     c = np.einsum("...i,...ij->...j", current[..., -1, :], inv)
     rows = np.sum(np.abs(current) ** 2, axis=-1)

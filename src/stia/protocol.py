@@ -210,7 +210,7 @@ def run_stia_round(
 
 def draw_round_channels(K: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0,1) round channels of shape (count, K, K, K-1): slot, user, antenna."""
-    return complex_normal(rng, (count, K, K, K - 1))
+    return complex_normal(rng, (_require_count("count", count, 0), K, K, K - 1))
 
 
 def _slices(items) -> list[slice]:
@@ -260,6 +260,7 @@ def batch_rounds(
     ``kappa_F = ||A||_F ||A^-1||_F`` per round and the redrawn rounds. Callers
     build effective channels per :func:`_slices` slice with :func:`batch_effective_channels`.
     """
+    count = _require_count("count", count, 0)
 
     def guard(ch):
         z, cond, _ = _interferer_guard(ch[:, 1:])
@@ -309,8 +310,17 @@ def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> 
     """Effective channels for a batch of rounds: shape (count, K, K-1, K-1).
 
     Row m of round c, user k is ``h_k[ref] - h_k[m] V_k[m] = z^T H[ref] / z_k``,
-    with ``z`` slot m's left null vector from ``null_vectors`` (count, K-1, K).
+    with ``z`` slot m's left null vector from ``null_vectors`` (count, K-1, K). At K=3 the
+    rows are formed entry by entry and held with matrix axes first, the layout :func:`_round_bits`
+    reads them in; the result is a view of that array.
     """
+    if null_vectors.shape[-1] == 3:
+        z, ref = null_vectors, channels[:, 0]
+        heff = np.empty(z.shape[1:2] + ref.shape[2:] + z.shape[:1] + (3,), dtype=complex)
+        for m, a in np.ndindex(heff.shape[:2]):
+            mixed = z[:, m, 0] * ref[:, 0, a] + z[:, m, 1] * ref[:, 1, a] + z[:, m, 2] * ref[:, 2, a]
+            heff[m, a] = mixed[:, None] / z[:, m]
+        return heff.transpose(2, 3, 0, 1)
     mixed = np.einsum("cmk,cka->cma", null_vectors, channels[:, 0])
     return mixed[:, None] / np.moveaxis(null_vectors, 1, 2)[..., None]
 
@@ -333,14 +343,30 @@ def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
     The one pricing call; the axes of ``snr``, a linear SNR or an array of them, lead the result's.
     C is :func:`difference_noise_covariance` and ``p = snr / (K (K-1))`` the per-symbol power:
     the whitened log-det ``log2 det(I + p C^-1/2 H H^H C^-1/2)`` unwhitened. The Gram is formed
-    once and each point takes one log-det of it, so the working set is that of one point.
+    once and each point takes one log-det of it, so the working set is that of one point. At K=3
+    each user's own 2x2 Gram is formed entry by entry and its two pivots are :func:`_log2det`'s,
+    in its order; their logs are summed, so no product of two pivots can leave float range.
     """
     K = heff.shape[-1] + 1
     cov = difference_noise_covariance(K)
-    gram = np.einsum("...aj,...bj->...ab", heff, heff.conj())
     p = np.asarray(snr, dtype=float) / (K * (K - 1))
-    bits = np.stack([_log2det(cov + q * gram) for q in p.ravel()])
-    return bits.reshape(p.shape + bits.shape[1:]) - _noise_bits(K)
+    if K == 3:  # over the flattened stack, as _guarded_solve's 2x2 case
+        (h00, h01), (h10, h11) = h = np.moveaxis(heff.reshape(-1, 2, 2), 0, -1)
+        sq = h.real ** 2 + h.imag ** 2
+        g00, g11, g01 = sq[0, 0] + sq[0, 1], sq[1, 0] + sq[1, 1], h10.conj() * h00 + h11.conj() * h01
+        bits = []
+        for q in p.ravel():  # _log2det's pivots: d0, then d1 = a11 - conj(w) (w / d0) for w = a01
+            d0 = cov[0, 0] + q * g00
+            wr, wi = cov[0, 1] + q * g01.real, q * g01.imag
+            d1 = cov[1, 1] + q * g11 - (wr * (wr / d0) + wi * (wi / d0))
+            if not (np.all(d0 > 0) and np.all(d1 > 0)):
+                raise ValueError("matrix is not positive definite")
+            bits.append(np.log2(d0) + np.log2(d1))
+        bits = np.stack(bits)
+    else:
+        gram = np.einsum("...aj,...bj->...ab", heff, heff.conj())
+        bits = np.stack([_log2det(cov + q * gram) for q in p.ravel()])
+    return bits.reshape(p.shape + heff.shape[:-2]) - _noise_bits(K)
 
 
 @functools.cache

@@ -162,6 +162,9 @@ def test_estimate_validates_inputs():
     for grid in ((float("nan"), 50), (40, float("inf"))):
         with pytest.raises(ValueError, match="finite"):
             estimate_dof_slope("tdma", 3, cfg, grid, 10, 0)
+    # A (t_c, t_fb) tuple was an AttributeError on 't_c'.
+    with pytest.raises(ValueError, match="delay must be a DelayConfig"):
+        estimate_dof_slope("tdma", 3, (3, 1), (40, 50), 4, 0)
 
 
 def test_estimate_tdma_smoke():
@@ -189,6 +192,24 @@ def test_estimate_rejects_a_grid_whose_rates_overflow(scheme, threads):
     delay = DelayConfig(3, 0 if scheme == "zf" else 1)
     with pytest.raises(ValueError, match=r"\[3000.0, 3082.0\]"):
         estimate_dof_slope(scheme, 3, delay, (3000.0, 3082.0), 1100, 0, rounds_per_trial=2, threads=threads)
+
+
+def test_estimate_prices_k3_rounds_inside_float_range_at_1500_db():
+    # At 1550 dB the products p^2 g_ab g_cd of a 2x2 determinant pass float range; its pivots, of order p, do not.
+    # 53/27 is account_dof of the 16-round K=3 plan.
+    est = estimate_dof_slope("stia", 3, DelayConfig(3, 1), (1500.0, 1550.0), 4, 0)
+    assert abs(est.slope - 53 / 27) <= 1e-9
+
+
+def test_k3_estimates_run_without_a_lapack_solve(monkeypatch):
+    # Every K=3 stack is 2x2 and takes the closed form, so a refactor that drops it fails here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve was called at K=3")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for scheme in ("stia", "zf_tdma"):
+        est = estimate_dof_slope(scheme, 3, DelayConfig(3, 1), (40.0, 50.0), 600, 0)
+        assert np.isfinite(est.slope)
 
 
 def test_estimate_to_dict_round_trips_values():
@@ -292,7 +313,8 @@ def test_every_scheme_rejects_fewer_than_two_users(scheme):
 
 
 # (scheme, K, delay, trials) at seed 7 on a 40/50/60 dB grid, with the slope
-# and mean rates the bootstrap-era engine printed for them.
+# and mean rates the bootstrap-era engine printed for them; stia's since K=3
+# rounds are priced in closed form, which moved them by at most 1.6e-16 relative.
 _PINNED = {
     "tdma": (
         ("tdma", 3, DelayConfig(3, 1), 1000),
@@ -311,8 +333,8 @@ _PINNED = {
     ),
     "stia": (
         ("stia", 3, DelayConfig(3, 1), 300),
-        1.961291711331948,
-        (22.823968475204406, 29.33498274106796, 35.85450855149102),
+        1.9612917113319481,
+        (22.823968475204403, 29.33498274106796, 35.85450855149102),
     ),
 }
 

@@ -425,7 +425,7 @@ def test_tradeoff_json_matches_golden_digest(tmp_path):
 _ARTIFACT_DIGESTS = {
     "stia-k3": (["simulate", "--scheme", "stia", "--k", "3", "--tc", "3", "--tfb", "1",
                  "--trials", "200", "--seed", "3"],
-        "46f6fd3807a86f1d1526c44ba39d377eb94a7cf0257776ae4489a8a0c214cfee"),
+        "b968311099f60b4001bb5649d30d22a28ab6a7af5572beaff6d3f62bd79ef18f"),
     "zf_tdma-k6": (["simulate", "--scheme", "zf_tdma", "--k", "6", "--tc", "6", "--tfb", "2",
                     "--trials", "300", "--seed", "6"],
         "d04dbb37ee3b0089ad22689d46b2bbb23ea0a9921b03d34d009bde470ba14b39"),

@@ -9,11 +9,16 @@ counts, seeds and draw counts. The draws come from ``batch_rounds``, so
 they are the ones the guard accepts. The bound is fixed: the largest error
 measured over 15,000 accepted rounds per K at K = 3..8 was 4.4e-13.
 
-Every round is priced by ``_log2det`` of ``C + p H H^H``, checked here
-against the same log-det in exact Fraction arithmetic. Its elimination is
+Every round is priced by ``_round_bits``, ``log2 det(C + p H H^H)`` less
+``log2 det C``: the pivots of ``_log2det`` at K >= 4 and the same two pivots
+in closed form at K=3, where every stack is 2x2. Both are checked here
+against the log-det in exact Fraction arithmetic. The elimination is
 backward stable, so the error grows with the matrix's condition number:
-over 250 rounds per K at K = 3..8 and 0 to 120 dB the largest error was
-1.0e-14 times ``cond_2``.
+over 250 rounds per K at K = 3..8 and 0 to 120 dB the largest error of
+``_log2det`` was 1.0e-14 times ``cond_2``, and that of ``_round_bits``,
+its Gram included, 2.3e-14 over 1,000 rounds at K=3. At K=3 the stack
+inverse, the guard values and the null vectors are 2x2 closed forms too,
+checked against ``np.linalg.inv``.
 """
 
 import math
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 
 from stia.numerics import _guarded_solve
 from stia.precoding import _interferer_guard, _stia_precoders
-from stia.protocol import _log2det, batch_effective_channels, batch_rounds, difference_noise_covariance
+from stia.protocol import _log2det, _round_bits, batch_effective_channels, batch_rounds, difference_noise_covariance
 
 RTOL = 1e-11
 LOG2DET_TOL = 3e-12  # bits per unit of cond_2
@@ -112,7 +117,11 @@ priced = st.tuples(
 
 def _exact_log2det(a):
     """log2 det of a Hermitian positive definite matrix by elimination in Fractions of its float64 entries."""
-    m = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in a]
+    return _exact_log2det_of([[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in a])
+
+
+def _exact_log2det_of(m):
+    """log2 det of a Hermitian positive definite matrix of exact (real, imaginary) Fraction pairs."""
     det = Fraction(1)
     for j in range(len(m)):
         pr, pi = m[j][j]
@@ -137,3 +146,41 @@ def test_log2det_matches_an_exact_log_det(case):
     a = (a + a.conj().swapaxes(-1, -2)) / 2
     err = np.abs(_log2det(a) - [_exact_log2det(m) for m in a])
     assert np.all(err <= LOG2DET_TOL * np.linalg.cond(a))
+
+
+@given(priced)
+def test_round_bits_match_an_exact_log_det(case):
+    # The pricing call itself, Gram included, against log2 det(C + p H H^H) - log2 det C
+    # formed exactly from the float64 entries of H and the float per-symbol power p.
+    K, seed, db = case
+    ch, z, _, _ = batch_rounds(K, 1, np.random.default_rng(seed))
+    h = batch_effective_channels(ch, z)[0]
+    snr = 10.0 ** (db / 10.0)
+    p = snr / (K * (K - 1))
+    bits = _round_bits(h, snr)
+    cov = difference_noise_covariance(K)
+    for k, hk in enumerate(h):
+        rows = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in hk]
+        gram = [[(sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(ra, rb)),
+                  sum(ai * br - ar * bi for (ar, ai), (br, bi) in zip(ra, rb))) for rb in rows] for ra in rows]
+        exact = [[(Fraction(cov[a, b]) + Fraction(p) * g[0], Fraction(p) * g[1]) for b, g in enumerate(row)]
+                 for a, row in enumerate(gram)]
+        want = _exact_log2det_of(exact) - math.log2(K)  # det C = K
+        assert abs(bits[k] - want) <= LOG2DET_TOL * np.linalg.cond(cov + p * (hk @ hk.conj().T))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_k3_closed_forms_match_lapack_inverses(seed, count):
+    # At K=3 the guard's A^-1, its null vectors z = (h_3 A^-1, -1) and every user's kappa_F
+    # come from 2x2 closed forms; here each comes from np.linalg.inv of that user's own stack.
+    ch, _, _, _ = batch_rounds(3, count, np.random.default_rng(seed))
+    cur = ch[:, 1:]
+    z, cond, inv = _interferer_guard(cur)
+    want = np.linalg.inv(cur[..., :-1, :])
+    assert _rel(inv, want, (-2, -1)) <= RTOL
+    assert _rel(z[..., :-1], np.einsum("...i,...ij->...j", cur[..., -1, :], want), -1) <= RTOL
+    np.testing.assert_array_equal(z[..., -1], -1.0)
+    for k in range(3):
+        a = _stack(cur, k)
+        kappa = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(a), axis=(-2, -1))
+        assert np.max(np.abs(cond[..., k] / kappa - 1.0)) <= RTOL

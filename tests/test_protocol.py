@@ -330,7 +330,7 @@ def _library_rounds_digest():
 
 def test_library_rounds_are_pinned():
     # The library signal path, noise-free and noisy, bit for bit.
-    assert _library_rounds_digest() == "4dc8a4d28e2ef347c686bc5b4f1815d7e068e46b937ada6e8f31a79f5e45dd18"
+    assert _library_rounds_digest() == "bbb09690220227b55fcc07793a3d348b706ed0dc26f3703daab316923f4dde32"
 
 
 def test_redraw_loop_replaces_rejected_draws_and_gives_up():
@@ -498,6 +498,19 @@ def test_zf_gains_match_explicit_inverse():
             np.testing.assert_allclose(gains[c], want, rtol=1e-12)
 
 
+def test_k3_closed_forms_give_one_matrix_the_bits_it_has_in_a_stack():
+    # A lone 2x2 matrix must not fall back to numpy scalar arithmetic, which rounds products differently.
+    ch, z, _, _ = batch_rounds(3, 200, np.random.default_rng(31))
+    stacked = _interferer_guard(ch[:, 1:])
+    bits = protocol._round_bits(batch_effective_channels(ch, z), 1e5)
+    for c in range(200):
+        for m in range(2):
+            for got, want in zip(_interferer_guard(ch[c, 1 + m]), stacked):
+                np.testing.assert_array_equal(got, want[c, m])
+        for k in range(3):
+            assert protocol._round_bits(batch_effective_channels(ch[c:c + 1], z[c:c + 1])[0, k], 1e5) == bits[c, k]
+
+
 def test_batch_matches_reference_round():
     rng = np.random.default_rng(27)
     for K in (3, 4):
@@ -647,6 +660,14 @@ def test_library_fronts_reject_non_finite_input_by_name(call, word):
             call()
 
 
+@pytest.mark.parametrize("draw", [draw_round_channels, batch_rounds])
+@pytest.mark.parametrize("count,word", [(2.5, "integer"), (-1, "at least 0"), (True, "integer")])
+def test_round_draws_reject_a_count_that_is_not_a_non_negative_integer(draw, count, word):
+    # 2.5 was a bare TypeError, -1 numpy's "negative dimensions are not allowed" and True one round.
+    with pytest.raises(ValueError, match=f"count must be .*{word}"):
+        draw(3, count, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("eff,differences", [
     (np.ones((2, 3)), np.ones(2)), (np.ones((3, 2)), np.ones(3)), (np.zeros((0, 0)), np.zeros(0)),
 ])
@@ -680,9 +701,15 @@ def _one_round_plan(K):
 
 
 def _whole_array_reference(K, ch):
-    """Null vectors, worst guard values and per-round bits of ``ch`` in one pass over all rounds."""
+    """Null vectors, worst guard values and per-round bits of ``ch`` in one pass over all rounds.
+
+    K=3 rounds are priced by ``_round_bits`` itself, on the whole array: its 2x2 closed form is checked
+    against the exact log-det in tests/test_identities.py.
+    """
     z, cond, _ = _interferer_guard(ch[:, 1:])
     heff = batch_effective_channels(ch, z)
+    if K == 3:
+        return z, cond.max(axis=(1, 2)), protocol._round_bits(heff, _SNR).sum(axis=-1).T
     gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
     cov = difference_noise_covariance(K)
     log2det = protocol._log2det

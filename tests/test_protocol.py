@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stia import analysis, protocol
+from stia import analysis, protocol, verify
 from stia.channel import complex_normal
 from stia.numerics import CONDITION_LIMIT
 from stia.precoding import (
@@ -263,6 +263,48 @@ def test_decode_identity_effective_channel():
     np.testing.assert_allclose(decode_round(np.eye(3, dtype=complex), s), s)
 
 
+def test_decode_refuses_an_effective_channel_past_the_condition_limit():
+    # kappa_F = ||H||_F ||H^-1||_F of diag(1, 1e-9) is about 1e9, past the limit of 1e8;
+    # that of diag(1, 1e-7), about 1e7, is inside it.
+    bad = np.diag([1.0, 1e-9])
+    with pytest.raises(DecodeFailureError) as err:
+        decode_round(bad, np.ones(2))
+    kappa_f = np.linalg.norm(bad) * np.linalg.norm(np.linalg.inv(bad))
+    assert err.value.condition == pytest.approx(kappa_f, rel=1e-14)
+    np.testing.assert_allclose(decode_round(np.diag([1.0, 1e-7]), np.ones(2)), [1.0, 1e7], rtol=1e-15)
+
+
+def _zero_row_4x4():
+    h = complex_normal(np.random.default_rng(24), (4, 4))
+    h[2] = 0.0
+    return h
+
+
+@pytest.mark.parametrize("eff", [np.zeros((1, 1)), _zero_row_4x4()], ids=["zero-1x1", "zero-row-4x4"])
+def test_decode_refuses_a_singular_effective_channel_with_infinite_condition(eff):
+    # LAPACK refuses both; the guard then inverts each as the identity and reports inf.
+    with pytest.raises(DecodeFailureError) as err:
+        decode_round(eff, np.ones(len(eff)))
+    assert err.value.condition == np.inf
+
+
+def test_decoding_and_rank_take_no_svd_and_k3_takes_no_lapack_solve(monkeypatch):
+    # One condition guard: every decode and rank flag comes from numerics._guarded_solve,
+    # whose 2x2 closed form serves every K=3 effective channel.
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for K in (3, 4):
+        run_stia_round(*_round(K, 25))
+    decode_round(np.diag([1.0, 2.0, 3.0]), np.ones(3))
+    for K in (3, 4, 5, 6):
+        verify.round_sweep(K, 50, 0)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    run_stia_round(*_round(3, 25))
+    verify.round_sweep(3, 50, 0)
+
+
 @pytest.mark.parametrize("K", [3, 5])
 def test_noise_free_round_recovers_symbols(K):
     rng = np.random.default_rng(19 + K)
@@ -329,8 +371,9 @@ def _library_rounds_digest():
 
 
 def test_library_rounds_are_pinned():
-    # The library signal path, noise-free and noisy, bit for bit.
-    assert _library_rounds_digest() == "bbb09690220227b55fcc07793a3d348b706ed0dc26f3703daab316923f4dde32"
+    # The library signal path, noise-free and noisy, bit for bit; re-recorded when decoding
+    # took the guarded inverse, which moved only the decoded symbols' last bits.
+    assert _library_rounds_digest() == "9dac931445762771a60ed0c787f124e80a2a94e0ab23ed5971a0576388e971a6"
 
 
 def test_redraw_loop_replaces_rejected_draws_and_gives_up():

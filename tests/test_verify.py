@@ -126,12 +126,13 @@ def test_round_sweep_reports_numpy_counts_as_ints():
 
 # sha256 of round_sweep(K, 1500, 11) as sorted-key JSON, recorded when every
 # check ran on the whole draw at once: slicing may change no byte of a report.
-# K=3's was re-recorded when its 2x2 stacks took the closed-form inverse.
+# K=3's was re-recorded when its 2x2 stacks took the closed-form inverse, and every
+# K's when decoding took the guarded inverse: only max_decode_error moved.
 _SWEEP_DIGESTS = {
-    3: "54bb04eb0cf1c732491669c9e3b4b52ef99727a0bdfa69178e616b9e51960660",
-    4: "bd6a57b983ba3e5f46344d0690b097379012ceaa377b5ba0a1e587fe09072c00",
-    5: "6ede06ed4cff2554e312dc28a2179c92ea874d283dbb30cda241d1fe22ff04a8",
-    6: "6d2cf5bcfceb87b75df0c15cff31e067383c7bb4c1313445396bb91f3df59075",
+    3: "a59b256e6d04c5b11fe21172241de60609fa73bf65b7bb45f48d78258facb918",
+    4: "f665d10b2820499697b97b0d792b98017275d8c2478565dd90b82f80f66bbed4",
+    5: "a580f3784afddd514b0dfeb2d2841816c06756da2d0dafe539957cb6d9b3eb84",
+    6: "7133412ab34c9d897079c578c325c47dee8b63bf59eed308265116e7a021b085",
 }
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import protocol
 from .channel import DelayConfig, _require_count, _require_integer, complex_normal
+from .numerics import _term_sum
 from .precoding import _zf_gains
 from .scheduler import SchedulerPlan, build_plan_general, build_plan_time_share
 
@@ -165,7 +166,7 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 def _zf_bits(gains: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
     """ZF sum rates from (count, n_t) gains at equal power per stream; TDMA is one stream of gain ||h||^2."""
-    return np.log2(1.0 + (snr_lin[None, None, :] / gains.shape[-1]) * gains[:, :, None]).sum(axis=1)
+    return _term_sum(np.log2(1.0 + (snr_lin[None, None, :] / gains.shape[-1]) * gains[:, :, None]), 1)
 
 
 def _zf_stack_bits(n_t: int, count: int, snr_lin: np.ndarray, rng) -> tuple[np.ndarray, int]:
@@ -211,16 +212,16 @@ def _mix_chunk(K: int, plan: SchedulerPlan, snr_lin, size: int, rng) -> tuple[np
         bits = np.empty((size * rounds, snr_lin.size))
         for sl in protocol._slices(ch):
             heff = protocol.batch_effective_channels(ch[sl], z[sl])
-            bits[sl] = protocol._round_bits(heff, snr_lin).sum(axis=-1).T
-        parts.append(bits.reshape(size, rounds, -1).sum(axis=1))
+            bits[sl] = _term_sum(protocol._round_bits(heff, snr_lin), -1).T
+        parts.append(_term_sum(bits.reshape(size, rounds, -1), 1))
     if zf:
         bits, zf_res = _zf_stack_bits(K - 1, size * zf, snr_lin, rng)
-        parts.append(bits.reshape(size, zf, -1).sum(axis=1))
+        parts.append(_term_sum(bits.reshape(size, zf, -1), 1))
         resamples += zf_res
     if tdma:
-        gains = np.sum(np.abs(complex_normal(rng, (size * tdma, K - 1))) ** 2, axis=1, keepdims=True)
+        gains = _term_sum(abs(complex_normal(rng, (size * tdma, K - 1))) ** 2, 1)[:, None]
         bits = _zf_bits(gains, snr_lin)
-        parts.append(bits.reshape(size, tdma, -1).sum(axis=1))
+        parts.append(_term_sum(bits.reshape(size, tdma, -1), 1))
     return sum(parts) / plan.horizon, resamples
 
 

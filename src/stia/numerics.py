@@ -3,11 +3,14 @@
 Everything here operates on stacked channel matrices no larger than a
 handful of rows. A 2x2 stack, every stack of the 3-user case, is inverted
 in closed form with matrix axes first, because on matrices that small a
-LAPACK call costs more than its arithmetic; larger stacks use direct
-LAPACK factorizations through numpy. Every beamformer (aligning precoders,
-ZF beams and gains) comes from the inverse :func:`_guarded_solve` returns,
-whose guard reuses it instead of an SVD, as does every decode and rank flag;
-only :func:`condition_estimate`, the spectral condition number, takes an SVD.
+LAPACK call costs more than its arithmetic; larger stacks take LAPACK's
+``inv`` through numpy. Every beamformer (aligning precoders, ZF beams and
+gains) comes from the inverse :func:`_guarded_solve` returns, whose guard
+reuses it instead of an SVD, as does every decode and rank flag; only
+:func:`condition_estimate`, the spectral condition number, takes an SVD.
+The guard is scale free: an item whose values leave float range at its own
+scale is solved again after an exact power-of-two shift. The kernels check
+no input; the public entry points validate theirs once.
 """
 
 from __future__ import annotations
@@ -54,37 +57,72 @@ def _as_matrix(a) -> np.ndarray:
 def _guarded_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A^-1`` and ``kappa_F = ||A||_F ||A^-1||_F`` of stacked square matrices.
 
-    ``kappa_F`` lies between ``kappa_2`` and ``n kappa_2``. Exactly singular
-    items are inverted as the identity instead and get ``inf``. A 2x2 stack
-    takes the adjugate over ``det A`` and ``kappa_F = ||A||_F^2 / |det A|``,
-    entry by entry with matrix axes first: each step is one operation over
-    the flattened stack, so that one matrix rounds as it does in a stack.
+    ``kappa_F`` lies between ``kappa_2`` and ``n kappa_2``. An item whose inverse or ``kappa_F``
+    leaves float range at its own scale is shifted by a power of two, exact and without effect on
+    ``kappa_F``, that brings its largest entry to [1/2, 1), and solved again. Items singular there,
+    or whose inverse shifted back is past float range, are inverted as the identity and get ``inf``.
     """
-    eye = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape)
+    inv, cond = _inverse(a)
+    redo = ~np.isfinite(cond)
+    if redo.any():
+        m, shift = _rescaled(a, redo)
+        sub_inv, sub_cond = _inverse(m)
+        sub_inv = _ldexp(sub_inv, shift)
+        singular = ~(np.isfinite(sub_cond) & np.isfinite(sub_inv).all(axis=(-2, -1)))
+        inv[redo] = np.where(singular[:, None, None], np.eye(a.shape[-1]), sub_inv)
+        cond[redo] = np.where(singular, np.inf, sub_cond)
+    return inv, cond
+
+
+def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_guarded_solve` at the stack's own scale; ``kappa_F`` is not finite where a value leaves float range.
+
+    A 2x2 stack takes the adjugate over ``det A`` and ``kappa_F = ||A||_F^2 / |det A|``, entry by
+    entry with matrix axes first: each step is one operation over the flattened stack, so that one
+    matrix rounds as it does in a stack. Larger stacks take LAPACK's ``inv``, the solve of ``A X = I``.
+    """
     if a.shape[-1] == 2:
         m = a.reshape(-1, 2, 2)
-        (p, q), (r, s) = np.moveaxis(m, 0, -1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        (p, q), (r, s) = m.transpose(1, 2, 0)
+        with np.errstate(all="ignore"):
             det = p * s - q * r
-            if np.any(det == 0):
-                singular = (det == 0).reshape(a.shape[:-2])
-                inv, cond = _guarded_solve(np.where(singular[..., None, None], eye, a))
-                return inv, np.where(singular, np.inf, cond)
             rdet, inv = 1 / det, np.empty(m.shape, dtype=complex)
             inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0], inv[:, 1, 1] = s * rdet, -q * rdet, -r * rdet, p * rdet
             sq = m.real ** 2 + m.imag ** 2
             cond = (sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1]) / np.abs(det)
-        return inv.reshape(a.shape), np.where(np.isfinite(cond), cond, np.inf).reshape(a.shape[:-2])
-    singular = np.zeros(a.shape[:-2], dtype=bool)
+        return inv.reshape(a.shape), np.where(np.isfinite(rdet), cond, np.inf).reshape(a.shape[:-2])
     try:
-        inv = np.linalg.solve(a, eye)
+        inv = np.linalg.inv(a)
+        singular = False
     except np.linalg.LinAlgError:
         singular = np.linalg.slogdet(a)[0] == 0
-        a = np.where(singular[..., None, None], eye, a)
-        inv = np.linalg.solve(a, eye)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
-    return inv, np.where(np.isfinite(cond) & ~singular, cond, np.inf)
+        inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(a.shape[-1]), a))
+    with np.errstate(all="ignore"):  # each factor is the expression np.linalg.norm(x, axis=(-2, -1)) evaluates
+        fro_a, fro_inv = (np.sqrt(np.add.reduce((x.conj() * x).real, axis=(-2, -1))) for x in (a, inv))
+        cond = fro_a * fro_inv
+    return inv, np.where(singular, np.inf, cond)
+
+
+def _term_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of ``x`` over a short ``axis`` by whole slices from the left, where numpy runs one tiny loop per row.
+
+    The order is numpy's too, except along a last axis of 8 or more terms, which numpy regroups.
+    """
+    terms = np.moveaxis(x, axis, 0)
+    return sum(terms[1:], terms[0])
+
+
+def _rescaled(a: np.ndarray, items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a[items]``, each shifted by the power of two that brings its largest entry to [1/2, 1), and the shifts."""
+    m = a[items]
+    shift = -np.frexp(abs(m).max(axis=(-2, -1)))[1]
+    return _ldexp(m, shift), shift
+
+
+def _ldexp(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Stacked complex matrices times ``2**shift``, one power per item, exactly unless a value leaves float range."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(x).view(float), shift[:, None, None]).view(complex)
 
 
 def condition_estimate(a) -> float:

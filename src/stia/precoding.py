@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import CONDITION_LIMIT, _guarded_solve
+from .numerics import CONDITION_LIMIT, _guarded_solve, _ldexp, _rescaled, _term_sum
 from .numerics import solve_right  # noqa: F401  (a lookup site perfbench's tracer wraps)
 
 __all__ = [
@@ -54,28 +54,28 @@ def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     if current.shape[-2] == 3:  # entry by entry over the flattened stack, as _guarded_solve's 2x2 case
         cur = current.reshape(-1, 3, 2)
         inv, cond_ref = _guarded_solve(cur[:, :2])
-        (i00, i01), (i10, i11) = np.moveaxis(inv, 0, -1)
+        (i00, i01), (i10, i11) = inv.transpose(1, 2, 0)
         x0, x1 = cur[:, 2].T
-        sq = cur.real ** 2 + cur.imag ** 2
-        r1, r2, r3 = (sq[..., 0] + sq[..., 1]).T
-        c1, c2 = x0 * i00 + x1 * i10, x0 * i01 + x1 * i11
+        z, cond = np.empty(cur.shape[:2], dtype=complex), np.empty(cur.shape[:2])
+        z[:, 0], z[:, 1], z[:, 2], cond[:, 2] = x0 * i00 + x1 * i10, x0 * i01 + x1 * i11, -1.0, cond_ref
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sq = cur.real ** 2 + cur.imag ** 2
+            r1, r2, r3 = (sq[..., 0] + sq[..., 1]).T
             scale, total = cond_ref / (r1 + r2), r1 + r2 + r3
-            cond = np.stack([(total - r1) * scale / np.abs(c1), (total - r2) * scale / np.abs(c2), cond_ref], -1)
-        z, cond = np.stack([c1, c2, np.full_like(c1, -1.0)], axis=-1), np.where(np.isfinite(cond), cond, np.inf)
-        shape = current.shape[:-1]
+            cond[:, 0], cond[:, 1] = (total - r1) * scale / np.abs(z[:, 0]), (total - r2) * scale / np.abs(z[:, 1])
+        shape, cond = current.shape[:-1], np.where(np.isfinite(cond), cond, np.inf)
         return z.reshape(shape), cond.reshape(shape), inv.reshape(shape[:-1] + (2, 2))
     inv, cond_ref = _guarded_solve(current[..., :-1, :])
-    c = np.einsum("...i,...ij->...j", current[..., -1, :], inv)
-    rows = np.sum(np.abs(current) ** 2, axis=-1)
+    z, cond = np.empty(current.shape[:-1], dtype=complex), np.empty(current.shape[:-1])
+    z[..., :-1], z[..., -1], cond[..., -1] = np.einsum("...i,...ij->...j", current[..., -1, :], inv), -1.0, cond_ref
+    c = z[..., :-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = (abs(current) ** 2).sum(axis=-1)
         w = (c[..., None, :] - np.eye(c.shape[-1])) / c[..., :, None]  # row k: (c - e_k) / c_k
-        inv_fro = [np.sum(np.abs(inv - inv[..., :, k, None] * w[..., k, None, :]) ** 2, axis=(-2, -1))
-                   for k in range(c.shape[-1])]
-        cond = np.sqrt((rows.sum(axis=-1, keepdims=True) - rows[..., :-1]) * np.stack(inv_fro, axis=-1))
-    cond = np.where(np.isfinite(cond) & np.isfinite(cond_ref)[..., None], cond, np.inf)
-    z = np.concatenate([c, np.full(c[..., :1].shape, -1.0)], axis=-1)
-    return z, np.concatenate([cond, cond_ref[..., None]], axis=-1), inv
+        for k in range(c.shape[-1]):
+            cond[..., k] = (abs(inv - inv[..., :, k, None] * w[..., k, None, :]) ** 2).sum(axis=(-2, -1))
+        cond[..., :-1] = np.sqrt((rows.sum(axis=-1, keepdims=True) - rows[..., :-1]) * cond[..., :-1])
+    return z, np.where(np.isfinite(cond) & np.isfinite(cond_ref)[..., None], cond, np.inf), inv
 
 
 def _stia_precoders(inv: np.ndarray, z: np.ndarray, outdated: np.ndarray) -> np.ndarray:
@@ -94,11 +94,22 @@ def _stia_precoders(inv: np.ndarray, z: np.ndarray, outdated: np.ndarray) -> np.
 
 
 def _accepted_null_vectors(current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_interferer_guard`'s ``z`` and ``A^-1``; raises IllConditionedChannelError past the limit."""
+    """:func:`_interferer_guard`'s ``z`` and ``A^-1``; raises IllConditionedChannelError past the limit.
+
+    A slot whose guard values leave float range is guarded again after a power-of-two shift, as in
+    :func:`_guarded_solve`: ``z`` and ``kappa_F`` do not depend on the scale, and ``A^-1`` is shifted
+    back; a slot whose ``A^-1`` is then past float range is refused.
+    """
     z, cond, inv = _interferer_guard(current)
-    worst = cond.reshape(-1, current.shape[-2]).max(axis=0)
-    if worst.max() > CONDITION_LIMIT:
-        raise IllConditionedChannelError(int(np.argmax(worst > CONDITION_LIMIT)) + 1, worst.max())
+    if not cond.max() <= CONDITION_LIMIT:
+        redo = ~np.isfinite(cond).all(axis=-1)
+        scaled, shift = _rescaled(current, redo)
+        z[redo], sub_cond, sub_inv = _interferer_guard(scaled)
+        inv[redo] = sub_inv = _ldexp(sub_inv, shift)
+        cond[redo] = np.where(np.isfinite(sub_inv).all(axis=(-2, -1))[:, None], sub_cond, np.inf)
+        worst = cond.reshape(-1, current.shape[-2]).max(axis=0)
+        if worst.max() > CONDITION_LIMIT:
+            raise IllConditionedChannelError(int(np.argmax(worst > CONDITION_LIMIT)) + 1, worst.max())
     return z, inv
 
 
@@ -134,5 +145,5 @@ def build_stia_precoders(current, outdated) -> np.ndarray:
 def _zf_gains(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ZF gains ``1 / ||column i of h^-1||^2`` of stacked served channels, ``h^-1`` and its guard value."""
     inv, cond = _guarded_solve(h)
-    return 1.0 / np.sum(np.abs(inv) ** 2, axis=-2), inv, cond
+    return 1.0 / _term_sum(abs(inv) ** 2, -2), inv, cond
 

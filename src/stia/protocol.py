@@ -81,9 +81,10 @@ class SymbolBlock:
         if k < 2 or users != list(range(1, k + 1)):
             raise ValueError("per_user must map users 1..K")
         self.per_user = {u: np.asarray(self.per_user[u], dtype=complex).reshape(-1) for u in users}
-        for u, vec in self.per_user.items():
-            if vec.shape != (k - 1,) or not np.isfinite(vec).all():
-                raise ValueError(f"user {u}: expected {k - 1} finite symbols, got {vec}")
+        vecs = self.per_user.values()
+        if not (all(len(vec) == k - 1 for vec in vecs) and np.isfinite(np.concatenate(list(vecs))).all()):
+            u, vec = next((u, v) for u, v in self.per_user.items() if len(v) != k - 1 or not np.isfinite(v).all())
+            raise ValueError(f"user {u}: expected {k - 1} finite symbols, got {vec}")
 
     @property
     def K(self) -> int:
@@ -100,7 +101,7 @@ class SymbolBlock:
 
     def stacked(self) -> np.ndarray:
         """(K, K-1) array with user k on row k-1."""
-        return np.stack([self.per_user[u] for u in sorted(self.per_user)])
+        return np.array([self.per_user[u] for u in sorted(self.per_user)])
 
 
 @dataclass
@@ -136,8 +137,13 @@ def decode_round(eff, differences) -> np.ndarray:
             or not (np.isfinite(mat).all() and np.isfinite(d).all())):
         raise ValueError(f"the effective channels must be square (..., n, n) with n >= 1 and the differences "
                          f"(..., n), both finite; got shapes {mat.shape} and {d.shape}")
-    decoded, cond = _decode(mat, d)
-    if not np.all(cond <= CONDITION_LIMIT):
+    return _decode_accepted(mat, d)
+
+
+def _decode_accepted(heff: np.ndarray, diffs: np.ndarray) -> np.ndarray:
+    """:func:`_decode`'s symbols; raises :class:`DecodeFailureError` past :data:`~stia.numerics.CONDITION_LIMIT`."""
+    decoded, cond = _decode(heff, diffs)
+    if not (cond <= CONDITION_LIMIT).all():
         raise DecodeFailureError(cond.max())
     return decoded
 
@@ -189,28 +195,29 @@ def run_stia_round(
     """
     ch = np.asarray(channels, dtype=complex)
     K = symbols.K
-    if ch.shape != (K, K, K - 1) or not np.all(np.isfinite(ch)):
+    if ch.shape != (K, K, K - 1) or not np.isfinite(ch).all():
         raise ValueError(f"expected finite channels of shape {(K, K, K - 1)}, got shape {ch.shape}")
     if not (_is_real(noise_std) and 0 <= noise_std < np.inf):
         raise ValueError(f"noise_std must be a finite non-negative real number, got {noise_std!r}")
     if noise_std and rng is None:
         raise ValueError("an rng is required when noise_std > 0")
-    if snr_linear is not None:
-        _require_positive("snr_linear", snr_linear)
+    for name, value in (("power", power), ("snr_linear", snr_linear)):
+        if value is not None:
+            _require_positive(name, value)
 
     ch, sent = ch[None], symbols.stacked()[None]
     z, inv = _accepted_null_vectors(ch[:, 1:])
     noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
     v, diffs, heff = _send(ch, z, inv, ch[:, :1], sent, power, noise)
-    decoded = decode_round(heff[0], diffs[0])
+    decoded = _decode_accepted(heff[0], diffs[0])
     residual = _leakage(ch, v, diffs, sent)[0]
     users = range(1, K + 1)
     bits = None if snr_linear is None else _round_bits(heff[0], snr_linear) / K
     return StiaRoundResult(
-        decoded=SymbolBlock({k: decoded[k - 1] for k in users}),
-        residual_interference={k: float(residual[k - 1]) for k in users},
-        per_user_rate_bits=None if bits is None else {k: float(bits[k - 1]) for k in users},
-        effective_channels={k: heff[0, k - 1] for k in users},
+        decoded=SymbolBlock(dict(zip(users, decoded))),
+        residual_interference=dict(zip(users, residual.tolist())),
+        per_user_rate_bits=None if bits is None else dict(zip(users, bits.tolist())),
+        effective_channels=dict(zip(users, heff[0])),
     )
 
 
@@ -280,9 +287,9 @@ def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
     count, n_pre, K = v.shape[:3]
     if power is None:
         return np.ones((count, n_pre + 1))
-    _require_positive("power", power)
-    fro = np.sum(np.abs(v) ** 2, axis=(2, 3, 4))
-    return np.sqrt(power / np.concatenate([np.full((count, 1), K * (K - 1.0)), fro], axis=1))
+    fro = np.empty((count, n_pre + 1))
+    fro[:, 0], fro[:, 1:] = K * (K - 1.0), (abs(v) ** 2).sum(axis=(2, 3, 4))
+    return np.sqrt(power / fro)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -292,9 +299,10 @@ def _require_positive(name: str, value: float) -> None:
 
 def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Scaled transmit vectors (count, K, K-1): all symbols summed, then ``sum_k V_k s_k``."""
-    x0 = symbols.sum(axis=1)
-    xm = np.einsum("cmkab,ckb->cma", v, symbols)
-    return np.concatenate([x0[:, None], xm], axis=1) * scales[..., None]
+    x = np.empty(scales.shape + symbols.shape[-1:], dtype=complex)
+    x[:, 0], x[:, 1:] = symbols.sum(axis=1), np.einsum("cmkab,ckb->cma", v, symbols)
+    x *= scales[..., None]
+    return x
 
 
 def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -308,8 +316,8 @@ def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, np.
     y = np.einsum("cmki,cmi->cmk", ch, _transmit(v, symbols, scales))
     if noise is not None:
         y = y + noise
-    y = y / scales[..., None]
-    return v, np.moveaxis(y[:, :1] - y[:, 1:], 1, 2), batch_effective_channels(ch, z)
+    y /= scales[..., None]
+    return v, (y[:, :1] - y[:, 1:]).transpose(0, 2, 1), batch_effective_channels(ch, z)
 
 
 def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> np.ndarray:
@@ -328,7 +336,7 @@ def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> 
             heff[m, a] = mixed[:, None] / z[:, m]
         return heff.transpose(2, 3, 0, 1)
     mixed = np.einsum("cmk,cka->cma", null_vectors, channels[:, 0])
-    return mixed[:, None] / np.moveaxis(null_vectors, 1, 2)[..., None]
+    return mixed[:, None] / null_vectors.transpose(0, 2, 1)[..., None]
 
 
 def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -337,7 +345,7 @@ def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarr
     own = np.einsum("cka,cka->ck", ch[:, 0], symbols)[..., None] - np.einsum("cmka,cmka->ckm", ch[:, 1:], vs)
     leak = np.abs(diffs - own).max(axis=2)
     cross = np.abs(np.einsum("cki,cji->ckj", ch[:, 0], symbols))
-    scale = cross.sum(axis=2) - np.diagonal(cross, axis1=1, axis2=2)
+    scale = cross.sum(axis=2) - cross.diagonal(axis1=1, axis2=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = leak / scale
     return np.where(scale > 0.0, rel, np.where(leak < 1e-12, 0.0, np.inf))
@@ -354,31 +362,38 @@ def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
     in its order; their logs are summed, so no product of two pivots can leave float range.
     """
     K = heff.shape[-1] + 1
-    cov = difference_noise_covariance(K)
+    cov = _noise_covariance(K)
     p = np.asarray(snr, dtype=float) / (K * (K - 1))
+    bits = []
     if K == 3:  # over the flattened stack, as _guarded_solve's 2x2 case
-        (h00, h01), (h10, h11) = h = np.moveaxis(heff.reshape(-1, 2, 2), 0, -1)
+        (h00, h01), (h10, h11) = h = heff.reshape(-1, 2, 2).transpose(1, 2, 0)
         sq = h.real ** 2 + h.imag ** 2
         g00, g11, g01 = sq[0, 0] + sq[0, 1], sq[1, 0] + sq[1, 1], h10.conj() * h00 + h11.conj() * h01
-        bits = []
         for q in p.ravel():  # _log2det's pivots: d0, then d1 = a11 - conj(w) (w / d0) for w = a01
             d0 = cov[0, 0] + q * g00
             wr, wi = cov[0, 1] + q * g01.real, q * g01.imag
             d1 = cov[1, 1] + q * g11 - (wr * (wr / d0) + wi * (wi / d0))
-            if not (np.all(d0 > 0) and np.all(d1 > 0)):
+            if not ((d0 > 0).all() and (d1 > 0).all()):
                 raise ValueError("matrix is not positive definite")
             bits.append(np.log2(d0) + np.log2(d1))
-        bits = np.stack(bits)
     else:
         gram = np.einsum("...aj,...bj->...ab", heff, heff.conj())
-        bits = np.stack([_log2det(cov + q * gram) for q in p.ravel()])
-    return bits.reshape(p.shape + heff.shape[:-2]) - _noise_bits(K)
+        bits = [_log2det(cov + q * gram) for q in p.ravel()]
+    return np.array(bits).reshape(p.shape + heff.shape[:-2]) - _noise_bits(K)
+
+
+@functools.cache
+def _noise_covariance(K: int) -> np.ndarray:
+    """:func:`difference_noise_covariance`, read-only, cached per user count."""
+    cov = difference_noise_covariance(K)
+    cov.flags.writeable = False
+    return cov
 
 
 @functools.cache
 def _noise_bits(K: int) -> float:
     """``log2 det C`` of :func:`difference_noise_covariance`, a constant per user count."""
-    return float(_log2det(difference_noise_covariance(K)))
+    return float(_log2det(_noise_covariance(K)))
 
 
 def _log2det(a) -> np.ndarray:
@@ -386,11 +401,11 @@ def _log2det(a) -> np.ndarray:
 
     Matrix axes go first, so each column step runs on contiguous vectors. A non-positive pivot raises.
     """
-    a = np.array(np.moveaxis(a, (-2, -1), (0, 1)), dtype=complex, order="C")
+    a = np.array(a.transpose((a.ndim - 2, a.ndim - 1, *range(a.ndim - 2))), dtype=complex, order="C")
     bits = np.zeros(a.shape[2:])
     for j in range(a.shape[0]):
         d = a[j, j].real
-        if not np.all(d > 0):
+        if not (d > 0).all():
             raise ValueError("matrix is not positive definite")
         a[j + 1:, j + 1:] -= a[j + 1:, j, None] * (a[j, j + 1:] / d)
         bits += np.log2(d)

@@ -1,7 +1,11 @@
 """Tests for the dense complex kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stia.numerics import (
     SingularMatrixError,
@@ -120,3 +124,44 @@ def test_guard_singular_item_gives_inf_without_raising():
     assert np.all(np.isfinite(cond[[0, 1, 3]]))
     for c in (0, 1, 3):
         np.testing.assert_array_equal(inv[c], np.linalg.solve(a[c], np.eye(3)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lapack_inverse_is_the_solve_of_the_identity_bit_for_bit(n):
+    # The guard takes np.linalg.inv for n >= 3; the byte pins were recorded with solve(A, I).
+    a = _cn(np.random.default_rng(30 + n), (2000, n, n))
+    np.testing.assert_array_equal(np.linalg.inv(a), np.linalg.solve(a, np.broadcast_to(np.eye(n), a.shape)))
+
+
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-300.0, 300.0))
+def test_guard_value_and_inverse_do_not_depend_on_scale(n, seed, exponent):
+    # Past about 1e+-154 a 2x2 stack's products, and past 1e+-170 a larger stack's norms, leave
+    # float range; those items are solved again after a power-of-two shift, with no warning.
+    a = _cn(np.random.default_rng(seed), (n, n))
+    scale = 10.0 ** exponent
+    ref_inv, ref_cond = _guarded_solve(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, cond = _guarded_solve(a * scale)
+    # Rounding a * scale moves each entry by eps relatively: kappa_F and A^-1 move by about n kappa_F eps.
+    tol = 8 * n * ref_cond * np.finfo(float).eps
+    assert abs(cond / ref_cond - 1) <= tol
+    assert np.linalg.norm(inv * scale - ref_inv) <= tol * np.linalg.norm(ref_inv)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_guard_keeps_every_bit_of_a_normal_range_stack_under_a_power_of_two(n):
+    a = _cn(np.random.default_rng(40 + n), (200, n, n))
+    ref_inv, ref_cond = _guarded_solve(a)
+    for k in (-1000, -600, -40, 40, 600, 1000):
+        inv, cond = _guarded_solve(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k))
+        np.testing.assert_array_equal(cond, ref_cond)
+        np.testing.assert_array_equal(np.ldexp(inv.real, k) + 1j * np.ldexp(inv.imag, k), ref_inv)
+
+
+def test_guard_singular_items_stay_singular_at_every_scale():
+    # A subnormal stack's inverse is past float range at any shift, so it is refused like a singular one.
+    for a in (np.zeros((2, 2)), np.ones((2, 2)), np.ones((3, 3)), np.diag([1e-200, 1e200]), np.diag([1e-320] * 3)):
+        inv, cond = _guarded_solve(a.astype(complex))
+        assert cond == np.inf
+        np.testing.assert_array_equal(inv, np.eye(len(a)))

@@ -1,5 +1,7 @@
 """Tests for the precoder constructions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,22 @@ def test_alignment_exactness_sweep(K):
     idx = np.arange(K)
     rel[:, :, idx, idx] = 0.0
     assert float(rel.max()) <= 1e-9
+
+
+@pytest.mark.parametrize("K", [3, 4, 5])
+def test_precoders_do_not_depend_on_the_channel_scale(K):
+    # Past about 1e+-154 the guard values leave float range; the slot is guarded again after a
+    # power-of-two shift, so no warning is raised and the precoders do not change.
+    rng = np.random.default_rng(70 + K)
+    cur, out = complex_normal(rng, (K - 1, K, K - 1)), complex_normal(rng, (K, K - 1))
+    ref = build_stia_precoders(cur, out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-170, 1e170, 1e300):
+            v = build_stia_precoders(cur * scale, out * scale)
+            assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+        with pytest.raises(IllConditionedChannelError):  # a subnormal stack's A^-1 is past float range
+            build_stia_precoders(cur * 1e-320, out * 1e-320)
 
 
 def test_ill_conditioned_raises_and_carries_condition():

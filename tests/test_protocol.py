@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stia import analysis, protocol, verify
+from stia import analysis, precoding, protocol, verify
 from stia.channel import complex_normal
 from stia.numerics import CONDITION_LIMIT
 from stia.precoding import (
@@ -301,8 +301,59 @@ def test_decoding_and_rank_take_no_svd_and_k3_takes_no_lapack_solve(monkeypatch)
     for K in (3, 4, 5, 6):
         verify.round_sweep(K, 50, 0)
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
     run_stia_round(*_round(3, 25))
     verify.round_sweep(3, 50, 0)
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_a_round_decodes_at_any_channel_scale(K):
+    # Guard and decode shift a stack whose values leave float range by a power of two and solve it again.
+    ch, sb = _round(K, 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-170, 1e170, 1e300):
+            res = run_stia_round(ch * scale, sb, power=10.0)
+            assert np.max(np.abs(res.decoded.stacked() - sb.stacked())) <= 1e-12 * np.max(np.abs(sb.stacked()))
+        np.testing.assert_allclose(decode_round(np.diag([1e300, 1e300]), np.ones(2)), [1e-300, 1e-300], rtol=1e-15)
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_a_round_is_the_batch_kernels_on_a_batch_of_one(K, monkeypatch):
+    # run_stia_round gives each round of a batch what the batched kernels give it, bit for bit,
+    # from two guarded solves (the slots' guard and the decode) and, at K=3, no LAPACK inverse.
+    rng = np.random.default_rng(80 + K)
+    ch, z, _, _ = batch_rounds(K, 50, rng)
+    sent = complex_normal(rng, (50, K, K - 1))
+    power, snr = 10.0, 1e3
+    v, diffs, heff = protocol._send(ch, z, _interferer_guard(ch[:, 1:])[2], ch[:, :1], sent, power, None)
+    decoded = protocol._decode(heff, diffs)[0]
+    residual = protocol._leakage(ch, v, diffs, sent)
+    bits = protocol._round_bits(heff, snr) / K
+
+    calls = []
+    real = protocol._guarded_solve
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv was called at K=3")
+
+    monkeypatch.setattr(precoding, "_guarded_solve", counted)
+    monkeypatch.setattr(protocol, "_guarded_solve", counted)
+    if K == 3:
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+    users = range(1, K + 1)
+    for i in range(50):
+        calls.clear()
+        res = run_stia_round(ch[i], SymbolBlock(dict(zip(users, sent[i]))), power=power, snr_linear=snr)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(res.decoded.stacked(), decoded[i])
+        np.testing.assert_array_equal(np.stack([res.effective_channels[k] for k in users]), heff[i])
+        assert [res.residual_interference[k] for k in users] == residual[i].tolist()
+        assert [res.per_user_rate_bits[k] for k in users] == bits[i].tolist()
 
 
 @pytest.mark.parametrize("K", [3, 5])

@@ -21,10 +21,11 @@ K = 3
 
 # channels for the three round slots: axis 0 slot (broadcast first), axis 1 user
 channels = draw_round_channels(K, 1, rng)[0]
-symbols = SymbolBlock.random(K, rng)
+symbols = SymbolBlock.random(K, rng)  # a (K, K-1) array: user k's symbols on row k-1
+sent = symbols.stacked()
 print("transmitted symbols per user:")
-for k in sorted(symbols.per_user):
-    print(f"  user {k}: {np.round(symbols.per_user[k], 3)}")
+for k, row in enumerate(sent, start=1):
+    print(f"  user {k}: {np.round(row, 3)}")
 
 # the precoder of user 1 at a precoded slot maps the CURRENT channels of
 # users 2 and 3 onto their REFERENCE-slot channels; row k-1 is user k's
@@ -42,17 +43,15 @@ for k, res in result.residual_interference.items():
     print(f"  user {k}: {res:.2e}")
 
 print("\ndecoding error per user:")
-for k in sorted(result.decoded.per_user):
-    err = np.max(np.abs(result.decoded.per_user[k] - symbols.per_user[k]))
+for k, err in enumerate(np.max(np.abs(result.decoded.stacked() - sent), axis=1), start=1):
     print(f"  user {k}: {err:.2e}")
 
-n_symbols = sum(len(v) for v in result.decoded.per_user.values())
+n_symbols = result.decoded.stacked().size
 print(f"\n{n_symbols} symbols over {K} slots = {n_symbols / K:.2f} symbols/slot")
 
 # same round again, now with a finite power budget and receiver noise
 noisy = run_stia_round(channels, symbols, power=1e6, noise_std=1.0, rng=rng, snr_linear=1e6)
 print("\nwith power 60 dB above the noise floor:")
-for k in sorted(noisy.decoded.per_user):
-    err = np.max(np.abs(noisy.decoded.per_user[k] - symbols.per_user[k]))
+for k, err in enumerate(np.max(np.abs(noisy.decoded.stacked() - sent), axis=1), start=1):
     rate = noisy.per_user_rate_bits[k]
     print(f"  user {k}: decode error {err:.1e}, rate {rate:.2f} bits/slot")

@@ -51,7 +51,6 @@ from .protocol import (
     SymbolBlock,
     decode_round,
     draw_round_channels,
-    round_rate,
     run_stia_round,
 )
 from .scheduler import (
@@ -93,7 +92,6 @@ __all__ = [
     "emit_tradeoff_table",
     "estimate_dof_slope",
     "fit_dof_slope",
-    "round_rate",
     "run_stia_round",
     "solve_right",
     "tradeoff_k3",

@@ -30,7 +30,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "DelayConfig",
     "block_of_slot",
-    "block_start",
     "coherence_time_estimate",
     "complex_normal",
     "feedback_arrival_slot",
@@ -40,7 +39,7 @@ __all__ = [
 SPEED_OF_LIGHT = 2.998e8  # m/s
 
 
-def complex_normal(rng: np.random.Generator, shape=()) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0,1) draws: real and imaginary parts each N(0, 1/2)."""
     out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(shape)
@@ -81,11 +80,6 @@ def _blind_slots(t_c: int, t_fb: int, horizon: int) -> frozenset[int]:
 def block_of_slot(slot: int, t_c: int) -> int:
     """Index of the coherence block containing a slot (both 1-based)."""
     return _block(_require_count("slot", slot, 1), _require_count("t_c", t_c, 1))
-
-
-def block_start(block_index: int, t_c: int) -> int:
-    """First slot of a coherence block."""
-    return _arrival(_require_count("block_index", block_index, 1), _require_count("t_c", t_c, 1), 0)
 
 
 def feedback_arrival_slot(block_index: int, t_c: int, t_fb: int) -> int:

@@ -44,9 +44,7 @@ __all__ = [
     "batch_effective_channels",
     "batch_rounds",
     "decode_round",
-    "difference_noise_covariance",
     "draw_round_channels",
-    "round_rate",
     "run_stia_round",
 ]
 
@@ -71,37 +69,31 @@ class DecodeFailureError(Exception):
 
 @dataclass
 class SymbolBlock:
-    """K-1 data symbols per user for one round, keyed by user index."""
+    """K-1 data symbols per user for one round: a (K, K-1) complex array, read-only, with user k on row k-1."""
 
-    per_user: dict[int, np.ndarray]
+    symbols: np.ndarray
 
     def __post_init__(self):
-        users = sorted(self.per_user)
-        k = len(users)
-        if k < 2 or users != list(range(1, k + 1)):
-            raise ValueError("per_user must map users 1..K")
-        self.per_user = {u: np.asarray(self.per_user[u], dtype=complex).reshape(-1) for u in users}
-        vecs = self.per_user.values()
-        if not (all(len(vec) == k - 1 for vec in vecs) and np.isfinite(np.concatenate(list(vecs))).all()):
-            u, vec = next((u, v) for u, v in self.per_user.items() if len(v) != k - 1 or not np.isfinite(v).all())
-            raise ValueError(f"user {u}: expected {k - 1} finite symbols, got {vec}")
+        s = self.symbols = np.array(self.symbols, dtype=complex)
+        if not (s.ndim == 2 and s.shape[0] - 1 == s.shape[1] >= 1):
+            raise ValueError(f"symbols must be a (K, K-1) array with K >= 2, got shape {s.shape}")
+        bad = np.flatnonzero(~np.isfinite(s).all(axis=1))
+        if bad.size:
+            raise ValueError(f"user {bad[0] + 1}: expected {len(s) - 1} finite symbols, got {s[bad[0]]}")
+        s.flags.writeable = False
 
     @property
     def K(self) -> int:
-        return len(self.per_user)
-
-    @classmethod
-    def zeros(cls, K: int) -> "SymbolBlock":
-        return cls({k: np.zeros(K - 1, dtype=complex) for k in range(1, K + 1)})
+        return len(self.symbols)
 
     @classmethod
     def random(cls, K: int, rng: np.random.Generator) -> "SymbolBlock":
         """Independent unit-variance CN(0,1) symbols for every user."""
-        return cls({k: complex_normal(rng, K - 1) for k in range(1, K + 1)})
+        return cls([complex_normal(rng, K - 1) for _ in range(K)])
 
     def stacked(self) -> np.ndarray:
-        """(K, K-1) array with user k on row k-1."""
-        return np.array([self.per_user[u] for u in sorted(self.per_user)])
+        """The (K, K-1) symbol array, user k on row k-1."""
+        return self.symbols
 
 
 @dataclass
@@ -112,16 +104,6 @@ class StiaRoundResult:
     residual_interference: dict[int, float]
     per_user_rate_bits: dict[int, float] | None
     effective_channels: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def difference_noise_covariance(K: int) -> np.ndarray:
-    """Covariance of the K-1 differenced noises at unit noise variance.
-
-    The broadcast-slot noise is common to every difference, giving 2 on
-    the diagonal and 1 off it.
-    """
-    m = K - 1
-    return np.eye(m) + np.ones((m, m))
 
 
 def decode_round(eff, differences) -> np.ndarray:
@@ -154,16 +136,6 @@ def _decode(heff: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (inv @ diffs[..., None])[..., 0], cond
 
 
-def round_rate(eff, snr_linear: float, K: int) -> float:
-    """Per-user achievable bits per slot of one round: :func:`_round_bits` of a batch of one over K slots."""
-    K = _require_count("K", K, 2)
-    _require_positive("snr_linear", snr_linear)
-    h = np.asarray(eff, dtype=complex)
-    if h.shape != (K - 1, K - 1) or not np.isfinite(h).all():
-        raise ValueError(f"expected a finite effective channel of shape {(K - 1, K - 1)}, got shape {h.shape}")
-    return float(_round_bits(h, snr_linear) / K)
-
-
 def run_stia_round(
     channels,
     symbols: SymbolBlock,
@@ -187,11 +159,12 @@ def run_stia_round(
         Receiver noise standard deviation; 0 selects the noise-free oracle
         path.
     snr_linear : float, optional
-        When given, per-user round rates are computed alongside decoding.
+        When given, per-user round rates (bits per slot) are computed alongside decoding.
 
     Raises :class:`IllConditionedChannelError` if a stacked interferer
-    matrix is singular to tolerance (callers resample the draw) and
-    :class:`DecodeFailureError` if an effective channel fails the condition guard.
+    matrix is singular to tolerance (callers resample the draw),
+    :class:`DecodeFailureError` if an effective channel fails the condition guard
+    and ``ValueError`` if pricing would take a Gram ``H H^H`` past float range.
     """
     ch = np.asarray(channels, dtype=complex)
     K = symbols.K
@@ -208,13 +181,16 @@ def run_stia_round(
     ch, sent = ch[None], symbols.stacked()[None]
     z, inv = _accepted_null_vectors(ch[:, 1:])
     noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
-    v, diffs, heff = _send(ch, z, inv, ch[:, :1], sent, power, noise)
+    _, vs, diffs, heff = _send(ch, z, inv, ch[:, :1], sent, power, noise)
     decoded = _decode_accepted(heff[0], diffs[0])
-    residual = _leakage(ch, v, diffs, sent)[0]
+    residual = _leakage(ch, vs, diffs, sent)[0]
     users = range(1, K + 1)
+    top = float(np.abs(heff).max())  # a Gram entry is at most (K-1) top^2, and (snr/K) top^2 once scaled
+    if snr_linear is not None and not max(K - 1.0, snr_linear / K) * top * top < np.inf:
+        raise ValueError(f"pricing needs the effective channels' Gram inside float range; largest entry {top:.3e}")
     bits = None if snr_linear is None else _round_bits(heff[0], snr_linear) / K
     return StiaRoundResult(
-        decoded=SymbolBlock(dict(zip(users, decoded))),
+        decoded=SymbolBlock(decoded),
         residual_interference=dict(zip(users, residual.tolist())),
         per_user_rate_bits=None if bits is None else dict(zip(users, bits.tolist())),
         effective_channels=dict(zip(users, heff[0])),
@@ -297,27 +273,29 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
 
 
-def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Scaled transmit vectors (count, K, K-1): all symbols summed, then ``sum_k V_k s_k``."""
+def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``V_k s_k`` per slot and user, and scaled transmit vectors: all symbols summed, then ``sum_k V_k s_k``."""
+    vs = np.einsum("cmkab,ckb->cmka", v, symbols)
     x = np.empty(scales.shape + symbols.shape[-1:], dtype=complex)
-    x[:, 0], x[:, 1:] = symbols.sum(axis=1), np.einsum("cmkab,ckb->cma", v, symbols)
+    x[:, 0], x[:, 1:] = symbols.sum(axis=1), vs.sum(axis=2)
     x *= scales[..., None]
-    return x
+    return vs, x
 
 
-def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precoders, differences ``y[broadcast] - y[m]`` (count, K, K-1) and effective channels of rounds ``ch``.
+def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, ...]:
+    """Precoders, every ``V_k s_k``, differences ``y[broadcast] - y[m]`` (count, K, K-1) and effective channels.
 
     Precoders align to ``reference`` from each slot's guard ``z`` and ``A^-1``; slots are scaled to ``power``
     (None: unscaled), received with ``noise`` (count, K, K) or none, and unscaled; differences are user-major.
     """
     v = _stia_precoders(inv, z, reference)
     scales = _slot_scales(v, power)
-    y = np.einsum("cmki,cmi->cmk", ch, _transmit(v, symbols, scales))
+    vs, x = _transmit(v, symbols, scales)
+    y = np.einsum("cmki,cmi->cmk", ch, x)
     if noise is not None:
         y = y + noise
     y /= scales[..., None]
-    return v, (y[:, :1] - y[:, 1:]).transpose(0, 2, 1), batch_effective_channels(ch, z)
+    return v, vs, (y[:, :1] - y[:, 1:]).transpose(0, 2, 1), batch_effective_channels(ch, z)
 
 
 def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> np.ndarray:
@@ -339,9 +317,9 @@ def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> 
     return mixed[:, None] / null_vectors.transpose(0, 2, 1)[..., None]
 
 
-def _leakage(ch: np.ndarray, v: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Worst ``|d - (h_k[ref] - h_k[m] V_k[m]) s_k|`` per round and user over the interference it recorded."""
-    vs = np.einsum("cmkab,ckb->cmka", v, symbols)
+def _leakage(ch: np.ndarray, vs: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Worst ``|d - (h_k[ref] - h_k[m] V_k[m]) s_k|`` per round and user over the interference it recorded;
+    ``vs`` holds every ``V_k[m] s_k`` as :func:`_transmit` formed them."""
     own = np.einsum("cka,cka->ck", ch[:, 0], symbols)[..., None] - np.einsum("cmka,cmka->ckm", ch[:, 1:], vs)
     leak = np.abs(diffs - own).max(axis=2)
     cross = np.abs(np.einsum("cki,cji->ckj", ch[:, 0], symbols))
@@ -355,7 +333,7 @@ def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
     """Bits ``log2 det(C + p H H^H) - log2 det C`` of stacked effective channels H (..., K-1, K-1).
 
     The one pricing call; the axes of ``snr``, a linear SNR or an array of them, lead the result's.
-    C is :func:`difference_noise_covariance` and ``p = snr / (K (K-1))`` the per-symbol power:
+    C is :func:`_noise_covariance` and ``p = snr / (K (K-1))`` the per-symbol power:
     the whitened log-det ``log2 det(I + p C^-1/2 H H^H C^-1/2)`` unwhitened. The Gram is formed
     once and each point takes one log-det of it, so the working set is that of one point. At K=3
     each user's own 2x2 Gram is formed entry by entry and its two pivots are :func:`_log2det`'s,
@@ -384,15 +362,16 @@ def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
 
 @functools.cache
 def _noise_covariance(K: int) -> np.ndarray:
-    """:func:`difference_noise_covariance`, read-only, cached per user count."""
-    cov = difference_noise_covariance(K)
+    """Covariance ``I + 11^T`` of the K-1 differenced noises at unit noise variance, read-only, cached per K:
+    the broadcast-slot noise is common to every difference."""
+    cov = np.eye(K - 1) + 1.0
     cov.flags.writeable = False
     return cov
 
 
 @functools.cache
 def _noise_bits(K: int) -> float:
-    """``log2 det C`` of :func:`difference_noise_covariance`, a constant per user count."""
+    """``log2 det C`` of :func:`_noise_covariance`, a constant per user count."""
     return float(_log2det(_noise_covariance(K)))
 
 

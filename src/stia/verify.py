@@ -78,7 +78,9 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     for sl in protocol._slices(ch):
         c, sent = ch[sl], symbols[sl]
         ref = -c[:, :1] if inject_fault else c[:, :1]
-        v, diffs, heff = protocol._send(c, z[sl], _guarded_solve(c[:, 1:, :-1])[0], ref, sent, None, None)
+        v, vs, diffs, heff = protocol._send(c, z[sl], _guarded_solve(c[:, 1:, :-1])[0], ref, sent, None, None)
+        leakage = np.maximum(leakage, protocol._leakage(c, vs, diffs, sent).max())
+        del vs  # free the slice's V_k s_k before the alignment temporaries
 
         # Coefficient-level alignment, one user k at a time: h_j[m] V_k[m] against h_j[ref] for j != k.
         den = np.max(np.abs(c[:, 0]), axis=-1)[:, None, :]
@@ -87,7 +89,6 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
             got -= c[:, :1, j]  # in place: one fewer temporary of the slice's size
             alignment = max(alignment, float((np.max(np.abs(got), axis=-1) / den[..., j]).max()))
 
-        leakage = np.maximum(leakage, protocol._leakage(c, v, diffs, sent).max())
         decoded, cond_eff = protocol._decode(heff, diffs)
         err = np.max(np.abs(decoded - sent), axis=-1)
         mag = np.max(np.abs(sent), axis=-1)
@@ -158,7 +159,7 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
         v = _stia_precoders(_guarded_solve(ch[sl, 1:, :-1])[0], z[sl], ch[sl, :1])
         scales = protocol._slot_scales(v, power)
         for e in np.eye(K * n_t, dtype=complex):
-            x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (len(v), K, n_t)), scales)
+            x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (len(v), K, n_t)), scales)[1]
             slot_power[sl] += np.sum(np.abs(x) ** 2, axis=-1)
 
     gains, inv, _ = _zf_gains(complex_normal(rng, (trials, n_t, n_t)))

@@ -9,7 +9,6 @@ from stia.analysis import _chunk_rng
 from stia.channel import (
     DelayConfig,
     block_of_slot,
-    block_start,
     coherence_time_estimate,
     complex_normal,
     feedback_arrival_slot,
@@ -87,7 +86,6 @@ def test_helpers_agree():
 
 _PREDICATES = [
     (block_of_slot, ("slot", "t_c")),
-    (block_start, ("block", "t_c")),
     (feedback_arrival_slot, ("block", "t_c", "t_fb")),
     (has_current_csit, ("t_c", "t_fb", "slot")),
 ]

@@ -41,7 +41,6 @@ from stia.protocol import (
     _round_bits,
     batch_effective_channels,
     batch_rounds,
-    difference_noise_covariance,
 )
 
 RTOL = 1e-11
@@ -52,6 +51,11 @@ rounds = st.tuples(
     st.integers(min_value=0, max_value=2**32 - 1),  # seed
     st.integers(min_value=1, max_value=12),  # draws
 )
+
+
+def _cov(K):
+    """The differenced noises' covariance I + 11^T: the broadcast-slot noise is common to all K-1."""
+    return np.eye(K - 1) + np.ones((K - 1, K - 1))
 
 
 def _draw(case):
@@ -167,7 +171,7 @@ def test_log2det_matches_an_exact_log_det(case):
     K, seed, db = case
     ch, z, _, _ = batch_rounds(K, 1, np.random.default_rng(seed))
     h = batch_effective_channels(ch, z)[0]
-    a = difference_noise_covariance(K) + 10.0 ** (db / 10.0) / (K * (K - 1)) * (h @ h.conj().swapaxes(-1, -2))
+    a = _cov(K) + 10.0 ** (db / 10.0) / (K * (K - 1)) * (h @ h.conj().swapaxes(-1, -2))
     a = (a + a.conj().swapaxes(-1, -2)) / 2
     err = np.abs(_log2det(a) - [_exact_log2det(m) for m in a])
     assert np.all(err <= LOG2DET_TOL * np.linalg.cond(a))
@@ -183,7 +187,7 @@ def test_round_bits_match_an_exact_log_det(case):
     snr = 10.0 ** (db / 10.0)
     p = snr / (K * (K - 1))
     bits = _round_bits(h, snr)
-    cov = difference_noise_covariance(K)
+    cov = _cov(K)
     for k, hk in enumerate(h):
         rows = [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in hk]
         gram = [[(sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(ra, rb)),

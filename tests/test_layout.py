@@ -67,7 +67,6 @@ def test_only_numerics_calls_an_svd_or_a_lapack_solve():
 _KNOBS = [
     "analysis.estimate_dof_slope(rounds_per_trial)",
     "analysis.estimate_dof_slope(threads)",
-    "channel.complex_normal(shape)",
     "cli.main(argv)",
     "protocol.run_stia_round(noise_std)",
     "protocol.run_stia_round(power)",

@@ -30,9 +30,7 @@ from stia.protocol import (
     batch_effective_channels,
     batch_rounds,
     decode_round,
-    difference_noise_covariance,
     draw_round_channels,
-    round_rate,
     run_stia_round,
 )
 from stia.scheduler import build_plan_general
@@ -51,22 +49,22 @@ def _round(K, seed):
 def _transmit_one(v, sb, power=None):
     """Kernel transmit stage on one round: (slots, n_t), broadcast slot first."""
     v = np.asarray(v, dtype=complex)[None]
-    return protocol._transmit(v, sb.stacked()[None], protocol._slot_scales(v, power))[0]
+    return protocol._transmit(v, sb.stacked()[None], protocol._slot_scales(v, power))[1][0]
 
 
 def _send_one(ch, symbols):
     """The signal path on one round: precoders and differences indexed [user - 1, precoded slot - 1]."""
     ch = ch[None]
     z, inv = _accepted_null_vectors(ch[:, 1:])
-    v, diffs, _ = protocol._send(ch, z, inv, ch[:, :1], symbols[None], None, None)
+    v, _, diffs, _ = protocol._send(ch, z, inv, ch[:, :1], symbols[None], None, None)
     return v[0], diffs[0]
 
 
 def _reference_differences(ch, v, sb):
     """``y[ref] - y[m]`` for every user by explicit loops over slots and users."""
-    K = sb.K
-    xs = [sum(sb.per_user[k] for k in range(1, K + 1))]
-    xs += [sum(v[m - 1, k - 1] @ sb.per_user[k] for k in range(1, K + 1)) for m in range(1, K)]
+    K, s = sb.K, sb.stacked()
+    xs = [sum(s[k] for k in range(K))]
+    xs += [sum(v[m - 1, k] @ s[k] for k in range(K)) for m in range(1, K)]
     y = [[ch[m, k - 1] @ xs[m] for k in range(1, K + 1)] for m in range(K)]
     return np.array([[y[0][k] - y[m][k] for m in range(1, K)] for k in range(K)])
 
@@ -81,12 +79,12 @@ def _identity_precoders(K, slots):
 
 
 def test_phase_one_zero_symbols():
-    x = _transmit_one(_identity_precoders(3, 2), SymbolBlock.zeros(3))
+    x = _transmit_one(_identity_precoders(3, 2), SymbolBlock(np.zeros((3, 2))))
     np.testing.assert_array_equal(x, np.zeros((3, 2)))
 
 
 def test_phase_one_direct_sum():
-    sb = SymbolBlock({1: [1, 0], 2: [0, 1], 3: [1, 1]})
+    sb = SymbolBlock([[1, 0], [0, 1], [1, 1]])
     np.testing.assert_allclose(_transmit_one(_identity_precoders(3, 2), sb)[0], [2, 2])
 
 
@@ -100,7 +98,7 @@ def test_phase_one_power_audit():
     for i in range(6):
         e = np.zeros(6, dtype=complex)
         e[i] = 1.0
-        x = _transmit_one(v, SymbolBlock({k: e[2 * k - 2 : 2 * k] for k in (1, 2, 3)}), power)
+        x = _transmit_one(v, SymbolBlock(e.reshape(3, 2)), power)
         total += np.sum(np.abs(x) ** 2, axis=1)
     np.testing.assert_allclose(total, power, rtol=1e-12)
 
@@ -117,10 +115,10 @@ def test_phase_two_linearity_single_user():
     cur = complex_normal(rng, (3, 2))
     out = complex_normal(rng, (3, 2))
     v = build_stia_precoders(cur, out)
-    sb = SymbolBlock.zeros(3)
-    sb.per_user[1] = complex_normal(rng, 2)
-    x = _transmit_one(v[None], sb)
-    np.testing.assert_allclose(x[1], v[0] @ sb.per_user[1], atol=1e-12)
+    s = np.zeros((3, 2), dtype=complex)
+    s[0] = complex_normal(rng, 2)
+    x = _transmit_one(v[None], SymbolBlock(s))
+    np.testing.assert_allclose(x[1], v[0] @ s[0], atol=1e-12)
 
 
 def test_phase_two_interference_matches_reference_slot():
@@ -132,8 +130,9 @@ def test_phase_two_interference_matches_reference_slot():
     v = build_stia_precoders(cur, ref)
     sb = _symbols(3, rng)
     y2 = cur[1] @ _transmit_one(v[None], sb)[1]
-    own = (cur[1] @ v[1]) @ sb.per_user[2]
-    expected_interference = ref[1] @ (sb.per_user[1] + sb.per_user[3])
+    s = sb.stacked()
+    own = (cur[1] @ v[1]) @ s[1]
+    expected_interference = ref[1] @ (s[0] + s[2])
     assert abs((y2 - own) - expected_interference) <= 1e-9 * abs(expected_interference)
 
 
@@ -162,13 +161,13 @@ def test_receive_basis_inner_product():
     reference = np.zeros((1, 1, 3, 2), dtype=complex)
     reference[0, 0, 2] = [-1.0, 0.0]
     symbols = np.array([[[-(3.0 + 1j), 0.0], [-7.0, 0.0], [10.0 + 1j, 0.0]]])
-    _, d, _ = protocol._send(ch, z, inv, reference, symbols, None, None)
+    _, _, d, _ = protocol._send(ch, z, inv, reference, symbols, None, None)
     np.testing.assert_allclose(d[0, :, 0], [-(3.0 + 1j), 0.0, -14.0])
 
 
 def test_receive_noise_variance_audit():
     # Unit receiver noise reaches each user's differences with the covariance
-    # I + 11^T of difference_noise_covariance: the broadcast-slot noise is common.
+    # I + 11^T: the broadcast-slot noise is common.
     rng = np.random.default_rng(12)
     noise = []
     for _ in range(1500):
@@ -176,10 +175,10 @@ def test_receive_noise_variance_audit():
         sb = _symbols(3, rng)
         res = run_stia_round(ch, sb, noise_std=1.0, rng=rng)
         for k in (1, 2, 3):
-            noise.append(res.effective_channels[k] @ (res.decoded.per_user[k] - sb.per_user[k]))
+            noise.append(res.effective_channels[k] @ (res.decoded.stacked() - sb.stacked())[k - 1])
     n = np.array(noise)
     cov = n.T @ n.conj() / len(n)
-    np.testing.assert_allclose(cov, difference_noise_covariance(3), atol=0.15)
+    np.testing.assert_allclose(cov, np.eye(2) + np.ones((2, 2)), atol=0.15)
 
 
 def test_receive_requires_rng_for_noise():
@@ -195,18 +194,19 @@ def test_receive_requires_rng_for_noise():
 
 def test_cancel_differences_depend_only_on_own_symbols():
     ch, sb = _round(3, 13)
-    for j in (2, 3):
-        sb.per_user[j] = np.zeros(2, dtype=complex)
-    v, d = _send_one(ch, sb.stacked())
-    d_direct = [(ch[0, 0] - ch[m, 0] @ v[m - 1, 0]) @ sb.per_user[1] for m in (1, 2)]
+    s = sb.stacked().copy()
+    s[1:] = 0.0
+    v, d = _send_one(ch, s)
+    d_direct = [(ch[0, 0] - ch[m, 0] @ v[m - 1, 0]) @ s[0] for m in (1, 2)]
     np.testing.assert_allclose(d[0], d_direct, atol=1e-10)
 
 
 def test_cancel_interferers_only_leaves_nothing():
     ch, sb = _round(3, 14)
-    sb.per_user[1] = np.zeros(2, dtype=complex)
-    d = _send_one(ch, sb.stacked())[1][0]
-    scale = sum(abs(ch[0, 0] @ sb.per_user[j]) for j in (2, 3))
+    s = sb.stacked().copy()
+    s[0] = 0.0
+    d = _send_one(ch, s)[1][0]
+    scale = sum(abs(ch[0, 0] @ s[j]) for j in (1, 2))
     assert np.max(np.abs(d)) <= 1e-9 * scale
 
 
@@ -215,9 +215,9 @@ def test_cancel_matches_symbolwise_expansion():
     ch, sb = _round(3, 15)
     v, d = _send_one(ch, sb.stacked())
     np.testing.assert_allclose(d, _reference_differences(ch, v, sb), rtol=1e-12, atol=1e-12)
-    own_ref = ch[0, 0] @ sb.per_user[1]
+    own_ref = ch[0, 0] @ sb.stacked()[0]
     for m in (1, 2):
-        own_slot = (ch[m, 0] @ v[m - 1, 0]) @ sb.per_user[1]
+        own_slot = (ch[m, 0] @ v[m - 1, 0]) @ sb.stacked()[0]
         assert d[0, m - 1] == pytest.approx(own_ref - own_slot, rel=1e-9, abs=1e-12)
 
 
@@ -326,9 +326,9 @@ def test_a_round_is_the_batch_kernels_on_a_batch_of_one(K, monkeypatch):
     ch, z, _, _ = batch_rounds(K, 50, rng)
     sent = complex_normal(rng, (50, K, K - 1))
     power, snr = 10.0, 1e3
-    v, diffs, heff = protocol._send(ch, z, _interferer_guard(ch[:, 1:])[2], ch[:, :1], sent, power, None)
+    _, vs, diffs, heff = protocol._send(ch, z, _interferer_guard(ch[:, 1:])[2], ch[:, :1], sent, power, None)
     decoded = protocol._decode(heff, diffs)[0]
-    residual = protocol._leakage(ch, v, diffs, sent)
+    residual = protocol._leakage(ch, vs, diffs, sent)
     bits = protocol._round_bits(heff, snr) / K
 
     calls = []
@@ -348,12 +348,43 @@ def test_a_round_is_the_batch_kernels_on_a_batch_of_one(K, monkeypatch):
     users = range(1, K + 1)
     for i in range(50):
         calls.clear()
-        res = run_stia_round(ch[i], SymbolBlock(dict(zip(users, sent[i]))), power=power, snr_linear=snr)
+        res = run_stia_round(ch[i], SymbolBlock(sent[i]), power=power, snr_linear=snr)
         assert len(calls) == 2
         np.testing.assert_array_equal(res.decoded.stacked(), decoded[i])
         np.testing.assert_array_equal(np.stack([res.effective_channels[k] for k in users]), heff[i])
         assert [res.residual_interference[k] for k in users] == residual[i].tolist()
         assert [res.per_user_rate_bits[k] for k in users] == bits[i].tolist()
+
+
+def _two_einsum_send(ch, v, sent, scales):
+    """Differences and leakage with the transmit vectors and every ``V_k s_k`` each from its own einsum."""
+    x = np.empty(scales.shape + sent.shape[-1:], dtype=complex)
+    x[:, 0], x[:, 1:] = sent.sum(axis=1), np.einsum("cmkab,ckb->cma", v, sent)
+    y = np.einsum("cmki,cmi->cmk", ch, x * scales[..., None]) / scales[..., None]
+    diffs = (y[:, :1] - y[:, 1:]).transpose(0, 2, 1)
+    vs = np.einsum("cmkab,ckb->cmka", v, sent)
+    own = np.einsum("cka,cka->ck", ch[:, 0], sent)[..., None] - np.einsum("cmka,cmka->ckm", ch[:, 1:], vs)
+    leak = np.abs(diffs - own).max(axis=2)
+    cross = np.abs(np.einsum("cki,cji->ckj", ch[:, 0], sent))
+    scale = cross.sum(axis=2) - cross.diagonal(axis1=1, axis2=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = leak / scale
+    return diffs, np.where(scale > 0.0, rel, np.where(leak < 1e-12, 0.0, np.inf))
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_send_forms_every_v_k_s_k_once_and_keeps_every_bit(K):
+    # The transmit vectors are the shared V_k s_k summed over k, and the leakage reads them back:
+    # differences and leakage equal a reference that forms each with its own einsum, bit for bit.
+    rng = np.random.default_rng(100 + K)
+    ch, z, _, _ = batch_rounds(K, 300, rng)
+    sent = complex_normal(rng, (300, K, K - 1))
+    inv = _interferer_guard(ch[:, 1:])[2]
+    for power in (None, 10.0):
+        v, vs, diffs, _ = protocol._send(ch, z, inv, ch[:, :1], sent, power, None)
+        want_diffs, want_leak = _two_einsum_send(ch, v, sent, protocol._slot_scales(v, power))
+        np.testing.assert_array_equal(diffs, want_diffs)
+        np.testing.assert_array_equal(protocol._leakage(ch, vs, diffs, sent), want_leak)
 
 
 @pytest.mark.parametrize("K", [3, 5])
@@ -363,9 +394,8 @@ def test_noise_free_round_recovers_symbols(K):
         ch = draw_round_channels(K, 1, rng)[0]
         sb = _symbols(K, rng)
         res = run_stia_round(ch, sb)
-        for k in range(1, K + 1):
-            err = np.max(np.abs(res.decoded.per_user[k] - sb.per_user[k]))
-            assert err <= 1e-8 * max(1.0, float(np.max(np.abs(sb.per_user[k]))))
+        err = np.max(np.abs(res.decoded.stacked() - sb.stacked()), axis=1)
+        assert np.all(err <= 1e-8 * np.maximum(1.0, np.max(np.abs(sb.stacked()), axis=1)))
 
 
 def test_noisy_decode_is_consistent():
@@ -373,16 +403,14 @@ def test_noisy_decode_is_consistent():
     ch = draw_round_channels(3, 1, rng)[0]
     sb = _symbols(3, rng)
     res = run_stia_round(ch, sb, power=1e8, noise_std=1.0, rng=rng)
-    for k in (1, 2, 3):
-        err = np.max(np.abs(res.decoded.per_user[k] - sb.per_user[k]))
-        assert err < 0.2  # high SNR, whitened least squares stays close
+    assert np.max(np.abs(res.decoded.stacked() - sb.stacked())) < 0.2  # high SNR, every user stays close
 
 
 def test_round_residuals_and_dof_bookkeeping():
     ch, sb = _round(4, 21)
     res = run_stia_round(ch, sb)
     assert max(res.residual_interference.values()) <= 1e-9
-    symbols_decoded = sum(len(v) for v in res.decoded.per_user.values())
+    symbols_decoded = res.decoded.stacked().size
     assert Fraction(symbols_decoded, 4) == 3  # K(K-1) symbols over K slots
 
 
@@ -392,9 +420,7 @@ def test_power_scaling_preserves_cancellation():
     sb = _symbols(3, rng)
     res = run_stia_round(ch, sb, power=10.0)
     assert max(res.residual_interference.values()) <= 1e-9
-    for k in (1, 2, 3):
-        err = np.max(np.abs(res.decoded.per_user[k] - sb.per_user[k]))
-        assert err <= 1e-8
+    assert np.max(np.abs(res.decoded.stacked() - sb.stacked())) <= 1e-8
 
 
 def _library_rounds_digest():
@@ -456,34 +482,52 @@ def test_redraw_loop_replaces_rejected_draws_and_gives_up():
 
 
 def test_round_rate_vanishes_at_zero_snr():
-    assert round_rate(np.eye(2, dtype=complex), 1e-12, 3) < 1e-9
+    ch, sb = _round(3, 23)
+    assert max(run_stia_round(ch, sb, snr_linear=1e-12).per_user_rate_bits.values()) < 1e-9
+    assert protocol._round_bits(np.eye(2, dtype=complex), 1e-12) < 1e-9
 
 
 def test_round_rate_identity_closed_form():
     # H = I at per-symbol power 1 with C = I + 11^T: det(aI + 11^T) = a^(m-1) (a + m) for m = K - 1.
     for K in (3, 4, 5):
-        rate = round_rate(np.eye(K - 1, dtype=complex), float(K * (K - 1)), K)
-        assert rate == pytest.approx((K - 2 + np.log2((K + 1) / K)) / K)
+        bits = protocol._round_bits(np.eye(K - 1, dtype=complex), float(K * (K - 1)))
+        assert bits == pytest.approx(K - 2 + np.log2((K + 1) / K))
 
 
 def test_round_rate_slope_near_two_per_round():
     rng = np.random.default_rng(23)
     lo, hi = [], []
     for _ in range(600):
-        ch = draw_round_channels(3, 1, rng)[0]
-        res = run_stia_round(ch, _symbols(3, rng), snr_linear=1e4)
-        lo.append(sum(res.per_user_rate_bits.values()))
-        hi.append(sum(round_rate(res.effective_channels[k], 1e6, 3) for k in (1, 2, 3)))
+        ch, sb = draw_round_channels(3, 1, rng)[0], _symbols(3, rng)
+        for snr, rates in ((1e4, lo), (1e6, hi)):
+            rates.append(sum(run_stia_round(ch, sb, snr_linear=snr).per_user_rate_bits.values()))
     slope = (np.mean(hi) - np.mean(lo)) / (np.log2(1e6) - np.log2(1e4))
     assert 1.9 <= slope <= 2.1
 
 
 @pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_round_rates_of_a_round_equal_round_rate_per_user(K):
+    # Each user's rate is _round_bits of its own effective channel over the round's K slots.
     ch, sb = _round(K, 40 + K)
     res = run_stia_round(ch, sb, snr_linear=1e5)
-    want = {k: round_rate(res.effective_channels[k], 1e5, K) for k in range(1, K + 1)}
+    want = {k: float(protocol._round_bits(res.effective_channels[k], 1e5)) / K for k in range(1, K + 1)}
     assert res.per_user_rate_bits == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_pricing_past_float_range_is_one_value_error_and_the_round_still_decodes(K):
+    # At 1e160 the Gram H H^H overflows: pricing refuses it up front, with no warning, and decoding
+    # still works. At 1e150 the round is priced, as the unit-scale round at an SNR 1e300 times higher.
+    ch, sb = _round(K, 31)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"pricing needs the effective channels' Gram inside float range"):
+            run_stia_round(ch * 1e160, sb, power=10.0, snr_linear=1e3)
+        res = run_stia_round(ch * 1e160, sb, power=10.0)
+        assert np.max(np.abs(res.decoded.stacked() - sb.stacked())) <= 1e-12 * np.max(np.abs(sb.stacked()))
+        big = run_stia_round(ch * 1e150, sb, power=10.0, snr_linear=1e3).per_user_rate_bits
+    unit = run_stia_round(ch, sb, power=10.0, snr_linear=1e303).per_user_rate_bits
+    assert big == pytest.approx(unit, rel=1e-12)
 
 
 def _exact_log2det(m):
@@ -530,8 +574,8 @@ def test_round_bits_match_an_exact_log_det_on_the_worst_conditioned_rounds(K):
 @pytest.mark.parametrize("cov", [
     [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
 ])
-def test_round_rate_rejects_a_covariance_that_is_not_positive_definite(cov):
-    # round_rate prices with the fixed difference covariance; the log-det it prices with rejects these.
+def test_log2det_rejects_a_matrix_that_is_not_positive_definite(cov):
+    # Rounds are priced with the fixed difference covariance; the log-det they are priced with rejects these.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="positive definite"):
@@ -715,37 +759,15 @@ def test_run_stia_round_rejects_bad_power_noise_and_snr(kwargs, word):
         run_stia_round(ch, sb, rng=np.random.default_rng(0), **kwargs)
 
 
-@pytest.mark.parametrize("snr", [0.0, -1.0, float("nan"), float("inf"), True, "10"])
-def test_round_rate_rejects_snr_that_is_not_positive_and_finite(snr):
-    with pytest.raises(ValueError, match="snr_linear"):
-        round_rate(np.eye(2, dtype=complex), snr, 3)
-
-
-@pytest.mark.parametrize("eff", [np.eye(3)[:2], np.eye(3), np.eye(2)[0]])
-def test_round_rate_rejects_an_effective_channel_of_the_wrong_shape(eff):
-    with pytest.raises(ValueError, match="shape"):
-        round_rate(eff, 10.0, 3)
-
-
-@pytest.mark.parametrize("eff,K,word", [
-    (np.eye(0), 1, "at least 2"), (np.eye(1), True, "an integer"), (np.eye(2), 3.0, "an integer"),
-])
-def test_round_rate_rejects_a_user_count_that_is_not_an_integer_of_at_least_two(eff, K, word):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=f"K must be {word}"):
-            round_rate(eff, 10.0, K)
-
-
 _NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
 
 
 @pytest.mark.parametrize("call,word", [
     (lambda: decode_round(_NAN_2X2, np.ones(2)), "effective channel"),
     (lambda: decode_round(np.eye(2), np.array([1.0, np.nan])), "differences"),
-    (lambda: round_rate(_NAN_2X2, 10.0, 3), "effective channel"),
-    (lambda: SymbolBlock({1: [1.0, np.nan], 2: [1.0, 1.0], 3: [1.0, 1.0]}), "user 1"),
-    (lambda: SymbolBlock({1: [1.0, 1.0], 2: [1.0, 1.0], 3: [np.inf, 1.0]}), "user 3"),
+    (lambda: decode_round(np.stack([np.eye(2), _NAN_2X2]), np.ones((2, 2))), "effective channel"),
+    (lambda: SymbolBlock([[1.0, np.nan], [1.0, 1.0], [1.0, 1.0]]), "user 1"),
+    (lambda: SymbolBlock([[1.0, 1.0], [1.0, 1.0], [np.inf, 1.0]]), "user 3"),
 ])
 def test_library_fronts_reject_non_finite_input_by_name(call, word):
     with warnings.catch_warnings():
@@ -770,12 +792,31 @@ def test_decode_round_rejects_effective_channels_that_are_not_square_or_are_empt
         decode_round(eff, differences)
 
 
-def test_symbol_block_leaves_the_callers_dict_alone():
-    d = {1: [1, 2], 2: [1, 2], 3: [1, 2]}
-    block = SymbolBlock(d)
-    assert d == {1: [1, 2], 2: [1, 2], 3: [1, 2]} and all(type(v) is list for v in d.values())
-    for vec in block.per_user.values():
-        assert vec.dtype == complex and vec.shape == (2,)
+def test_symbol_block_copies_the_callers_array_and_is_read_only():
+    rows = np.array([[1, 2], [1, 2], [1, 2]])
+    block = SymbolBlock(rows)
+    assert block.K == 3 and block.stacked().dtype == complex and block.stacked().shape == (3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        block.stacked()[0, 0] = 5.0
+    rows[0, 0] = 7
+    assert block.stacked()[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("rows", [
+    np.ones((3, 3)), np.ones((3, 1)), np.ones(6), np.ones((1, 3, 2)), np.ones((1, 0)), np.ones((0, 0)),
+], ids=["square", "one-column", "flat", "three-axes", "one-user", "empty"])
+def test_symbol_block_rejects_a_shape_that_is_not_k_by_k_minus_one_with_k_at_least_two(rows):
+    with pytest.raises(ValueError, match=r"\(K, K-1\) array with K >= 2"):
+        SymbolBlock(rows)
+
+
+def test_random_symbol_block_keeps_its_draws():
+    # K draws of K-1 symbols, one per user in order: the bytes the per-user dict block drew.
+    block = SymbolBlock.random(4, np.random.default_rng(3))
+    digest = hashlib.sha256(block.stacked().tobytes()).hexdigest()
+    assert digest == "f5d0a4706b739e1d35eb12399cecce4d3b431a7043f8c3ab354ba3d9cadea7f6"
+    rng = np.random.default_rng(3)
+    np.testing.assert_array_equal(block.stacked(), [complex_normal(rng, 3) for _ in range(4)])
 
 
 # --------------------------------------------------------------------------
@@ -805,7 +846,7 @@ def _whole_array_reference(K, ch):
     if K == 3:
         return z, cond.max(axis=(1, 2)), protocol._round_bits(heff, _SNR).sum(axis=-1).T
     gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
-    cov = difference_noise_covariance(K)
+    cov = np.eye(K - 1) + np.ones((K - 1, K - 1))
     log2det = protocol._log2det
     bits = np.stack([(log2det(cov + p / (K * (K - 1)) * gram) - log2det(cov)).sum(axis=1) for p in _SNR], axis=1)
     return z, cond.max(axis=(1, 2)), bits

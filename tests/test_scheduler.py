@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stia.analysis import baseline_zf_tdma
-from stia.channel import block_of_slot, block_start, feedback_arrival_slot, has_current_csit
+from stia.channel import block_of_slot, feedback_arrival_slot, has_current_csit
 from stia.scheduler import (
     SchedulerPlan,
     account_dof,
@@ -183,8 +183,11 @@ def test_validate_rejects_malformed_plan_values(changes, message):
 def _reference_plan(K, n):
     """The plan built one slot at a time with the public timing predicates."""
     t_c, t_fb, horizon = K, 1, K * (n + K - 1)
-    rounds = tuple((block_start(k, t_c), *(block_start(k + j, t_c) + K - j for j in range(1, K)))
-                   for k in range(1, n + 1))
+
+    def start(block):  # a block's first slot: where a report sent there lands with no delay
+        return feedback_arrival_slot(block, t_c, 0)
+
+    rounds = tuple((start(k), *(start(k + j) + K - j for j in range(1, K))) for k in range(1, n + 1))
     used = {s for r in rounds for s in r}
     zf, tdma = set(), set()
     for s in range(1, horizon + 1):

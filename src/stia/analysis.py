@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import protocol
-from .channel import DelayConfig, _require_count, _require_integer, complex_normal
+from .channel import DelayConfig, _keyed_rng, _require_count, _require_integer, complex_normal
 from .numerics import _term_sum
 from .precoding import _zf_gains
 from .scheduler import SchedulerPlan, build_plan_general, build_plan_time_share
@@ -156,12 +156,7 @@ def fit_dof_slope(snr_grid_db, mean_rates) -> float:
 
 
 def _chunk_layout(trials: int):
-    starts = range(0, trials, _CHUNK)
-    return [(i, s, min(_CHUNK, trials - s)) for i, s in enumerate(starts)]
-
-
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed & (1 << 64) - 1, index))
+    return [(i, min(_CHUNK, trials - s)) for i, s in enumerate(range(0, trials, _CHUNK))]
 
 
 def _zf_bits(gains: np.ndarray, snr_lin: np.ndarray) -> np.ndarray:
@@ -274,10 +269,10 @@ def estimate_dof_slope(
 
     def compute(entry):
         # Set per chunk: a worker thread does not inherit the caller's error state.
-        index, _, size = entry
+        index, size = entry
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return _mix_chunk(K, plan, snr_lin, size, _chunk_rng(seed, index))
+                return _mix_chunk(K, plan, snr_lin, size, _keyed_rng(seed, index))
         except FloatingPointError as err:
             raise ValueError(f"snr_grid_db {list(db)} has rates past float range ({err})") from None
 

@@ -48,6 +48,11 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out[()]
 
 
+def _keyed_rng(seed: int, key: int) -> np.random.Generator:
+    """The generator of one keyed stream: the seed's low 64 bits and the key as entropy."""
+    return np.random.default_rng((seed & (1 << 64) - 1, key))
+
+
 def _require_integer(name: str, value) -> int:
     if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import protocol
-from .channel import _require_count, _require_integer, complex_normal
+from .channel import _keyed_rng, _require_count, _require_integer, complex_normal
 from .numerics import CONDITION_LIMIT, _guarded_solve
-from .precoding import _stia_precoders, _zf_gains
+from .precoding import _stia_precoders
 from .scheduler import account_dof, build_plan_general, validate_plan
 
 __all__ = [
@@ -55,7 +55,10 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     every effective channel, full when its ``kappa_F`` passes the draws' guard.
     Both come from :func:`protocol._decode` of the kernel's null-vector
     effective channels, so every round checks the precoded signal against
-    that algebra. ``inject_fault`` negates the reference CSI the precoders
+    that algebra. ``unflagged_rank_failures`` counts the rounds whose every
+    effective channel passes that flag but whose decode still misses
+    :data:`DECODE_TOL`: decoding that contradicts the full-rank flag.
+    ``inject_fault`` negates the reference CSI the precoders
     align to, which must blow the alignment and cancellation residuals up
     to order one.
 
@@ -70,11 +73,11 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     K = _require_count("K", K, 3)
     rounds = _require_count("rounds", rounds, 1)
     seed = _require_integer("seed", seed)
-    rng = np.random.default_rng((seed & (1 << 64) - 1, K))
+    rng = _keyed_rng(seed, K)
     ch, z, conds, resamples = protocol.batch_rounds(K, rounds, rng)
     symbols = complex_normal(rng, (rounds, K, K - 1))
     alignment = leakage = decode_error = 0.0
-    full_rounds = 0
+    full_rounds = unflagged = 0
     for sl in protocol._slices(ch):
         c, sent = ch[sl], symbols[sl]
         ref = -c[:, :1] if inject_fault else c[:, :1]
@@ -90,10 +93,11 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
             alignment = max(alignment, float((np.max(np.abs(got), axis=-1) / den[..., j]).max()))
 
         decoded, cond_eff = protocol._decode(heff, diffs)
-        err = np.max(np.abs(decoded - sent), axis=-1)
-        mag = np.max(np.abs(sent), axis=-1)
-        decode_error = np.maximum(decode_error, (err / mag).max())
-        full_rounds += int(np.count_nonzero((cond_eff <= CONDITION_LIMIT).all(axis=1)))
+        err = (np.max(np.abs(decoded - sent), axis=-1) / np.max(np.abs(sent), axis=-1)).max(axis=1)
+        decode_error = np.maximum(decode_error, err.max())
+        full = (cond_eff <= CONDITION_LIMIT).all(axis=1)
+        full_rounds += int(np.count_nonzero(full))
+        unflagged += int(np.count_nonzero(full & ~(err <= DECODE_TOL)))  # a NaN decode misses too
 
     return {
         "rounds": rounds,
@@ -101,7 +105,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
         "max_cancellation_leakage": float(leakage),
         "max_decode_error": float(decode_error),
         "full_rank_fraction": full_rounds / rounds,
-        "unflagged_rank_failures": 0,  # one kappa_F sets both the rank flag and the guard's
+        "unflagged_rank_failures": unflagged,
         "worst_condition": float(conds.max()),
         "resamples": int(resamples),
     }
@@ -140,20 +144,22 @@ def plan_suite(k_values=(3, 4, 5, 6), n_max: int = 50) -> dict:
 
 
 def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
-    """Expected transmit power per slot type against the budget, exactly.
+    """Expected transmit power of every aligned slot against the budget, exactly.
 
     For unit-variance symbols it is the sum of ``||x(e_i)||^2`` over the
     standard-basis symbol vectors; every realization must meet the budget.
-    Runs at K=3 with a budget of 10. The aligned rounds are one draw, checked
-    per :func:`protocol._slices` slice, precoded as :func:`round_sweep`; the ZF and TDMA draws follow it whole.
+    Runs at K=3 with a budget of 10, through the signal path's own
+    :func:`protocol._slot_scales` and :func:`protocol._transmit`. The aligned
+    rounds are one draw, checked per :func:`protocol._slices` slice, precoded as
+    :func:`round_sweep`. ZF and TDMA slots are priced from their gains and form
+    no beam, so they have no power to check here.
     """
     trials = _require_count("trials", trials, 1)
     seed = _require_integer("seed", seed)
-    rng = np.random.default_rng((seed & (1 << 64) - 1, 101))
     K, power = 3, 10.0
     n_t = K - 1
 
-    ch, z, _, _ = protocol.batch_rounds(K, trials, rng)
+    ch, z, _, _ = protocol.batch_rounds(K, trials, _keyed_rng(seed, 101))
     slot_power = np.zeros((trials, K))
     for sl in protocol._slices(ch):
         v = _stia_precoders(_guarded_solve(ch[sl, 1:, :-1])[0], z[sl], ch[sl, :1])
@@ -162,20 +168,7 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
             x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (len(v), K, n_t)), scales)[1]
             slot_power[sl] += np.sum(np.abs(x) ** 2, axis=-1)
 
-    gains, inv, _ = _zf_gains(complex_normal(rng, (trials, n_t, n_t)))
-    beams = inv * np.sqrt(gains)[:, None, :]  # unit-norm columns
-    zf = (power / n_t) * np.sum(np.abs(beams) ** 2, axis=(1, 2))
-
-    h = complex_normal(rng, (trials, n_t))
-    beam = h.conj() / np.linalg.norm(h, axis=1, keepdims=True)
-    tdma = power * np.sum(np.abs(beam) ** 2, axis=1)
-
-    per_type = {
-        "phase_one": slot_power[:, 0],
-        "phase_two": slot_power[:, 1:].ravel(),
-        "zf": zf,
-        "tdma": tdma,
-    }
+    per_type = {"phase_one": slot_power[:, 0], "phase_two": slot_power[:, 1:].ravel()}
     worst = max(float(np.max(np.abs(p / power - 1.0))) for p in per_type.values())
     return {
         "target_power": power,

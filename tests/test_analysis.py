@@ -17,7 +17,7 @@ from stia.analysis import (
     fit_dof_slope,
     tradeoff_k3,
 )
-from stia.channel import DelayConfig
+from stia.channel import DelayConfig, _keyed_rng
 from stia.precoding import IllConditionedChannelError
 from stia.scheduler import account_dof, build_plan_general, build_plan_time_share, validate_plan
 
@@ -352,8 +352,8 @@ def test_halfwidth_is_the_exact_standard_error_of_the_slope(key):
     plan = analysis._scheme_plan(scheme, K, delay, 16)
     snr_lin = np.asarray([10.0 ** (x / 10.0) for x in db])
     rates = np.concatenate([
-        analysis._mix_chunk(K, plan, snr_lin, size, analysis._chunk_rng(7, index))[0]
-        for index, _, size in analysis._chunk_layout(trials)
+        analysis._mix_chunk(K, plan, snr_lin, size, _keyed_rng(7, index))[0]
+        for index, size in analysis._chunk_layout(trials)
     ])
     x = np.asarray(db) / (10.0 * np.log10(2.0))
     c = np.linalg.pinv(np.stack([np.ones_like(x), x], axis=1))[1]

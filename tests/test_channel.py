@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stia.analysis import _chunk_rng
 from stia.channel import (
     DelayConfig,
+    _keyed_rng,
     block_of_slot,
     coherence_time_estimate,
     complex_normal,
@@ -38,8 +38,8 @@ def test_entry_variance_and_shape():
 
 def test_cross_block_independence():
     # Consecutive chunks of the rate engine draw from unrelated streams.
-    first = complex_normal(_chunk_rng(12, 0), 100_000)
-    second = complex_normal(_chunk_rng(12, 1), 100_000)
+    first = complex_normal(_keyed_rng(12, 0), 100_000)
+    second = complex_normal(_keyed_rng(12, 1), 100_000)
     corr = np.corrcoef(first.real, second.real)[0, 1]
     assert abs(corr) < 0.02
     corr_im = np.corrcoef(first.imag, second.imag)[0, 1]

@@ -1,7 +1,9 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +12,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stia
-from stia.cli import _FLAGS, RunConfig, main
+from stia.cli import _FLAGS, _SUBCOMMANDS, RunConfig, main
 
 
 def run_cli(args):
@@ -437,6 +441,8 @@ _ARTIFACT_DIGESTS = {
         "fb126e2717246ae721f6cad96966253f53a753d360f32cd0ae3c6544bbccd92d"),
     "schedule-k4-n5": (["schedule", "--k", "4", "--n", "5"],
         "cc245fa81d0d1b193d8b030b288606865f2c94a14bc1876f1508bfd270360165"),
+    "verify-k3-k4": (["verify", "--k-values", "3,4", "--rounds", "200", "--seed", "5"],
+        "27caaa96841e12b95114a69de560509ec3d451fa0a668b5abffd2847d6c049d6"),
 }
 
 
@@ -482,3 +488,74 @@ def test_verify_status_lines_follow_the_report_under_a_fault(tmp_path, capsys):
     want = [f"{name}: {'ok' if report[name]['passed'] else 'FAIL'}" for name in _SUITES]
     assert capsys.readouterr().out.splitlines() == want
     assert "alignment: FAIL" in want
+
+
+# Flag values for the fuzz test below, valid and invalid; no size is large. Every flag but --out
+# has some: the test reads each report from stdout, and an unwritable --out has its own test.
+_FUZZ_VALUES = {
+    "--config": ("no-such-config.json",),
+    "--k": ("2", "3", "4", "6", "1", "0", "x", "3.5"),
+    "--tc": ("1", "3", "4", "6", "0", "-1"),
+    "--tfb": ("0", "1", "2", "-1"),
+    "--seed": ("0", "5", "-3", "x"),
+    "--format": ("json", "csv", "xml"),
+    "--scheme": ("stia", "zf_tdma", "zf", "tdma", "mat"),
+    "--snr": ("40,50,60", "0,10", "60,50", "50", "nan,1", "1e4,1e5", "", "x"),
+    "--trials": ("1", "7", "40", "0", "-2", "x"),
+    "--rounds-per-trial": ("1", "2", "0", "x"),
+    "--gammas": ("0,1/3,1", "1/2", "-1", "1/0", "", "x"),
+    "--k-values": ("3", "3,4", "4,3", "6", "2", "3,3", "", "x"),
+    "--rounds": ("1", "5", "20", "0", "x"),
+    "--inject-fault": ("none", "alignment", "bogus"),
+    "--n": ("1", "3", "20", "0", "x"),
+}
+# Flags every fuzzed run of a subcommand carries, with valid values, so that no default size is used;
+# a later flag of the run may override them.
+_FUZZ_SIZES = {
+    "simulate": {"--trials": ("1", "7", "40"), "--rounds-per-trial": ("1", "2")},
+    "verify": {"--k-values": ("3", "3,4", "4,3", "6"), "--rounds": ("1", "5", "20")},
+}
+
+
+def test_fuzz_values_cover_every_flag():
+    assert set(_FUZZ_VALUES) == {"--config"} | {flag for flag, _ in _FLAGS.values()} - {"--out"}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    argv = [command]
+    for flag, values in _FUZZ_SIZES.get(command, {}).items():
+        argv += [flag, draw(st.sampled_from(values))]
+    own = [_FLAGS[name][0] for name in _SUBCOMMANDS[command][2] if name != "output_path"]
+    flags = draw(st.lists(st.sampled_from(own), max_size=3))
+    if draw(st.integers(0, 3)) == 0:  # some runs also carry --config or another subcommand's flag
+        flags.append(draw(st.sampled_from(list(_FUZZ_VALUES))))
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_FUZZ_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(_argvs())
+@example(["verify", "--k-values", "3,4", "--rounds", "5", "--inject-fault", "alignment"])
+def test_main_exits_cleanly_and_passes_no_report_that_checked_nothing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        usage = err.startswith("usage: stia") and ": error: " in err.splitlines()[-1]
+        assert usage or (out == "" and err.startswith("error:") and err.count("\n") == 1)
+    if argv[0] == "verify" and code != 2:
+        report = json.JSONDecoder().raw_decode(out)[0]
+        assert code == (0 if report["passed"] else 1)
+        if report["passed"]:
+            assert set(report["round_sweeps"]) == {str(k) for k in report["k_values"]} != set()
+            assert all(sweep["rounds"] >= 1 for sweep in report["round_sweeps"].values())
+            assert report["plans"]["plans_checked"] >= 1
+        assert not (report["passed"] and report["inject_fault"] == "alignment")

@@ -1,12 +1,13 @@
 """Tests for the property-suite driver."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from stia import verify
+from stia import protocol, verify
 
 
 def test_round_sweep_clean():
@@ -49,6 +50,63 @@ def test_run_all_fails_with_fault():
     report = verify.run_all(k_values=(3,), rounds=100, seed=5, inject_fault="alignment")
     assert not report["passed"]
     assert not report["alignment"]["passed"]
+
+
+def _negate_the_reference_csi(monkeypatch):
+    return {"inject_fault": "alignment"}
+
+
+def _shift_every_decoded_symbol(monkeypatch):
+    # Leaves every kappa_F as it is, so the full-rank flag still passes each round.
+    decode = protocol._decode
+
+    def shifted(heff, diffs):
+        symbols, cond = decode(heff, diffs)
+        return symbols + 1e-6, cond
+
+    monkeypatch.setattr(protocol, "_decode", shifted)
+    return {}
+
+
+def _leave_a_slot_out_of_every_plan(monkeypatch):
+    build = verify.build_plan_general
+
+    def short(K, n):
+        plan = build(K, n)
+        return dataclasses.replace(plan, horizon=plan.horizon + 1)
+
+    monkeypatch.setattr(verify, "build_plan_general", short)
+    return {}
+
+
+def _overscale_every_slot(monkeypatch):
+    scales = protocol._slot_scales
+    monkeypatch.setattr(protocol, "_slot_scales", lambda v, power: 1.01 * scales(v, power))
+    return {}
+
+
+# One program fault per verdict of run_all; a verdict added without one fails the test below.
+_VERDICT_FAULTS = {
+    "alignment": _negate_the_reference_csi,
+    "cancellation": _negate_the_reference_csi,
+    "decoding": _shift_every_decoded_symbol,
+    "rank": _shift_every_decoded_symbol,
+    "plans": _leave_a_slot_out_of_every_plan,
+    "power": _overscale_every_slot,
+}
+
+
+@pytest.mark.parametrize("verdict", list(_VERDICT_FAULTS))
+def test_every_verdict_fails_under_its_injected_fault(verdict, monkeypatch):
+    report = verify.run_all(k_values=(3, 4), rounds=50, seed=5, **_VERDICT_FAULTS[verdict](monkeypatch))
+    verdicts = [name for name, entry in report.items() if isinstance(entry, dict) and "passed" in entry]
+    assert verdicts == list(_VERDICT_FAULTS)
+    assert not report[verdict]["passed"] and not report["passed"]
+    if verdict == "rank":
+        # The full-rank flag holds, so the verdict fails through its unflagged clause alone.
+        for sweep in report["round_sweeps"].values():
+            assert sweep["full_rank_fraction"] >= verify.RANK_MIN_FRACTION
+            assert sweep["unflagged_rank_failures"] == round(sweep["full_rank_fraction"] * sweep["rounds"]) > 0
 
 
 def test_run_all_input_validation():

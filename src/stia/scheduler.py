@@ -133,7 +133,9 @@ def validate_plan(plan: SchedulerPlan) -> None:
     K = _require_count("K", plan.K, 2)
     t_c, t_fb = _require_count("t_c", plan.t_c, 1), _require_count("t_fb", plan.t_fb, 0)
     horizon = _require_count("horizon", plan.horizon, 1)
-    listed = [_require_count("slot", s, 1) for r in (*plan.stia_rounds, plan.zf_slots, plan.tdma_slots) for s in r]
+    listed = [s for r in (*plan.stia_rounds, plan.zf_slots, plan.tdma_slots) for s in r]
+    for s in (s for s in listed if type(s) is not int or s < 1):
+        _require_count("slot", s, 1)  # passes a numpy integer of at least 1, raises for anything else
     if len(listed) != horizon or set(listed) != set(range(1, horizon + 1)):
         raise ValueError("plan does not partition the slot horizon")
     blind = _blind_slots(t_c, t_fb, horizon)

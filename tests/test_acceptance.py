@@ -176,7 +176,7 @@ def test_criterion_8_property_suites(tmp_path):
         ok,
         f"partition invariants for {plans['plans_checked']} plans={plans['passed']}, "
         f"byte-identical reruns={deterministic}, "
-        f"power within 2%={power['passed']} (realized {power['realized']})",
+        f"power within {verify.POWER_RTOL:g} relative={power['passed']} (realized {power['realized']})",
     )
     assert plans["passed"]
     assert deterministic

@@ -442,7 +442,7 @@ _ARTIFACT_DIGESTS = {
     "schedule-k4-n5": (["schedule", "--k", "4", "--n", "5"],
         "cc245fa81d0d1b193d8b030b288606865f2c94a14bc1876f1508bfd270360165"),
     "verify-k3-k4": (["verify", "--k-values", "3,4", "--rounds", "200", "--seed", "5"],
-        "27caaa96841e12b95114a69de560509ec3d451fa0a668b5abffd2847d6c049d6"),
+        "418b8984ec3d499c7905f989b127bcd659fdc4d766cbc721264554835f1e455c"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,33 @@ def test_round_sweep_fault_injection_bites():
     r = verify.round_sweep(3, 100, seed=1, inject_fault=True)
     assert r["max_alignment_residual"] > 1e-3
     assert r["max_cancellation_leakage"] > 1e-3
+
+
+@pytest.mark.parametrize("k,m", list(itertools.product(range(4), range(3))))
+def test_alignment_sees_one_precoder_off_at_one_slot(k, m, monkeypatch):
+    # Negating every reference moves every block at once; this moves the (k, m) block alone.
+    precoders = protocol._stia_precoders
+
+    def skewed(inv, z, reference):
+        v = precoders(inv, z, reference)
+        v[:, m, k] *= 1.001
+        return v
+
+    monkeypatch.setattr(protocol, "_stia_precoders", skewed)
+    assert verify.round_sweep(4, 20, seed=1)["max_alignment_residual"] > verify.ALIGNMENT_TOL
+
+
+def test_alignment_reports_a_nan_precoder_entry(monkeypatch):
+    # A running maximum taken with Python's max drops a NaN met after a finite value.
+    precoders = protocol._stia_precoders
+
+    def poisoned(inv, z, reference):
+        v = precoders(inv, z, reference)
+        v[-1, -1, 0, 0, 0] = np.nan
+        return v
+
+    monkeypatch.setattr(protocol, "_stia_precoders", poisoned)
+    assert np.isnan(verify.round_sweep(4, 20, seed=1)["max_alignment_residual"])
 
 
 def test_plan_suite_passes():
@@ -186,11 +214,13 @@ def test_round_sweep_reports_numpy_counts_as_ints():
 # check ran on the whole draw at once: slicing may change no byte of a report.
 # K=3's was re-recorded when its 2x2 stacks took the closed-form inverse, and every
 # K's when decoding took the guarded inverse: only max_decode_error moved.
+# Every K's again when alignment became one matmul per precoded slot: BLAS sums in
+# another order, so only max_alignment_residual moved.
 _SWEEP_DIGESTS = {
-    3: "a59b256e6d04c5b11fe21172241de60609fa73bf65b7bb45f48d78258facb918",
-    4: "f665d10b2820499697b97b0d792b98017275d8c2478565dd90b82f80f66bbed4",
-    5: "a580f3784afddd514b0dfeb2d2841816c06756da2d0dafe539957cb6d9b3eb84",
-    6: "7133412ab34c9d897079c578c325c47dee8b63bf59eed308265116e7a021b085",
+    3: "3640d53485d1c48c024637450775f3ad8d8118fad5a856ddcfdf618709705719",
+    4: "1eab5fa7c86394e888547d1aa2c14a5af27a0b9358a90a6cfbbc60f4199d20b6",
+    5: "060b0f23693925bd75d5dad122e9f0576f47b3f5db59f9e701c185006a953622",
+    6: "289433832d4df2054326edfb0c42ed2094d847499dface96f181c1c3b30c17dd",
 }
 
 

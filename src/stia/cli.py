@@ -7,10 +7,12 @@ tradeoff   Exact rational delay-DoF table for all schemes.
 verify     Alignment/cancellation/decoding/rank/plan/power property suites.
 schedule   Slot plan for one (K, n), as JSON slot-to-role mapping.
 
-Each subcommand takes ``--config`` and the flags of the RunConfig fields
-its runner reads (``_SUBCOMMANDS``); any other flag is a usage error.
-Identical flags and seed produce byte-identical output files, regardless
-of the STIA_THREADS worker cap and of the BLAS thread count.
+Each setting is one RunConfig field, declared with the flag that sets it. Each
+subcommand takes ``--config``, a JSON file of settings whose ``command`` key, if
+any, names that subcommand, and the flags of the settings its runner reads
+(``_SUBCOMMANDS``); given flags win, and any other flag is a usage error.
+Identical flags and seed produce byte-identical output files, regardless of the
+STIA_THREADS worker cap and of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -34,53 +36,72 @@ __all__ = ["RunConfig", "main", "run_schedule", "run_simulate", "run_tradeoff", 
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_GAMMAS = tuple(str(Fraction(i, 24)) for i in range(0, 37))  # 0 .. 3/2 step 1/24
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _parse_str_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _setting(default, flag: str, help: str, **spec):
+    """A RunConfig field whose metadata is the command-line flag that sets it and its argparse spec."""
+    return field(default=default, metadata={"flag": (flag, {"help": help, **spec})})
 
 
 @dataclass
 class RunConfig:
     """Flat experiment configuration; round-trips losslessly through JSON."""
 
-    command: str
-    k: int = 3
-    t_c: int = 3
-    t_fb: int = 1
-    snr_grid_db: tuple[float, ...] = (40.0, 50.0, 60.0)
-    trials: int = 10_000
-    seed: int = 0
-    scheme: str = "stia"
-    output_path: str | None = None
-    format: str = "json"
-    n: int = 3
-    k_values: tuple[int, ...] = (3, 4, 5, 6)
-    gammas: tuple[str, ...] = _DEFAULT_GAMMAS
-    rounds_per_trial: int = 16
-    verify_rounds: int = 1000
-    inject_fault: str = "none"
+    k: int = _setting(3, "--k", "number of users", type=int)
+    t_c: int = _setting(3, "--tc", "coherence time in slots", type=int)
+    t_fb: int = _setting(1, "--tfb", "feedback delay in slots", type=int)
+    snr_grid_db: tuple[float, ...] = _setting((40.0, 50.0, 60.0), "--snr", "comma list of dB points",
+                                              type=_parse_float_list)
+    trials: int = _setting(10_000, "--trials", "Monte Carlo trials", type=int)
+    seed: int = _setting(0, "--seed", "base RNG seed", type=int)
+    scheme: str = _setting("stia", "--scheme", "transmission scheme", choices=analysis.SIMULATION_SCHEMES)
+    output_path: str | None = _setting(None, "--out", "output file (stdout if omitted)")
+    format: str = _setting("json", "--format", "output format", choices=("csv", "json"))
+    n: int = _setting(3, "--n", "number of aligned rounds in the horizon", type=int)
+    k_values: tuple[int, ...] = _setting((3, 4, 5, 6), "--k-values", "comma list of user counts to sweep",
+                                         type=_parse_int_list)
+    gammas: tuple[str, ...] = _setting(tuple(str(Fraction(i, 24)) for i in range(37)),  # 0 .. 3/2 step 1/24
+                                       "--gammas", "comma list of delay ratios, fractions allowed (e.g. 0,1/3,1)",
+                                       type=_parse_str_list)
+    rounds_per_trial: int = _setting(16, "--rounds-per-trial", "aligned rounds per simulated horizon", type=int)
+    verify_rounds: int = _setting(1000, "--rounds", "rounds per user count", type=int)
+    inject_fault: str = _setting("none", "--inject-fault", "testing hook: break the precoders and expect failure",
+                                 choices=("none", "alignment"))
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        """Parse ``to_json`` output; reject unknown keys, values of the wrong type and bad choices."""
+    def from_json(cls, text: str, command: str) -> "RunConfig":
+        """Parse ``to_json`` output for subcommand ``command``; reject unknown keys, values of the wrong
+        type, bad choices and a ``command`` key that names another subcommand."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
+        if (named := raw.pop("command", command)) != command:
+            raise ValueError(f"config key 'command' must be {command!r}: {named!r}")
         hints = get_type_hints(cls)
-        unknown = set(raw) - set(hints)
-        if unknown:
+        if unknown := set(raw) - set(hints):
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             if not _has_type(value, hints[key]):
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
-            choices = _FLAGS.get(key, (None, {}))[1].get("choices")
+            choices = _FLAGS[key][1].get("choices")
             if choices is not None and value not in choices:
                 raise ValueError(f"config key {key!r} must be one of {list(choices)}: {value!r}")
             if isinstance(value, list):
                 raw[key] = tuple(value)
-        if "command" not in raw:
-            raise ValueError("config has no 'command' key")
         return cls(**raw)
 
 
@@ -192,38 +213,8 @@ def run_schedule(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-# The flag that sets each RunConfig field from the command line.
-_FLAGS = {
-    "k": ("--k", {"type": int, "help": "number of users"}),
-    "t_c": ("--tc", {"type": int, "help": "coherence time in slots"}),
-    "t_fb": ("--tfb", {"type": int, "help": "feedback delay in slots"}),
-    "seed": ("--seed", {"type": int, "help": "base RNG seed"}),
-    "output_path": ("--out", {"help": "output file (stdout if omitted)"}),
-    "format": ("--format", {"choices": ("csv", "json"), "help": "output format"}),
-    "scheme": ("--scheme", {"choices": analysis.SIMULATION_SCHEMES, "help": "transmission scheme"}),
-    "snr_grid_db": ("--snr", {"type": _parse_float_list, "help": "comma list of dB points"}),
-    "trials": ("--trials", {"type": int, "help": "Monte Carlo trials"}),
-    "rounds_per_trial": ("--rounds-per-trial", {"type": int, "help": "aligned rounds per simulated horizon"}),
-    "gammas": ("--gammas", {"type": _parse_str_list,
-                            "help": "comma list of delay ratios, fractions allowed (e.g. 0,1/3,1)"}),
-    "k_values": ("--k-values", {"type": _parse_int_list, "help": "comma list of user counts to sweep"}),
-    "verify_rounds": ("--rounds", {"type": int, "help": "rounds per user count"}),
-    "inject_fault": ("--inject-fault", {"choices": ("none", "alignment"),
-                                        "help": "testing hook: break the precoders and expect failure"}),
-    "n": ("--n", {"type": int, "help": "number of aligned rounds in the horizon"}),
-}
+# The flag that sets each RunConfig field from the command line, and its argparse spec.
+_FLAGS = {f.name: f.metadata["flag"] for f in fields(RunConfig)}
 
 # Per subcommand: its runner, its help line and the RunConfig fields the runner reads.
 _SUBCOMMANDS = {
@@ -254,19 +245,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base = RunConfig(command=args.command)
+    """The config file's settings, or the defaults, with every flag given in place of the file's value."""
+    base = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = RunConfig.from_json(fh.read())
-        base.command = args.command
-    overrides = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("command", "config") and value is not None
-    }
-    for name, value in overrides.items():
-        setattr(base, name, value)
-    return base
+            base = RunConfig.from_json(fh.read(), args.command)
+    return replace(base, **{name: value for name, value in vars(args).items() if name in _FLAGS and value is not None})
 
 
 def main(argv=None) -> int:

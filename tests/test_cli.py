@@ -154,23 +154,65 @@ def test_verify_fault_injection_fails(tmp_path):
 
 
 def test_config_round_trip():
-    cfg = RunConfig(command="simulate", k=4, t_c=4, t_fb=1, trials=123, seed=9,
-                    scheme="stia", format="csv")
-    again = RunConfig.from_json(cfg.to_json())
+    cfg = RunConfig(k=4, t_c=4, t_fb=1, trials=123, seed=9, scheme="stia", format="csv")
+    again = RunConfig.from_json(cfg.to_json(), "simulate")
     assert again == cfg
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
-        RunConfig.from_json('{"command": "simulate", "bogus": 1}')
+        RunConfig.from_json('{"command": "simulate", "bogus": 1}', "simulate")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(RunConfig(command="simulate", scheme="tdma", trials=100, seed=5).to_json())
+    cfg_path.write_text(RunConfig(scheme="tdma", trials=100, seed=5).to_json())
     rc = run_cli(["simulate", "--config", str(cfg_path), "--trials", "120"])
     assert rc == 0
     assert "slope=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [None, "simulate"], ids=["absent", "matching"])
+def test_config_command_key_may_be_absent_or_name_the_subcommand(command, tmp_path):
+    # A config as to_json writes it, or as it wrote it when RunConfig had a command field: the flags' artifact.
+    payload = json.loads(RunConfig(scheme="tdma", trials=60, seed=4).to_json())
+    if command is not None:
+        payload["command"] = command
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a.json")]) == 0
+    flags = ["simulate", "--scheme", "tdma", "--trials", "60", "--seed", "4"]
+    assert run_cli([*flags, "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "tradeoff", "schedule", "", None, 1, ["simulate"]])
+def test_config_command_key_naming_another_subcommand_is_usage_error(command, tmp_path, capsys):
+    # A config for another subcommand is not run as this one with its command key ignored.
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "est.json"
+    cfg_path.write_text(json.dumps({"command": command, "scheme": "tdma", "trials": 8}))
+    assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "'command'" in err and repr(command) in err and not out_path.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"simulate"', "3", "null"])
+def test_config_that_is_not_a_json_object_is_usage_error(text, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli(["tradeoff", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("raw", ["x", "2.5", ""])
+def test_simulate_rejects_a_thread_count_that_is_not_an_integer(raw, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STIA_THREADS", raw)
+    out_path = tmp_path / "est.json"
+    assert run_cli(["simulate", "--scheme", "tdma", "--trials", "8", "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: STIA_THREADS must be an integer, got {raw!r}\n" and not out_path.exists()
 
 
 def _run_fresh_cli(args, **env_vars):

@@ -72,6 +72,17 @@ def test_solve_shape_validation():
         solve_right(np.array([[np.inf, 0], [0, 1]]), np.eye(2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: condition_estimate(np.ones(3)),
+    lambda: condition_estimate(np.ones((2, 2, 2))),
+    lambda: solve_right(np.ones(3), np.eye(3)),
+    lambda: solve_right(np.eye(2), np.ones(2)),
+], ids=["condition-1d", "condition-3d", "solve-1d-a", "solve-1d-b"])
+def test_matrix_fronts_reject_input_that_is_not_2d(call):
+    with pytest.raises(ValueError, match="expected a 2-D matrix"):
+        call()
+
+
 def test_condition_identity_and_diagonal():
     assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
     assert condition_estimate(np.diag([10.0, 0.1])) == pytest.approx(100.0)
@@ -94,6 +105,7 @@ def test_condition_at_least_one_and_inf_for_singular():
     for _ in range(50):
         assert condition_estimate(_cn(rng, (3, 3))) >= 1.0
     assert condition_estimate(np.zeros((2, 2))) == np.inf
+    assert condition_estimate(np.zeros((0, 0))) == np.inf
     assert condition_estimate(np.array([[1.0, 1.0], [1.0, 1.0]])) > 1e15
 
 

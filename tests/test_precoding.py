@@ -98,6 +98,8 @@ def test_shape_contracts():
         build_stia_precoders(complex_normal(rng, (3, 3)), complex_normal(rng, (3, 3)))
     with pytest.raises(ValueError):
         build_stia_precoders(complex_normal(rng, (3, 2)), complex_normal(rng, (4, 3)))
+    with pytest.raises(ValueError, match=r"expected \(K, n_t\) channel arrays"):
+        build_stia_precoders(np.ones((3, 2)), np.ones(2))
 
 
 def test_precoder_set_validation():

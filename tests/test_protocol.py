@@ -582,6 +582,17 @@ def test_log2det_rejects_a_matrix_that_is_not_positive_definite(cov):
             protocol._log2det(np.asarray(cov, dtype=complex))
 
 
+@pytest.mark.parametrize("K", [3, 4])
+def test_round_bits_rejects_a_nan_effective_channel(K):
+    # K=3 prices from its own 2x2 pivots and K >= 4 through _log2det: each refuses a NaN entry without a warning.
+    heff = np.broadcast_to(np.eye(K - 1, dtype=complex), (2, K, K - 1, K - 1)).copy()
+    heff[1, 0, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive definite"):
+            protocol._round_bits(heff, np.array([10.0, 1e3]))
+
+
 def test_zf_slot_orthonormal_channels():
     snr = np.array([100.0])
     gains, _, cond = _zf_gains(np.eye(2, dtype=complex)[None])

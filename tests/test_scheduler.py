@@ -174,6 +174,14 @@ _K3N2 = build_plan_k3(2)  # rounds (1, 6, 8), (4, 9, 11); ZF {2, 3, 5, 12}; TDMA
     # An empty horizon has no slots to share, and its DoF divides by zero.
     ({"horizon": 0, "stia_rounds": (), "zf_slots": frozenset(), "tdma_slots": frozenset()},
      "horizon must be at least 1, got 0"),
+    # Each round refusal: a round one slot short, two slots in one block, a precoded slot without current
+    # CSIT, and one before the reference block's report arrives.
+    ({"stia_rounds": ((1, 6), (4, 9, 11)), "zf_slots": frozenset({2, 3, 5, 8, 12})}, "each round must span K slots"),
+    ({"stia_rounds": ((1, 5, 6), (4, 9, 11)), "zf_slots": frozenset({2, 3, 8, 12})},
+     r"round \(1, 5, 6\) does not span distinct blocks"),
+    ({"stia_rounds": ((1, 6, 7), (4, 9, 11)), "tdma_slots": frozenset({8, 10})}, "precoded slot 7 lacks current CSIT"),
+    ({"stia_rounds": ((4, 2, 8), (1, 9, 11)), "zf_slots": frozenset({3, 5, 6, 12})},
+     "precoded slot 2 precedes the reference report"),
 ])
 def test_validate_rejects_malformed_plan_values(changes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

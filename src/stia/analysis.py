@@ -134,16 +134,18 @@ def emit_tradeoff_table(gammas) -> list[TradeoffPoint]:
     return rows
 
 
-def fit_dof_slope(snr_grid_db, mean_rates) -> float:
-    """Least-squares slope of rate against log2 of the linear SNR."""
+def fit_dof_slope(snr_grid_db, mean_rates):
+    """Least-squares slope of rates against log2 SNR along their last axis, a float for 1-d rates: the sum
+    of the rates with fixed weights ``d / sum(d**2)``, for ``d`` the centred log2 SNR, taken term by term."""
     db = np.asarray(snr_grid_db, dtype=float)
     y = np.asarray(mean_rates, dtype=float)
-    if db.ndim != 1 or db.shape != y.shape or db.size < 2 or db.min() == db.max() or not np.isfinite([db, y]).all():
+    if (db.ndim != 1 or y.shape[-1:] != db.shape or db.size < 2 or db.min() == db.max()
+            or not np.isfinite(db).all() or not np.isfinite(y).all()):
         raise ValueError("need matching finite 1-d grids with at least two distinct SNR points")
     x = db / (10.0 * np.log10(2.0))
-    design = np.stack([np.ones_like(x), x], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(coef[1])
+    d = x - _term_sum(x, 0) / x.size
+    slope = _term_sum(d / _term_sum(d * d, 0) * y, -1)
+    return float(slope) if slope.ndim == 0 else slope
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +288,10 @@ def estimate_dof_slope(
         results = [compute(entry) for entry in layout]
 
     rates = np.concatenate([r for r, _ in results], axis=0)
-    resamples = int(sum(res for _, res in results))
     mean_rates = rates.mean(axis=0)
-    slope = fit_dof_slope(db, mean_rates)
 
     # The fit is linear, so the slope is the mean of the per-trial slopes.
-    trial_slopes = rates @ [fit_dof_slope(db, e) for e in np.eye(len(db))]
+    trial_slopes = fit_dof_slope(db, rates)
     halfwidth = float(1.96 * trial_slopes.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
 
     return DofEstimate(
@@ -299,9 +299,9 @@ def estimate_dof_slope(
         gamma=delay.gamma,
         snr_grid_db=db,
         mean_sum_rates=tuple(float(x) for x in mean_rates),
-        slope=slope,
+        slope=fit_dof_slope(db, mean_rates),
         confidence_halfwidth=halfwidth,
         trials=trials,
         seed=seed,
-        resamples=resamples,
+        resamples=int(sum(res for _, res in results)),
     )

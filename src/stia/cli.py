@@ -8,9 +8,9 @@ verify     Alignment/cancellation/decoding/rank/plan/power property suites.
 schedule   Slot plan for one (K, n), as JSON slot-to-role mapping.
 
 Each setting is one RunConfig field, declared with the flag that sets it. Each
-subcommand takes ``--config``, a JSON file of settings whose ``command`` key, if
-any, names that subcommand, and the flags of the settings its runner reads
-(``_SUBCOMMANDS``); given flags win, and any other flag is a usage error.
+subcommand reads the settings listed in ``_SUBCOMMANDS``, from the flags or from
+``--config``, a JSON file whose ``command`` key, if any, names that subcommand;
+given flags win, and any other flag or config key is a usage error.
 Identical flags and seed produce byte-identical output files, regardless of the
 STIA_THREADS worker cap and of the BLAS thread count.
 """
@@ -23,7 +23,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -37,16 +37,14 @@ __all__ = ["RunConfig", "main", "run_schedule", "run_simulate", "run_tradeoff", 
 SCHEMA_VERSION = 1
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _comma_list(item, what: str):
+    """An argparse type: a comma list of ``item`` values, whose error names the format as ``what``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {what}, got {text!r}") from None
+    return parse
 
 
 def _setting(default, flag: str, help: str, **spec):
@@ -56,13 +54,13 @@ def _setting(default, flag: str, help: str, **spec):
 
 @dataclass
 class RunConfig:
-    """Flat experiment configuration; round-trips losslessly through JSON."""
+    """Flat experiment configuration; each subcommand's settings round-trip losslessly through JSON."""
 
     k: int = _setting(3, "--k", "number of users", type=int)
     t_c: int = _setting(3, "--tc", "coherence time in slots", type=int)
     t_fb: int = _setting(1, "--tfb", "feedback delay in slots", type=int)
     snr_grid_db: tuple[float, ...] = _setting((40.0, 50.0, 60.0), "--snr", "comma list of dB points",
-                                              type=_parse_float_list)
+                                              type=_comma_list(float, "numbers"))
     trials: int = _setting(10_000, "--trials", "Monte Carlo trials", type=int)
     seed: int = _setting(0, "--seed", "base RNG seed", type=int)
     scheme: str = _setting("stia", "--scheme", "transmission scheme", choices=analysis.SIMULATION_SCHEMES)
@@ -70,30 +68,32 @@ class RunConfig:
     format: str = _setting("json", "--format", "output format", choices=("csv", "json"))
     n: int = _setting(3, "--n", "number of aligned rounds in the horizon", type=int)
     k_values: tuple[int, ...] = _setting((3, 4, 5, 6), "--k-values", "comma list of user counts to sweep",
-                                         type=_parse_int_list)
+                                         type=_comma_list(int, "integers"))
     gammas: tuple[str, ...] = _setting(tuple(str(Fraction(i, 24)) for i in range(37)),  # 0 .. 3/2 step 1/24
                                        "--gammas", "comma list of delay ratios, fractions allowed (e.g. 0,1/3,1)",
-                                       type=_parse_str_list)
+                                       type=_comma_list(str, "delay ratios"))
     rounds_per_trial: int = _setting(16, "--rounds-per-trial", "aligned rounds per simulated horizon", type=int)
     verify_rounds: int = _setting(1000, "--rounds", "rounds per user count", type=int)
     inject_fault: str = _setting("none", "--inject-fault", "testing hook: break the precoders and expect failure",
                                  choices=("none", "alignment"))
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+    def to_json(self, command: str) -> str:
+        """``command`` and the settings its runner reads, as JSON that ``from_json`` reads back."""
+        settings = {name: getattr(self, name) for name in _SUBCOMMANDS[command][2]}
+        return json.dumps({"command": command, **settings}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str, command: str) -> "RunConfig":
-        """Parse ``to_json`` output for subcommand ``command``; reject unknown keys, values of the wrong
-        type, bad choices and a ``command`` key that names another subcommand."""
+        """Parse ``to_json`` output for subcommand ``command``; reject keys that ``command`` does not
+        read, values of the wrong type, bad choices and a ``command`` key that names another subcommand."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
         if (named := raw.pop("command", command)) != command:
             raise ValueError(f"config key 'command' must be {command!r}: {named!r}")
+        if unread := set(raw) - set(_SUBCOMMANDS[command][2]):
+            raise ValueError(f"config keys {sorted(unread)} are not settings of {command}")
         hints = get_type_hints(cls)
-        if unknown := set(raw) - set(hints):
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, value in raw.items():
             if not _has_type(value, hints[key]):
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")

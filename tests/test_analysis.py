@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stia import analysis, protocol
 from stia.analysis import (
@@ -131,16 +133,47 @@ def test_fit_recovers_injected_slope_exactly():
 def test_fit_requires_two_points():
     with pytest.raises(ValueError):
         fit_dof_slope((40.0,), (1.0,))
-    # Two points at one SNR have no slope; lstsq would return its minimum-norm answer.
+    # Two points at one SNR have no slope: the centred grid is all zeros and its weights divide by zero.
     with pytest.raises(ValueError, match="distinct"):
         fit_dof_slope((1.0, 1.0), (1.0, 2.0))
-    # A non-finite point made lstsq print LAPACK errors and raise LinAlgError, or return nan.
+    # A non-finite point would make every weight, or the slope, nan.
     for db, rates in [((np.nan, 50.0), (1.0, 2.0)), ((40.0, np.inf), (1.0, 2.0)), ((40.0, 50.0), (1.0, np.nan))]:
         with pytest.raises(ValueError, match="finite"):
             fit_dof_slope(db, rates)
-    # A 2-d grid reached lstsq with a stacked design and raised LinAlgError.
+    # The grid is one axis; only the rates may be stacked.
     with pytest.raises(ValueError, match="1-d"):
         fit_dof_slope([[40.0, 50.0]], [[1.0, 2.0]])
+
+
+def _lstsq_slope(db, rates):
+    """Reference slopes: LAPACK's least-squares fit of each row of ``rates`` against (1, log2 SNR)."""
+    x = np.asarray(db) / (10.0 * np.log10(2.0))
+    coef, *_ = np.linalg.lstsq(np.stack([np.ones_like(x), x], axis=1), np.asarray(rates).T, rcond=None)
+    return coef[1]
+
+
+# Grids of 2-8 distinct points at least 0.5 dB apart, each with 1-4 rows of finite rates.
+_GRIDS_AND_RATES = st.lists(st.integers(-400, 400), min_size=2, max_size=8, unique=True).flatmap(
+    lambda half_db: st.tuples(
+        st.just([h / 2 for h in half_db]),
+        st.lists(st.lists(st.floats(-1e3, 1e3), min_size=len(half_db), max_size=len(half_db)),
+                 min_size=1, max_size=4),
+    )
+)
+
+
+@given(_GRIDS_AND_RATES)
+def test_fit_matches_a_lstsq_reference(grid_and_rates):
+    db, rows = grid_and_rates
+    expected = _lstsq_slope(db, rows)
+    # 1e-12 of the largest slope the rates' size and the grid's spread allow.
+    scale = max(1.0, np.abs(rows).max() / np.ptp(np.asarray(db) / (10.0 * np.log10(2.0))))
+    stacked = fit_dof_slope(db, rows)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(rows),)
+    assert np.abs(stacked - expected).max() <= 1e-12 * scale
+    for row, want in zip(rows, expected):
+        slope = fit_dof_slope(db, row)
+        assert isinstance(slope, float) and abs(slope - want) <= 1e-12 * scale
 
 
 def test_estimate_validates_inputs():
@@ -315,25 +348,27 @@ def test_every_scheme_rejects_fewer_than_two_users(scheme):
 # (scheme, K, delay, trials) at seed 7 on a 40/50/60 dB grid, with the slope
 # and mean rates the bootstrap-era engine printed for them; stia's since K=3
 # rounds are priced in closed form, which moved them by at most 1.6e-16 relative.
+# The slopes are re-recorded since the fit takes fixed weights in place of
+# lstsq, which moved them by at most 1.9e-15 relative.
 _PINNED = {
     "tdma": (
         ("tdma", 3, DelayConfig(3, 1), 1000),
-        0.9999783149744639,
+        0.999978314974463,
         (13.86530934821206, 17.187106470692765, 20.509021465795655),
     ),
     "zf": (
         ("zf", 3, DelayConfig(3, 0), 1000),
-        1.9989749330447588,
+        1.9989749330447562,
         (22.877658859489763, 29.515574320312812, 36.1585608416037),
     ),
     "zf_tdma": (
         ("zf_tdma", 3, DelayConfig(3, 1), 1000),
-        1.6663439206163708,
+        1.666343920616368,
         (20.009592401531677, 25.54419254573348, 31.080541772812232),
     ),
     "stia": (
         ("stia", 3, DelayConfig(3, 1), 300),
-        1.9612917113319481,
+        1.9612917113319446,
         (22.823968475204403, 29.33498274106796, 35.85450855149102),
     ),
 }

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -155,7 +157,7 @@ def test_verify_fault_injection_fails(tmp_path):
 
 def test_config_round_trip():
     cfg = RunConfig(k=4, t_c=4, t_fb=1, trials=123, seed=9, scheme="stia", format="csv")
-    again = RunConfig.from_json(cfg.to_json(), "simulate")
+    again = RunConfig.from_json(cfg.to_json("simulate"), "simulate")
     assert again == cfg
 
 
@@ -166,7 +168,7 @@ def test_config_rejects_unknown_keys():
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(RunConfig(scheme="tdma", trials=100, seed=5).to_json())
+    cfg_path.write_text(RunConfig(scheme="tdma", trials=100, seed=5).to_json("simulate"))
     rc = run_cli(["simulate", "--config", str(cfg_path), "--trials", "120"])
     assert rc == 0
     assert "slope=" in capsys.readouterr().out
@@ -174,10 +176,10 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [None, "simulate"], ids=["absent", "matching"])
 def test_config_command_key_may_be_absent_or_name_the_subcommand(command, tmp_path):
-    # A config as to_json writes it, or as it wrote it when RunConfig had a command field: the flags' artifact.
-    payload = json.loads(RunConfig(scheme="tdma", trials=60, seed=4).to_json())
-    if command is not None:
-        payload["command"] = command
+    # A config as to_json writes it, or without its command key: the flags' artifact.
+    payload = json.loads(RunConfig(scheme="tdma", trials=60, seed=4).to_json("simulate"))
+    if command is None:
+        del payload["command"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))
     assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "a.json")]) == 0
@@ -195,6 +197,21 @@ def test_config_command_key_naming_another_subcommand_is_usage_error(command, tm
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "'command'" in err and repr(command) in err and not out_path.exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("verify", "format", "csv"),
+    ("tradeoff", "trials", 8),
+    ("schedule", "seed", 1),
+])
+def test_config_key_the_subcommand_does_not_read_is_usage_error(command, key, value, tmp_path, capsys):
+    # A setting the runner would ignore is refused, as its flag is.
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.json"
+    cfg_path.write_text(json.dumps({key: value}))
+    assert run_cli([command, "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert repr(key) in err and not out_path.exists()
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", '"simulate"', "3", "null"])
@@ -215,11 +232,16 @@ def test_simulate_rejects_a_thread_count_that_is_not_an_integer(raw, tmp_path, m
     assert out == "" and err == f"error: STIA_THREADS must be an integer, got {raw!r}\n" and not out_path.exists()
 
 
-def _run_fresh_cli(args, **env_vars):
-    """``python -m stia.cli args`` in a fresh process that imports stia from this checkout, installed or not."""
+def _fresh_env(**env_vars):
+    """The environment of a fresh process that imports stia from this checkout, installed or not."""
     src = str(Path(stia.__file__).resolve().parent.parent)
-    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-m", "stia.cli", *args], capture_output=True, text=True, env=env, timeout=120)
+    return dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def _run_fresh_cli(args, **env_vars):
+    """``python -m stia.cli args`` in a fresh process that imports stia from this checkout."""
+    return subprocess.run([sys.executable, "-m", "stia.cli", *args], capture_output=True, text=True,
+                          env=_fresh_env(**env_vars), timeout=120)
 
 
 def test_console_entry_point_runs():
@@ -347,6 +369,18 @@ def test_flag_the_subcommand_ignores_is_usage_error(argv, flag, capsys):
     assert flag in err.splitlines()[-1].split() and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,what", [
+    ("verify --k-values x", "integers"),
+    ("simulate --snr 1,y", "numbers"),
+])
+def test_list_flag_error_names_its_format(argv, what, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(argv.split())
+    assert exit_info.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert f"expected a comma list of {what}" in last and "_parse" not in last
+
+
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"trials": "50"}')
@@ -356,15 +390,15 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1 and "'trials'" in err
 
 
-@pytest.mark.parametrize("key,value", [
-    ("format", "xml"),
-    ("scheme", "mat"),
-    ("inject_fault", "precoder"),
-])
-def test_config_value_outside_its_choices_is_usage_error(key, value, tmp_path, capsys):
+@pytest.mark.parametrize("command,key,value", [
+    ("tradeoff", "format", "xml"),
+    ("simulate", "scheme", "mat"),
+    ("verify", "inject_fault", "precoder"),
+], ids=["format-xml", "scheme-mat", "inject_fault-precoder"])
+def test_config_value_outside_its_choices_is_usage_error(command, key, value, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"command": "tradeoff", key: value}))
-    rc = run_cli(["tradeoff", "--config", str(cfg_path)])
+    cfg_path.write_text(json.dumps({"command": command, key: value}))
+    rc = run_cli([command, "--config", str(cfg_path)])
     assert rc == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
@@ -471,16 +505,16 @@ def test_tradeoff_json_matches_golden_digest(tmp_path):
 _ARTIFACT_DIGESTS = {
     "stia-k3": (["simulate", "--scheme", "stia", "--k", "3", "--tc", "3", "--tfb", "1",
                  "--trials", "200", "--seed", "3"],
-        "b968311099f60b4001bb5649d30d22a28ab6a7af5572beaff6d3f62bd79ef18f"),
+        "660aab0c639adb8074d9c24a30fc3aec54bc5b81d5eeee530a203f4d57ca9e4e"),
     "zf_tdma-k6": (["simulate", "--scheme", "zf_tdma", "--k", "6", "--tc", "6", "--tfb", "2",
                     "--trials", "300", "--seed", "6"],
-        "d04dbb37ee3b0089ad22689d46b2bbb23ea0a9921b03d34d009bde470ba14b39"),
+        "55c7640222211576a31318f3f9f8c8511b8e4b7efb30020832d1204ffc9063e2"),
     "zf-k2": (["simulate", "--scheme", "zf", "--k", "2", "--tc", "3", "--tfb", "0",
                "--trials", "500", "--seed", "8"],
-        "8e8c99f5b63de643a0a5efa24d9c01aed7e320c8205947956c3ada384bb848c6"),
+        "d1c68c7ce4eb9e1a1b4b5893262d46fcfc7af532f65aeda4001a6bb7792913a4"),
     "tdma-k4": (["simulate", "--scheme", "tdma", "--k", "4", "--tc", "3", "--tfb", "1",
                  "--trials", "500", "--seed", "11"],
-        "fb126e2717246ae721f6cad96966253f53a753d360f32cd0ae3c6544bbccd92d"),
+        "b6b4efffc762e612e26ae920318e7cc6d13edee7605cec82f90aedb67e24f41d"),
     "schedule-k4-n5": (["schedule", "--k", "4", "--n", "5"],
         "cc245fa81d0d1b193d8b030b288606865f2c94a14bc1876f1508bfd270360165"),
     "verify-k3-k4": (["verify", "--k-values", "3,4", "--rounds", "200", "--seed", "5"],
@@ -494,6 +528,53 @@ def test_artifact_matches_golden_digest(key, tmp_path, capsys):
     out = tmp_path / "a.json"
     assert run_cli([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+def _openblas_core_library():
+    """numpy's bundled OpenBLAS, if it names its active kernel through ``scipy_openblas_get_corename64_``."""
+    numpy_dir = Path(np.__file__).parent
+    for path in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")]):
+        try:
+            if hasattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_"):
+                return path
+        except OSError:
+            continue
+    return None
+
+
+# Runs stia's CLI on argv[2:] after writing the OpenBLAS kernel that library argv[1] runs on to stderr.
+_CLI_ON_KERNEL = """
+import ctypes, sys
+from stia.cli import main
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode(), file=sys.stderr)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [
+    _ARTIFACT_DIGESTS["stia-k3"][0],
+    _ARTIFACT_DIGESTS["tdma-k4"][0],
+    ["simulate", "--scheme", "zf_tdma", "--k", "3", "--tc", "3", "--tfb", "1", "--trials", "300", "--seed", "3"],
+], ids=["stia-k3", "tdma-k4", "zf_tdma-k3"])
+def test_blas_kernel_does_not_change_bytes(flags):
+    # The DoF slope and its half width are summed term by term, so no BLAS kernel enters them.
+    library = _openblas_core_library()
+    if library is None:
+        pytest.skip("numpy's OpenBLAS does not name its kernel (no scipy_openblas_get_corename64_)")
+    outputs = []
+    for core in (None, "Haswell", "Nehalem"):
+        env = _fresh_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        proc = subprocess.run([sys.executable, "-c", _CLI_ON_KERNEL, str(library), *flags],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert core is None or proc.stderr.decode().strip().lower() == core.lower()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_simulate_json_and_csv_agree_field_by_field(tmp_path):

@@ -1,10 +1,12 @@
 """Dense complex linear-algebra kernels for small beamforming problems.
 
 Everything here operates on stacked channel matrices no larger than a
-handful of rows. A 2x2 stack, every stack of the 3-user case, is inverted
-in closed form with matrix axes first, because on matrices that small a
-LAPACK call costs more than its arithmetic; larger stacks take LAPACK's
-``inv`` through numpy. Every beamformer (aligning precoders, ZF beams and
+handful of rows. A 1x1 stack, ZF's at K=2, is inverted as its reciprocal and
+a 2x2 stack, every stack of the 3-user case, in closed form with matrix axes
+first, because on matrices that small a LAPACK call costs more than its
+arithmetic; larger stacks take LAPACK's ``inv`` through numpy (the K=4 slot
+guard in ``precoding`` calls it only past its own closed form's gate). Every
+beamformer (aligning precoders, ZF beams and
 gains) comes from the inverse :func:`_guarded_solve` returns, whose guard
 reuses it instead of an SVD, as does every decode and rank flag; only
 :func:`condition_estimate`, the spectral condition number, takes an SVD.
@@ -77,10 +79,16 @@ def _guarded_solve(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_guarded_solve` at the stack's own scale; ``kappa_F`` is not finite where a value leaves float range.
 
-    A 2x2 stack takes the adjugate over ``det A`` and ``kappa_F = ||A||_F^2 / |det A|``, entry by
-    entry with matrix axes first: each step is one operation over the flattened stack, so that one
-    matrix rounds as it does in a stack. Larger stacks take LAPACK's ``inv``, the solve of ``A X = I``.
+    A 1x1 stack takes the reciprocal and ``kappa_F = |a| |1/a|``. A 2x2 stack takes the adjugate over
+    ``det A`` and ``kappa_F = ||A||_F^2 / |det A|``, entry by entry with matrix axes first: each step is
+    one operation over the flattened stack, so that one matrix rounds as it does in a stack. Larger
+    stacks take LAPACK's ``inv``, the solve of ``A X = I``.
     """
+    if a.shape[-1] == 1:
+        with np.errstate(all="ignore"):
+            inv = 1 / a
+            cond = abs(a[..., 0, 0]) * abs(inv[..., 0, 0])
+        return inv, np.where(np.isfinite(cond), cond, np.inf)
     if a.shape[-1] == 2:
         m = a.reshape(-1, 2, 2)
         (p, q), (r, s) = m.transpose(1, 2, 0)
@@ -108,7 +116,8 @@ def _term_sum(x: np.ndarray, axis: int) -> np.ndarray:
 
     The order is numpy's too, except along a last axis of 8 or more terms, which numpy regroups.
     """
-    terms = np.moveaxis(x, axis, 0)
+    axis %= x.ndim
+    terms = x.transpose(axis, *range(axis), *range(axis + 1, x.ndim)) if axis else x  # np.moveaxis, without its checks
     return sum(terms[1:], terms[0])
 
 

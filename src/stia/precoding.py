@@ -6,6 +6,9 @@ then observes, during the precoded slots, exactly the interference mixture
 it already recorded at the reference slot, so a single subtraction cancels
 all of it. With ``n_t = K - 1`` transmit antennas every interferer stack is
 square, and one inverse per slot, of the stack of users 1..K-1, gives all K.
+At K=4 the six cross products of a slot's rows give every stack's determinant
+and guard value and that inverse in closed form; LAPACK inverts only the slots
+past their gate, where the closed form is not accurate enough.
 
 Precoders are built unnormalized; power scaling is a per-slot scalar
 applied by the protocol layer, which commutes with the alignment property.
@@ -50,6 +53,7 @@ def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     ``A^-1 - A^-1 e_k (c - e_k)^T / c_k``. ``kappa_F`` is ``inf`` for a singular stack. At K=3 the
     stacks are 2x2, with ``||.||_F^2 / |det|`` as their ``kappa_F``: user k's has determinant
     ``+-c_k det A``, so it is ``(R - r_k) kappa_ref / ((r_1 + r_2) |c_k|)`` for ``r_k = ||h_k||^2``.
+    At K=4 all of it comes from cross products, :func:`_cross_product_guard`.
     """
     if current.shape[-2] == 3:  # entry by entry over the flattened stack, as _guarded_solve's 2x2 case
         cur = current.reshape(-1, 3, 2)
@@ -65,6 +69,67 @@ def _interferer_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
             cond[:, 0], cond[:, 1] = (total - r1) * scale / np.abs(z[:, 0]), (total - r2) * scale / np.abs(z[:, 1])
         shape, cond = current.shape[:-1], np.where(np.isfinite(cond), cond, np.inf)
         return z.reshape(shape), cond.reshape(shape), inv.reshape(shape[:-1] + (2, 2))
+    if current.shape[-2] == 4:
+        return _cross_product_guard(current)
+    return _lapack_guard(current)
+
+
+# The K=4 pairs x_ij = h_i x h_j, oriented so that A^-1 = [x_23 | x_31 | x_12] / D_4: x_12, x_31, x_14, x_23,
+# x_24, x_34, whose component c is h_i[c+1] h_j[c+2] - h_i[c+2] h_j[c+1], each product gathered as (h_i, h_j).
+# Each user's determinant, with D_2's sign flipped, is h_i . x_jl for the rows and pairs of _DETS.
+_CROSS = tuple((np.array([[0, 2, 0, 1, 1, 2], [1, 0, 3, 2, 3, 3]])[:, :, None], np.array(cols)[:, None, :])
+               for cols in ([[1, 2, 0], [2, 0, 1]], [[2, 0, 1], [1, 2, 0]]))
+_DETS = np.array([[1, 2, 0, 0], [9, 6, 8, 7]])  # rows of [h_1..h_4, x_12..x_34]: h_2 . x_34 = D_1, h_3 . x_14 = -D_2
+# Per user k, the rows of the other three users and their three pairs, whose |.|^2 sum to ||A_k||_F^2 and
+# to |D_k|^2 ||A_k^-1||_F^2.
+_NORMS = np.array([[[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]], [[7, 8, 9], [5, 6, 9], [4, 6, 8], [4, 5, 7]]])
+# Past this kappa_F a K=4 slot takes LAPACK: the adjugate is not backward stable, its residual grows as eps kappa^2.
+_CLOSED_FORM_LIMIT = 100.0
+# A pair sum below this could hold an underflowed product, which no non-finite value would flag.
+_TINY_SUM = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _cross_product_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_interferer_guard` at K=4 from the six cross products of rows ``h_1..h_4``, matrix axes first.
+
+    User k's stack has determinant ``D_k = h_i . x_jl`` and ``kappa_F`` the root of the ``||h||^2`` of its
+    rows times the root of the ``||x||^2`` of its pairs, over ``|D_k|``; ``c = (D_1, -D_2, D_3) / D_4``.
+    An item whose ``kappa_F`` exceeds :data:`_CLOSED_FORM_LIMIT` or is not finite, or whose pair sums are
+    subnormal, takes :func:`_lapack_guard`.
+    """
+    n = current.size // 12
+    hx = np.empty((10, 3, n), dtype=complex)  # rows h_1..h_4, then the six pairs
+    hx[:4] = current.reshape(n, 4, 3).transpose(1, 2, 0)
+    with np.errstate(all="ignore"):  # products in place and temporaries dropped: the working set stays near 2x hx
+        np.multiply(*hx[_CROSS[0]], out=hx[4:])
+        t = hx[_CROSS[1]]
+        hx[4:] -= np.multiply(t[0], t[1], out=t[0])
+        del t
+        t = hx[_DETS]
+        t = np.multiply(t[0], t[1], out=t[0])
+        det = t[:, 0] + t[:, 1] + t[:, 2]
+        del t
+        t = hx.real ** 2
+        t += hx.imag ** 2
+        t = (t[:, 0] + t[:, 1] + t[:, 2])[_NORMS]
+        sums = t[..., 0, :] + t[..., 1, :] + t[..., 2, :]
+        roots = np.sqrt(sums)
+        z, cond, inv = np.empty((n, 4), dtype=complex), np.empty((n, 4)), np.empty((n, 3, 3), dtype=complex)
+        np.divide(roots[0] * roots[1], abs(det), out=cond.T)
+        closed = ((cond.T <= _CLOSED_FORM_LIMIT) & (sums[1] >= _TINY_SUM)).all(axis=0)
+        rdet = 1 / det[3]
+        np.multiply(det[:3], rdet, out=z.T[:3])
+        np.multiply(hx[[7, 5, 4]], rdet, out=inv.transpose(2, 1, 0))
+    z[:, 3] = -1.0
+    if not closed.all():
+        far = ~closed
+        z[far], cond[far], inv[far] = _lapack_guard(hx[:4, :, far].transpose(2, 0, 1).copy())
+    shape = current.shape[:-1]
+    return z.reshape(shape), cond.reshape(shape), inv.reshape(shape[:-1] + (3, 3))
+
+
+def _lapack_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_interferer_guard` from LAPACK's ``A^-1`` and its rank-one updates, at any K."""
     inv, cond_ref = _guarded_solve(current[..., :-1, :])
     z, cond = np.empty(current.shape[:-1], dtype=complex), np.empty(current.shape[:-1])
     z[..., :-1], z[..., -1], cond[..., -1] = np.einsum("...i,...ij->...j", current[..., -1, :], inv), -1.0, cond_ref

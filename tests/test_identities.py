@@ -10,15 +10,18 @@ they are the ones the guard accepts. The bound is fixed: the largest error
 measured over 15,000 accepted rounds per K at K = 3..8 was 4.4e-13.
 
 Every round is priced by ``_round_bits``, ``log2 det(C + p H H^H)`` less
-``log2 det C``: the pivots of ``_log2det`` at K >= 4 and the same two pivots
-in closed form at K=3, where every stack is 2x2. Both are checked here
+``log2 det C``: at K >= 4 the LDL^H pivots ``_pivots`` takes from the Gram's
+upper triangle, which ``_log2det`` takes from a whole matrix, and at K=3 two
+pivots in closed form, where every stack is 2x2. Both are checked here
 against the log-det in exact Fraction arithmetic. The elimination is
 backward stable, so the error grows with the matrix's condition number:
-over 250 rounds per K at K = 3..8 and 0 to 120 dB the largest error of
-``_log2det`` was 1.0e-14 times ``cond_2``, and that of ``_round_bits``,
+over 100 rounds per K at K = 4..8 and 0 to 120 dB the largest error of
+``_log2det`` was 5.4e-15 times ``cond_2``, and that of ``_round_bits``,
 its Gram included, 2.3e-14 over 1,000 rounds at K=3. At K=3 the stack
 inverse, the guard values and the null vectors are 2x2 closed forms too,
-checked against ``np.linalg.inv``.
+and at K=4 they come from the six cross products of the slot's rows, or
+from LAPACK for a slot past their gate; both are checked against
+``np.linalg.inv``.
 
 Decoding, ``protocol._decode``, multiplies the differences by each effective
 channel's guarded inverse and reports its kappa_F; it is checked against
@@ -198,18 +201,30 @@ def test_round_bits_match_an_exact_log_det(case):
         assert abs(bits[k] - want) <= LOG2DET_TOL * np.linalg.cond(cov + p * (hk @ hk.conj().T))
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
-def test_k3_closed_forms_match_lapack_inverses(seed, count):
-    # At K=3 the guard's A^-1, its null vectors z = (h_3 A^-1, -1) and every user's kappa_F
-    # come from 2x2 closed forms; here each comes from np.linalg.inv of that user's own stack.
-    ch, _, _, _ = batch_rounds(3, count, np.random.default_rng(seed))
+def _check_closed_forms(K, seed, count):
+    """The guard's A^-1, z = (h_K A^-1, -1) and every user's kappa_F against np.linalg.inv of each user's stack."""
+    ch, _, _, _ = batch_rounds(K, count, np.random.default_rng(seed))
     cur = ch[:, 1:]
     z, cond, inv = _interferer_guard(cur)
     want = np.linalg.inv(cur[..., :-1, :])
     assert _rel(inv, want, (-2, -1)) <= RTOL
     assert _rel(z[..., :-1], np.einsum("...i,...ij->...j", cur[..., -1, :], want), -1) <= RTOL
     np.testing.assert_array_equal(z[..., -1], -1.0)
-    for k in range(3):
+    for k in range(K):
         a = _stack(cur, k)
         kappa = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(a), axis=(-2, -1))
         assert np.max(np.abs(cond[..., k] / kappa - 1.0)) <= RTOL
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_k3_closed_forms_match_lapack_inverses(seed, count):
+    # At K=3 the guard's A^-1, its null vectors z = (h_3 A^-1, -1) and every user's kappa_F
+    # come from 2x2 closed forms; here each comes from np.linalg.inv of that user's own stack.
+    _check_closed_forms(3, seed, count)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_k4_closed_forms_match_lapack_inverses(seed, count):
+    # At K=4 they come from the six cross products of the slot's rows, or from LAPACK for a slot
+    # past the cross products' gate; here each comes from np.linalg.inv of that user's own stack.
+    _check_closed_forms(4, seed, count)

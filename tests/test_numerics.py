@@ -177,3 +177,23 @@ def test_guard_singular_items_stay_singular_at_every_scale():
         inv, cond = _guarded_solve(a.astype(complex))
         assert cond == np.inf
         np.testing.assert_array_equal(inv, np.eye(len(a)))
+
+
+def test_one_by_one_guard_is_the_reciprocal_with_no_lapack_call(monkeypatch):
+    # ZF at K=2 guards 1x1 stacks: kappa_F = |a| |1/a| is 1 up to rounding at any normal scale, and
+    # a zero or subnormal stack, whose reciprocal is past float range, is refused as singular.
+    monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("np.linalg.inv was called"))
+    a = _cn(np.random.default_rng(50), (200, 1, 1))
+    inv, cond = _guarded_solve(a)
+    np.testing.assert_array_equal(inv, 1 / a)
+    np.testing.assert_allclose(cond, 1.0, rtol=4 * np.finfo(float).eps)
+    for k in (-1000, -600, 600, 1000):
+        scaled, scaled_cond = _guarded_solve(np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k))
+        np.testing.assert_array_equal(np.ldexp(scaled.real, k) + 1j * np.ldexp(scaled.imag, k), inv)
+        np.testing.assert_array_equal(scaled_cond, cond)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, cond = _guarded_solve(np.array([0.0, 1e-320, 1e300j], dtype=complex).reshape(3, 1, 1))
+    np.testing.assert_array_equal(cond[:2], np.inf)
+    np.testing.assert_array_equal(inv[:2], 1.0)
+    assert cond[2] == pytest.approx(1.0) and inv[2, 0, 0] == pytest.approx(-1e-300j)

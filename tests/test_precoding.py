@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stia import precoding
 from stia.analysis import _mix_chunk, _scheme_plan
 from stia.channel import DelayConfig, complex_normal
 from stia.precoding import (
@@ -80,6 +81,31 @@ def test_precoders_do_not_depend_on_the_channel_scale(K):
             assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
         with pytest.raises(IllConditionedChannelError):  # a subnormal stack's A^-1 is past float range
             build_stia_precoders(cur * 1e-320, out * 1e-320)
+
+
+def test_k4_slot_past_the_closed_form_gate_takes_the_lapack_guard_bit_for_bit():
+    # Users 3 and 4 nearly equal put users 1 and 2's stacks past kappa_F 100, short of the limit:
+    # the slot is guarded by LAPACK, alone or in a stack, with every bit it has there.
+    rng = np.random.default_rng(5)
+    cur = complex_normal(rng, (8, 4, 3))
+    cur[3, 3] = cur[3, 2] + 1e-4 * complex_normal(rng, 3)
+    want = precoding._lapack_guard(cur[3].copy())
+    assert 100 < want[1].max() < 1e8
+    for alone, stacked, lapack in zip(_interferer_guard(cur[3]), _interferer_guard(cur), want):
+        np.testing.assert_array_equal(alone, lapack)
+        np.testing.assert_array_equal(stacked[3], lapack)
+
+
+def test_k4_guard_values_do_not_depend_on_a_power_of_two_scale():
+    # Past about 2**+-250 the cross products' pair sums leave the normal range, where a subnormal sum
+    # would give a finite but wrong kappa_F: such a slot is guarded by LAPACK, whose values still hold.
+    cur = complex_normal(np.random.default_rng(6), (200, 4, 3))
+    ref_z, ref_cond, ref_inv = _interferer_guard(cur)
+    for k in (-300, -270, -262, -255, -240, -200, 200, 240, 255, 262, 300):
+        z, cond, inv = _interferer_guard(np.ldexp(cur.real, k) + 1j * np.ldexp(cur.imag, k))
+        np.testing.assert_allclose(cond, ref_cond, rtol=1e-11)
+        np.testing.assert_allclose(z, ref_z, rtol=1e-11)
+        np.testing.assert_allclose(np.ldexp(inv.real, k) + 1j * np.ldexp(inv.imag, k), ref_inv, rtol=1e-11)
 
 
 def test_ill_conditioned_raises_and_carries_condition():

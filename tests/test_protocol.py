@@ -294,6 +294,7 @@ def test_decoding_and_rank_take_no_svd_and_k3_takes_no_lapack_solve(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg was called")
 
+    real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "svd", refuse)
     for K in (3, 4):
         run_stia_round(*_round(K, 25))
@@ -304,6 +305,11 @@ def test_decoding_and_rank_take_no_svd_and_k3_takes_no_lapack_solve(monkeypatch)
     monkeypatch.setattr(np.linalg, "inv", refuse)
     run_stia_round(*_round(3, 25))
     verify.round_sweep(3, 50, 0)
+    # At K=4 the slots' guard hands LAPACK only the slots past its cross products' gate, about 1%.
+    solved = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: solved.append(len(a)) or real_inv(a))
+    batch_rounds(4, 2000, np.random.default_rng(26))
+    assert 0 < sum(solved) <= 0.02 * 3 * 2000
 
 
 @pytest.mark.parametrize("K", [3, 4])
@@ -322,6 +328,7 @@ def test_a_round_decodes_at_any_channel_scale(K):
 def test_a_round_is_the_batch_kernels_on_a_batch_of_one(K, monkeypatch):
     # run_stia_round gives each round of a batch what the batched kernels give it, bit for bit,
     # from two guarded solves (the slots' guard and the decode) and, at K=3, no LAPACK inverse.
+    # At K=4 the slots' guard solves only the slots its cross products leave to LAPACK, if any.
     rng = np.random.default_rng(80 + K)
     ch, z, _, _ = batch_rounds(K, 50, rng)
     sent = complex_normal(rng, (50, K, K - 1))
@@ -349,7 +356,7 @@ def test_a_round_is_the_batch_kernels_on_a_batch_of_one(K, monkeypatch):
     for i in range(50):
         calls.clear()
         res = run_stia_round(ch[i], SymbolBlock(sent[i]), power=power, snr_linear=snr)
-        assert len(calls) == 2
+        assert len(calls) == 2 or K == 4 and calls == [(K, K - 1, K - 1)]
         np.testing.assert_array_equal(res.decoded.stacked(), decoded[i])
         np.testing.assert_array_equal(np.stack([res.effective_channels[k] for k in users]), heff[i])
         assert [res.residual_interference[k] for k in users] == residual[i].tolist()
@@ -449,8 +456,10 @@ def _library_rounds_digest():
 
 def test_library_rounds_are_pinned():
     # The library signal path, noise-free and noisy, bit for bit; re-recorded when decoding
-    # took the guarded inverse, which moved only the decoded symbols' last bits.
-    assert _library_rounds_digest() == "9dac931445762771a60ed0c787f124e80a2a94e0ab23ed5971a0576388e971a6"
+    # took the guarded inverse, which moved only the decoded symbols' last bits, and when K=4
+    # slots took the cross-product guard and K >= 4 rounds the triangle pricing: K=3 kept every bit,
+    # K=5 moved only rates.
+    assert _library_rounds_digest() == "7ee5b7c8b26e70bdcb2a71c503ac8693b49155c7e8e43ce812bb08942a0cacb7"
 
 
 def test_redraw_loop_replaces_rejected_draws_and_gives_up():
@@ -660,6 +669,21 @@ def test_k3_closed_forms_give_one_matrix_the_bits_it_has_in_a_stack():
             assert protocol._round_bits(batch_effective_channels(ch[c:c + 1], z[c:c + 1])[0, k], 1e5) == bits[c, k]
 
 
+def test_k4_closed_forms_give_one_matrix_the_bits_it_has_in_a_stack():
+    # A lone slot's cross products round as they do in a stack, and a slot left to LAPACK, or a
+    # round priced alone, gets the bits it gets there too.
+    ch, z, _, _ = batch_rounds(4, 200, np.random.default_rng(32))
+    stacked = _interferer_guard(ch[:, 1:])
+    assert (stacked[1] > precoding._CLOSED_FORM_LIMIT).any(axis=-1).sum() >= 2
+    bits = protocol._round_bits(batch_effective_channels(ch, z), 1e5)
+    for c in range(200):
+        for m in range(3):
+            for got, want in zip(_interferer_guard(ch[c, 1 + m]), stacked):
+                np.testing.assert_array_equal(got, want[c, m])
+        for k in range(4):
+            assert protocol._round_bits(batch_effective_channels(ch[c:c + 1], z[c:c + 1])[0, k], 1e5) == bits[c, k]
+
+
 def test_batch_matches_reference_round():
     rng = np.random.default_rng(27)
     for K in (3, 4):
@@ -793,6 +817,16 @@ def test_round_draws_reject_a_count_that_is_not_a_non_negative_integer(draw, cou
     # 2.5 was a bare TypeError, -1 numpy's "negative dimensions are not allowed" and True one round.
     with pytest.raises(ValueError, match=f"count must be .*{word}"):
         draw(3, count, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("draw", [draw_round_channels, batch_rounds, lambda K, count, rng: SymbolBlock.random(K, rng)],
+                         ids=["draw_round_channels", "batch_rounds", "SymbolBlock.random"])
+@pytest.mark.parametrize("K,word", [(2.5, "integer"), (True, "integer"), (0, "at least 2"), (1, "at least 2")])
+def test_round_draws_reject_a_user_count_that_is_not_an_integer_of_at_least_two(draw, K, word):
+    # A draw took 2.5 and True as bare TypeErrors, 0 as numpy's "negative dimensions are not allowed" and
+    # 1 as a (1, 1, 1, 0) draw; SymbolBlock.random took 2.5 as a TypeError.
+    with pytest.raises(ValueError, match=f"K must be .*{word}"):
+        draw(K, 1, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("eff,differences", [

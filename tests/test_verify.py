@@ -215,10 +215,11 @@ def test_round_sweep_reports_numpy_counts_as_ints():
 # K=3's was re-recorded when its 2x2 stacks took the closed-form inverse, and every
 # K's when decoding took the guarded inverse: only max_decode_error moved.
 # Every K's again when alignment became one matmul per precoded slot: BLAS sums in
-# another order, so only max_alignment_residual moved.
+# another order, so only max_alignment_residual moved. K=4's again when its slots took the
+# cross-product guard: only max_decode_error moved.
 _SWEEP_DIGESTS = {
     3: "3640d53485d1c48c024637450775f3ad8d8118fad5a856ddcfdf618709705719",
-    4: "1eab5fa7c86394e888547d1aa2c14a5af27a0b9358a90a6cfbbc60f4199d20b6",
+    4: "a9450dce2008e6ba694a74593a1b74fd6aebc6a41b2b52f95e4cd7f4046a6a1d",
     5: "060b0f23693925bd75d5dad122e9f0576f47b3f5db59f9e701c185006a953622",
     6: "289433832d4df2054326edfb0c42ed2094d847499dface96f181c1c3b30c17dd",
 }

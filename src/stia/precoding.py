@@ -138,7 +138,8 @@ def _lapack_guard(current: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         rows = (abs(current) ** 2).sum(axis=-1)
         w = (c[..., None, :] - np.eye(c.shape[-1])) / c[..., :, None]  # row k: (c - e_k) / c_k
         for k in range(c.shape[-1]):
-            cond[..., k] = (abs(inv - inv[..., :, k, None] * w[..., k, None, :]) ** 2).sum(axis=(-2, -1))
+            t = inv - inv[..., :, k, None] * w[..., k, None, :]
+            cond[..., k] = (t.real ** 2 + t.imag ** 2).sum(axis=(-2, -1))
         cond[..., :-1] = np.sqrt((rows.sum(axis=-1, keepdims=True) - rows[..., :-1]) * cond[..., :-1])
     return z, np.where(np.isfinite(cond) & np.isfinite(cond_ref)[..., None], cond, np.inf), inv
 

@@ -12,10 +12,13 @@ one, so the round delivers K(K-1) symbols in K slots.
 Every stage below works on stacked rounds with channels of shape
 (count, K, K, K-1): round, slot (broadcast slot first), user, antenna.
 :func:`batch_rounds` draws a batch at once and returns each precoded slot's
-left null vector; every stage after a draw runs on :func:`_slices` of it, so
+left null vector (``verify`` draws the same rounds and keeps each slot's guard
+inverse too); every stage after a draw runs on :func:`_slices` of it, so
 the working set does not grow with the batch. Callers that transmit
 (:func:`run_stia_round`, a batch of one, and ``verify``) send rounds through
 :func:`_send`, the one signal path, which precodes from each slot's guard inverse.
+:func:`_decode` is the one decoder: of each effective channel, or through
+:func:`_decode_round` of every user of a round at once from its interference :func:`_mixture`.
 :func:`_round_bits` prices rounds from effective channels H as ``log2 det(C + p H H^H) - log2 det C``.
 
 At finite transmit power a scalar is applied per slot so the expected
@@ -125,16 +128,36 @@ def decode_round(eff, differences) -> np.ndarray:
 
 def _decode_accepted(heff: np.ndarray, diffs: np.ndarray) -> np.ndarray:
     """:func:`_decode`'s symbols; raises :class:`DecodeFailureError` past :data:`~stia.numerics.CONDITION_LIMIT`."""
-    decoded, cond = _decode(heff, diffs)
+    decoded, cond, _ = _decode(heff, diffs)
     if not (cond <= CONDITION_LIMIT).all():
         raise DecodeFailureError(cond.max())
     return decoded
 
 
-def _decode(heff: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbols ``H^-1 d`` and ``kappa_F`` of stacked effective channels H and differences d: one guarded inverse."""
-    inv, cond = _guarded_solve(heff)
-    return (inv @ diffs[..., None])[..., 0], cond
+def _decode(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symbols ``M^-1 r``, ``kappa_F`` and ``M^-1`` of stacked square M and right-hand sides r: one guarded inverse.
+
+    M is an effective channel H with r its differences d, or a round's :func:`_mixture` for all its users at once.
+    """
+    inv, cond = _guarded_solve(mat)
+    return (inv @ rhs[..., None])[..., 0], cond, inv
+
+
+def _decode_round(mixture: np.ndarray, z: np.ndarray, diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every user's symbols (count, K, K-1) and effective-channel ``kappa_F`` (count, K) from one inverse per round.
+
+    User k's effective channel is ``diag(1/z_.k) G`` for the :func:`_mixture` G and the slots' null-vector
+    entries ``z_.k``, so ``s_k = G^-1 (z_.k * d_k)`` and its ``kappa_F`` is, exactly,
+    ``sqrt(sum_m ||G_m||^2 / |z_mk|^2 * sum_m ||G^-1 e_m||^2 |z_mk|^2)``; ``inf`` where G fails its guard.
+    """
+    zk = z.transpose(0, 2, 1)  # user k's z_.k on row k
+    decoded, cond, inv = _decode(mixture[:, None], zk * diffs)
+    with np.errstate(all="ignore"):
+        zz, g, gi = (x.real ** 2 + x.imag ** 2 for x in (zk, mixture, inv[:, 0]))
+        fro = (g.sum(axis=-1)[:, None, :] / zz).sum(axis=-1)
+        fro_inv = (gi.sum(axis=-2)[:, None, :] * zz).sum(axis=-1)
+        kappa = np.sqrt(fro * fro_inv)
+    return decoded, np.where(np.isfinite(kappa) & np.isfinite(cond), kappa, np.inf)
 
 
 def run_stia_round(
@@ -182,7 +205,8 @@ def run_stia_round(
     ch, sent = ch[None], symbols.stacked()[None]
     z, inv = _accepted_null_vectors(ch[:, 1:])
     noise = noise_std * complex_normal(rng, (1, K, K)) if noise_std else None
-    _, vs, diffs, heff = _send(ch, z, inv, ch[:, :1], sent, power, noise)
+    _, vs, diffs = _send(ch, z, inv, ch[:, :1], sent, power, noise)
+    heff = batch_effective_channels(ch, z)
     decoded = _decode_accepted(heff[0], diffs[0])
     residual = _leakage(ch, vs, diffs, sent)[0]
     users = range(1, K + 1)
@@ -213,9 +237,10 @@ def _slices(items) -> list[slice]:
 def _redraw_guarded(draw, guard, count: int):
     """Draw ``count`` items, redrawing each whose ``guard`` value exceeds :data:`CONDITION_LIMIT`.
 
-    ``guard(items)`` returns guard values and per-item results, such as the
-    null vectors or ZF gains the guard computed on the way. Each pass is one
+    ``guard(items)`` returns guard values followed by per-item results, such as the
+    null vectors, inverses or ZF gains the guard computed on the way. Each pass is one
     ``draw`` call, guarded and concatenated per :func:`_slices` slice.
+    Returns ``(items, *results, conds, resamples)``.
     Raises :class:`IllConditionedChannelError` after ``_MAX_PASSES`` passes.
     """
 
@@ -224,7 +249,7 @@ def _redraw_guarded(draw, guard, count: int):
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     items = draw(count)
-    conds, results = sliced_guard(items)
+    conds, *results = sliced_guard(items)
     pending = np.flatnonzero(conds > CONDITION_LIMIT)
     resamples = 0
     for _ in range(_MAX_PASSES - 1):
@@ -232,13 +257,21 @@ def _redraw_guarded(draw, guard, count: int):
             break
         resamples += int(pending.size)
         items[pending] = draw(pending.size)
-        cond, sub = sliced_guard(items[pending])
+        cond, *sub = sliced_guard(items[pending])
         conds[pending] = cond
-        results[pending] = sub
+        for whole, part in zip(results, sub):
+            whole[pending] = part
         pending = pending[cond > CONDITION_LIMIT]
     if pending.size:
         raise IllConditionedChannelError("batch", float(conds.max()))
-    return items, results, conds, resamples
+    return items, *results, conds, resamples
+
+
+def _slot_guard(ch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A :func:`_redraw_guarded` guard of rounds (count, K, K, K-1): each round's worst interferer-stack
+    ``kappa_F``, then every precoded slot's null vector ``z`` (count, K-1, K) and ``A^-1`` (count, K-1, K-1, K-1)."""
+    z, cond, inv = _interferer_guard(ch[:, 1:])
+    return cond.max(axis=(1, 2)), z, inv
 
 
 def batch_rounds(
@@ -250,14 +283,10 @@ def batch_rounds(
     (count, K, K, K-1) and (count, K-1, K), the worst interferer-stack
     ``kappa_F = ||A||_F ||A^-1||_F`` per round and the redrawn rounds. Callers
     build effective channels per :func:`_slices` slice with :func:`batch_effective_channels`.
+    :func:`_slot_guard` guards each slice; the slots' ``A^-1`` are dropped there.
     """
     count = _require_count("count", count, 0)
-
-    def guard(ch):
-        z, cond, _ = _interferer_guard(ch[:, 1:])
-        return cond.max(axis=(1, 2)), z
-
-    return _redraw_guarded(lambda n: draw_round_channels(K, n, rng), guard, count)
+    return _redraw_guarded(lambda n: draw_round_channels(K, n, rng), lambda ch: _slot_guard(ch)[:2], count)
 
 
 def _slot_scales(v: np.ndarray, power: float | None) -> np.ndarray:
@@ -284,8 +313,8 @@ def _transmit(v: np.ndarray, symbols: np.ndarray, scales: np.ndarray) -> tuple[n
     return vs, x
 
 
-def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, ...]:
-    """Precoders, every ``V_k s_k``, differences ``y[broadcast] - y[m]`` (count, K, K-1) and effective channels.
+def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precoders, every ``V_k s_k`` and differences ``y[broadcast] - y[m]`` (count, K, K-1).
 
     Precoders align to ``reference`` from each slot's guard ``z`` and ``A^-1``; slots are scaled to ``power``
     (None: unscaled), received with ``noise`` (count, K, K) or none, and unscaled; differences are user-major.
@@ -297,7 +326,7 @@ def _send(ch, z, inv, reference, symbols, power, noise) -> tuple[np.ndarray, ...
     if noise is not None:
         y = y + noise
     y /= scales[..., None]
-    return v, vs, (y[:, :1] - y[:, 1:]).transpose(0, 2, 1), batch_effective_channels(ch, z)
+    return v, vs, (y[:, :1] - y[:, 1:]).transpose(0, 2, 1)
 
 
 def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> np.ndarray:
@@ -315,8 +344,13 @@ def batch_effective_channels(channels: np.ndarray, null_vectors: np.ndarray) -> 
             mixed = z[:, m, 0] * ref[:, 0, a] + z[:, m, 1] * ref[:, 1, a] + z[:, m, 2] * ref[:, 2, a]
             heff[m, a] = mixed[:, None] / z[:, m]
         return heff.transpose(2, 3, 0, 1)
-    mixed = np.einsum("cmk,cka->cma", null_vectors, channels[:, 0])
-    return mixed[:, None] / null_vectors.transpose(0, 2, 1)[..., None]
+    return _mixture(channels, null_vectors)[:, None] / null_vectors.transpose(0, 2, 1)[..., None]
+
+
+def _mixture(channels: np.ndarray, null_vectors: np.ndarray) -> np.ndarray:
+    """The interference mixture G (count, K-1, K-1) every receiver recorded: row m is ``z^T H[ref]`` for
+    slot m's null vector z, so user k's effective channel is ``diag(1/z_.k) G``."""
+    return np.einsum("cmk,cka->cma", null_vectors, channels[:, 0])
 
 
 def _leakage(ch: np.ndarray, vs: np.ndarray, diffs: np.ndarray, symbols: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import protocol
 from .channel import _keyed_rng, _require_count, _require_integer, complex_normal
-from .numerics import CONDITION_LIMIT, _guarded_solve
+from .numerics import CONDITION_LIMIT
 from .precoding import _stia_precoders
 from .scheduler import account_dof, build_plan_general, validate_plan
 
@@ -53,9 +53,10 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     coefficient-level alignment residuals, signal-level leakage of every
     interferer after cancellation, relative decoding error, and the rank of
     every effective channel, full when its ``kappa_F`` passes the draws' guard.
-    Both come from :func:`protocol._decode` of the kernel's null-vector
-    effective channels, so every round checks the precoded signal against
-    that algebra. ``unflagged_rank_failures`` counts the rounds whose every
+    Both come from :func:`protocol._decode_round`, one inverse per round of the
+    interference mixture G: user k's effective channel is ``diag(1/z_.k) G``, so
+    every round checks the precoded signal against the null-vector algebra
+    without forming an effective channel. ``unflagged_rank_failures`` counts the rounds whose every
     effective channel passes that flag but whose decode still misses
     :data:`DECODE_TOL`: decoding that contradicts the full-rank flag.
     ``inject_fault`` negates the reference CSI the precoders
@@ -64,7 +65,8 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
 
     Rounds and symbols are one draw each; the checks run per :func:`protocol._slices`
     slice, keeping running maxima and counts, so no temporary grows with ``rounds``.
-    Each slot's ``A^-1`` is the guard's: one guarded solve of its stack of users 1..K-1.
+    The draw is :func:`protocol.batch_rounds`' and keeps each slot's guard ``z`` and ``A^-1``, so every
+    slot is inverted once and precoded from the values :func:`~stia.precoding.build_stia_precoders` uses.
     Alignment takes one batched matmul per precoded slot m, of ``H[m]`` (K x K-1) with
     ``[V_1[m] | ... | V_K[m]]`` (K-1 x K(K-1)); block (j, k) of the product is ``h_j[m] V_k[m]``,
     and ``max_alignment_residual`` is the largest ``max|h_j[m] V_k[m] - h_j[ref]| / max|h_j[ref]|``
@@ -78,14 +80,14 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
     rounds = _require_count("rounds", rounds, 1)
     seed = _require_integer("seed", seed)
     rng = _keyed_rng(seed, K)
-    ch, z, conds, resamples = protocol.batch_rounds(K, rounds, rng)
+    ch, z, inv, conds, resamples = _draw_rounds(K, rounds, rng)
     symbols = complex_normal(rng, (rounds, K, K - 1))
     alignment = leakage = decode_error = 0.0
     full_rounds = unflagged = 0
     for sl in protocol._slices(ch):
         c, sent = ch[sl], symbols[sl]
         ref = -c[:, :1] if inject_fault else c[:, :1]
-        v, vs, diffs, heff = protocol._send(c, z[sl], _guarded_solve(c[:, 1:, :-1])[0], ref, sent, None, None)
+        v, vs, diffs = protocol._send(c, z[sl], inv[sl], ref, sent, None, None)
         leakage = np.maximum(leakage, protocol._leakage(c, vs, diffs, sent).max())
         del vs  # free the slice's V_k s_k before the alignment temporaries
 
@@ -101,7 +103,7 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
             alignment = np.maximum(alignment, res.max())  # a NaN residual stays NaN
         del v, side, got, res  # the next slice's _send forms its own
 
-        decoded, cond_eff = protocol._decode(heff, diffs)
+        decoded, cond_eff = protocol._decode_round(protocol._mixture(c, z[sl]), z[sl], diffs)
         err = (np.max(np.abs(decoded - sent), axis=-1) / np.max(np.abs(sent), axis=-1)).max(axis=1)
         decode_error = np.maximum(decode_error, err.max())
         full = (cond_eff <= CONDITION_LIMIT).all(axis=1)
@@ -118,6 +120,11 @@ def round_sweep(K: int, rounds: int, seed: int, inject_fault: bool = False) -> d
         "worst_condition": float(conds.max()),
         "resamples": int(resamples),
     }
+
+
+def _draw_rounds(K: int, count: int, rng) -> tuple:
+    """:func:`protocol.batch_rounds`' draw, with every precoded slot's guard ``A^-1`` kept beside its ``z``."""
+    return protocol._redraw_guarded(lambda n: protocol.draw_round_channels(K, n, rng), protocol._slot_guard, count)
 
 
 def plan_suite(k_values=(3, 4, 5, 6), n_max: int = 50) -> dict:
@@ -161,7 +168,7 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     Runs at K=3 with a budget of 10, through the signal path's own
     :func:`protocol._slot_scales` and :func:`protocol._transmit`. The aligned
     rounds are one draw, checked per :func:`protocol._slices` slice, precoded as
-    :func:`round_sweep`. ZF and TDMA slots are priced from their gains and form
+    :func:`round_sweep` from the draw's guard. ZF and TDMA slots are priced from their gains and form
     no beam, so they have no power to check here.
     """
     trials = _require_count("trials", trials, 1)
@@ -169,10 +176,10 @@ def power_suite(trials: int = 10_000, seed: int = 7) -> dict:
     K, power = 3, 10.0
     n_t = K - 1
 
-    ch, z, _, _ = protocol.batch_rounds(K, trials, _keyed_rng(seed, 101))
+    ch, z, inv, _, _ = _draw_rounds(K, trials, _keyed_rng(seed, 101))
     slot_power = np.zeros((trials, K))
     for sl in protocol._slices(ch):
-        v = _stia_precoders(_guarded_solve(ch[sl, 1:, :-1])[0], z[sl], ch[sl, :1])
+        v = _stia_precoders(inv[sl], z[sl], ch[sl, :1])
         scales = protocol._slot_scales(v, power)
         for e in np.eye(K * n_t, dtype=complex):
             x = protocol._transmit(v, np.broadcast_to(e.reshape(K, n_t), (len(v), K, n_t)), scales)[1]

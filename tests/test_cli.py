@@ -518,7 +518,7 @@ _ARTIFACT_DIGESTS = {
     "schedule-k4-n5": (["schedule", "--k", "4", "--n", "5"],
         "cc245fa81d0d1b193d8b030b288606865f2c94a14bc1876f1508bfd270360165"),
     "verify-k3-k4": (["verify", "--k-values", "3,4", "--rounds", "200", "--seed", "5"],
-        "21bc9b4d113ea63256eb25da3a0ccacab9dbf35bf692cb2e9455cbe48afb8875"),
+        "7ae14c29bb587ce36ac337a269a43776776ddde9518d350066787f7c3e76a280"),
 }
 
 

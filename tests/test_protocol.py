@@ -56,7 +56,7 @@ def _send_one(ch, symbols):
     """The signal path on one round: precoders and differences indexed [user - 1, precoded slot - 1]."""
     ch = ch[None]
     z, inv = _accepted_null_vectors(ch[:, 1:])
-    v, _, diffs, _ = protocol._send(ch, z, inv, ch[:, :1], symbols[None], None, None)
+    v, _, diffs = protocol._send(ch, z, inv, ch[:, :1], symbols[None], None, None)
     return v[0], diffs[0]
 
 
@@ -161,7 +161,7 @@ def test_receive_basis_inner_product():
     reference = np.zeros((1, 1, 3, 2), dtype=complex)
     reference[0, 0, 2] = [-1.0, 0.0]
     symbols = np.array([[[-(3.0 + 1j), 0.0], [-7.0, 0.0], [10.0 + 1j, 0.0]]])
-    _, _, d, _ = protocol._send(ch, z, inv, reference, symbols, None, None)
+    _, _, d = protocol._send(ch, z, inv, reference, symbols, None, None)
     np.testing.assert_allclose(d[0, :, 0], [-(3.0 + 1j), 0.0, -14.0])
 
 
@@ -333,7 +333,8 @@ def test_a_round_is_the_batch_kernels_on_a_batch_of_one(K, monkeypatch):
     ch, z, _, _ = batch_rounds(K, 50, rng)
     sent = complex_normal(rng, (50, K, K - 1))
     power, snr = 10.0, 1e3
-    _, vs, diffs, heff = protocol._send(ch, z, _interferer_guard(ch[:, 1:])[2], ch[:, :1], sent, power, None)
+    _, vs, diffs = protocol._send(ch, z, _interferer_guard(ch[:, 1:])[2], ch[:, :1], sent, power, None)
+    heff = batch_effective_channels(ch, z)
     decoded = protocol._decode(heff, diffs)[0]
     residual = protocol._leakage(ch, vs, diffs, sent)
     bits = protocol._round_bits(heff, snr) / K
@@ -388,7 +389,7 @@ def test_send_forms_every_v_k_s_k_once_and_keeps_every_bit(K):
     sent = complex_normal(rng, (300, K, K - 1))
     inv = _interferer_guard(ch[:, 1:])[2]
     for power in (None, 10.0):
-        v, vs, diffs, _ = protocol._send(ch, z, inv, ch[:, :1], sent, power, None)
+        v, vs, diffs = protocol._send(ch, z, inv, ch[:, :1], sent, power, None)
         want_diffs, want_leak = _two_einsum_send(ch, v, sent, protocol._slot_scales(v, power))
         np.testing.assert_array_equal(diffs, want_diffs)
         np.testing.assert_array_equal(protocol._leakage(ch, vs, diffs, sent), want_leak)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from stia import protocol, verify
+from stia.channel import _keyed_rng
+from stia.precoding import build_stia_precoders
 
 
 def test_round_sweep_clean():
@@ -53,6 +55,24 @@ def test_alignment_reports_a_nan_precoder_entry(monkeypatch):
     assert np.isnan(verify.round_sweep(4, 20, seed=1)["max_alignment_residual"])
 
 
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_round_sweep_sends_the_precoders_the_library_builds(K, monkeypatch):
+    # The sweep precodes from its draw's guard; build_stia_precoders guards each round anew, bit for bit alike.
+    precoders, sent = protocol._stia_precoders, []
+
+    def recorded(inv, z, reference):
+        sent.append(precoders(inv, z, reference))
+        return sent[-1]
+
+    monkeypatch.setattr(protocol, "_stia_precoders", recorded)
+    verify.round_sweep(K, 200, 3)
+    ch = protocol.batch_rounds(K, 200, _keyed_rng(3, K))[0]
+    v = np.concatenate(sent)
+    assert len(v) == len(ch)
+    for c, got in zip(ch, v):
+        np.testing.assert_array_equal(got, build_stia_precoders(c[1:], c[0]))
+
+
 def test_plan_suite_passes():
     r = verify.plan_suite(k_values=(3, 4), n_max=20)
     assert r["passed"]
@@ -88,9 +108,9 @@ def _shift_every_decoded_symbol(monkeypatch):
     # Leaves every kappa_F as it is, so the full-rank flag still passes each round.
     decode = protocol._decode
 
-    def shifted(heff, diffs):
-        symbols, cond = decode(heff, diffs)
-        return symbols + 1e-6, cond
+    def shifted(mat, rhs):
+        symbols, *rest = decode(mat, rhs)
+        return symbols + 1e-6, *rest
 
     monkeypatch.setattr(protocol, "_decode", shifted)
     return {}
@@ -216,12 +236,13 @@ def test_round_sweep_reports_numpy_counts_as_ints():
 # K's when decoding took the guarded inverse: only max_decode_error moved.
 # Every K's again when alignment became one matmul per precoded slot: BLAS sums in
 # another order, so only max_alignment_residual moved. K=4's again when its slots took the
-# cross-product guard: only max_decode_error moved.
+# cross-product guard: only max_decode_error moved. Every K's again when each round
+# decoded all its users from one inverse of its interference mixture: only max_decode_error moved.
 _SWEEP_DIGESTS = {
-    3: "3640d53485d1c48c024637450775f3ad8d8118fad5a856ddcfdf618709705719",
-    4: "a9450dce2008e6ba694a74593a1b74fd6aebc6a41b2b52f95e4cd7f4046a6a1d",
-    5: "060b0f23693925bd75d5dad122e9f0576f47b3f5db59f9e701c185006a953622",
-    6: "289433832d4df2054326edfb0c42ed2094d847499dface96f181c1c3b30c17dd",
+    3: "e1757a7c726d4566db70fc236a1c75c8a87110f007bbbfde5abbc7e7328c613a",
+    4: "604964d5d972deedec5699df013ae099229dc201f6f6b1ab00d9a815c58475c3",
+    5: "9d5fe48edd0c529c2649db4fcca85134c8687e4898d02437774a261ceac00f63",
+    6: "05b51831dfecd19976cb7193cae4450cdc61ca5fa39521f20e9005b6986514cc",
 }
 
 

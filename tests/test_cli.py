@@ -1,8 +1,10 @@
 """Tests for the command-line front end."""
 
+import ast
 import contextlib
 import csv
 import ctypes
+import gc
 import hashlib
 import io
 import json
@@ -262,7 +264,52 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path, flags):
         proc = _run_fresh_cli([*flags, "--out", str(out)], OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         artifacts.append(out.read_bytes())
-    assert artifacts[0] == artifacts[1]
+    # The process entry freezes the import-time heap; main called in process does not.
+    out = tmp_path / "in-process.json"
+    assert run_cli([*flags, "--out", str(out)]) == 0
+    artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1] == artifacts[2]
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    code = ("import gc, stia.cli\n"
+            "stia.cli.main = lambda: print(gc.get_freeze_count() > 0) or 0\n"
+            "stia.cli._entry()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+def test_main_in_process_freezes_nothing():
+    before = gc.get_freeze_count()
+    assert run_cli(["schedule", "--k", "3", "--n", "1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_entry_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["stia"]
+    tree = ast.parse(Path(stia.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    block, = (node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = {node.func.id for node in ast.walk(block) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert script == "stia.cli:_entry" and called == {"_entry"}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux enforces RLIMIT_AS")
+@pytest.mark.parametrize("args", [
+    ["schedule", "--k", "1000000", "--n", "1"],
+    ["simulate", "--scheme", "tdma", "--k", "100000000", "--tc", "1", "--tfb", "1", "--trials", "8"],
+], ids=["schedule", "simulate"])
+def test_out_of_memory_is_usage_error(args):
+    import resource
+
+    def cap_address_space():  # so that a regression fails here instead of exhausting the host
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = subprocess.run([sys.executable, "-m", "stia.cli", *args], capture_output=True, text=True,
+                          env=_fresh_env(OPENBLAS_NUM_THREADS="1"), timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

@@ -30,7 +30,6 @@ path for the alignment and decoding checks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -369,101 +368,40 @@ def _round_bits(heff: np.ndarray, snr) -> np.ndarray:
     """Bits ``log2 det(C + p H H^H) - log2 det C`` of stacked effective channels H (..., K-1, K-1).
 
     The one pricing call; the axes of ``snr``, a linear SNR or an array of them, lead the result's.
-    C is :func:`_noise_covariance` and ``p = snr / (K (K-1))`` the per-symbol power:
-    the whitened log-det ``log2 det(I + p C^-1/2 H H^H C^-1/2)`` unwhitened. The Gram is formed
-    once, with matrix axes first, and each point takes the log2 of the pivots of one LDL^H of it,
-    summed, so no product of two pivots can leave float range and the working set is that of one
-    point. At K=3 each user's own 2x2 Gram and its two pivots are formed entry by entry; at K >= 4
-    the Gram's :func:`_triangle` is one einsum over its pairs and the pivots are :func:`_pivots`'.
+    C = I + 11^T is the differenced noises' covariance (the broadcast-slot noise is common to all K-1),
+    so ``log2 det C = log2 K``, and ``p = snr / (K (K-1))`` is the per-symbol power. Each point sums the
+    log2 of the pivots of one LDL^H, so no product of pivots can leave float range: at K=3 of each
+    user's 2x2 matrix, entry by entry, and at K >= 4 of the whole matrix, in place with matrix axes
+    first. Each complex product there takes two operands of one rank with the item axis last: numpy
+    rounds a broadcast one-item product otherwise.
     """
     K = heff.shape[-1] + 1
-    cov = _noise_covariance(K)
     p = np.asarray(snr, dtype=float) / (K * (K - 1))
     bits = []
-    if K == 3:  # over the flattened stack, as _guarded_solve's 2x2 case
-        (h00, h01), (h10, h11) = h = heff.reshape(-1, 2, 2).transpose(1, 2, 0)
-        sq = h.real ** 2 + h.imag ** 2
-        g00, g11, g01 = sq[0, 0] + sq[0, 1], sq[1, 0] + sq[1, 1], h10.conj() * h00 + h11.conj() * h01
-        for q in p.ravel():  # the pivots d0, then d1 = a11 - conj(w) (w / d0) for w = a01
-            d0 = cov[0, 0] + q * g00
-            wr, wi = cov[0, 1] + q * g01.real, q * g01.imag
-            d1 = cov[1, 1] + q * g11 - (wr * (wr / d0) + wi * (wi / d0))
-            if not ((d0 > 0).all() and (d1 > 0).all()):
-                raise ValueError("matrix is not positive definite")
-            bits.append(np.log2(d0) + np.log2(d1))
-    else:
-        h = heff.transpose((heff.ndim - 2, heff.ndim - 1, *range(heff.ndim - 2)))  # gathered from one copy
-        pairs = np.ascontiguousarray(h).reshape(K - 1, K - 1, -1)[_triangle(K - 1)]
-        gram = np.einsum("pjn,pjn->pn", pairs[0], np.conjugate(pairs[1], out=pairs[1]))
-        del pairs
-        bits = [_term_sum(np.log2(_pivots(_noise_triangle(K) + q * gram)), 0) for q in p.ravel()]
-    return np.array(bits).reshape(p.shape + heff.shape[:-2]) - _noise_bits(K)
-
-
-@functools.cache
-def _noise_covariance(K: int) -> np.ndarray:
-    """Covariance ``I + 11^T`` of the K-1 differenced noises at unit noise variance, read-only, cached per K:
-    the broadcast-slot noise is common to every difference."""
-    cov = np.eye(K - 1) + 1.0
-    cov.flags.writeable = False
-    return cov
-
-
-@functools.cache
-def _noise_triangle(K: int) -> np.ndarray:
-    """The :func:`_triangle` (m (m+1) / 2, 1) of :func:`_noise_covariance`, cached per K."""
-    return _noise_covariance(K)[tuple(_triangle(K - 1))][:, None]
-
-
-@functools.cache
-def _noise_bits(K: int) -> float:
-    """``log2 det C`` of :func:`_noise_covariance`, a constant per user count."""
-    return float(_log2det(_noise_covariance(K)))
-
-
-def _log2det(a) -> np.ndarray:
-    """``log2 det`` of stacked Hermitian (..., m, m) matrices: the log2 of :func:`_pivots` summed."""
-    h = np.asarray(a, dtype=complex).reshape(-1, *a.shape[-2:]).transpose(1, 2, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot raises below, not here
-        pivots = _pivots(h[tuple(_triangle(len(h)))])
-    return _term_sum(np.log2(pivots), 0).reshape(a.shape[:-2])
-
-
-def _pivots(a: np.ndarray) -> np.ndarray:
-    """LDL^H pivots (m, n) of n Hermitian m x m matrices held as their :func:`_triangle` (m (m+1) / 2, n),
-    matrix axes first, which is overwritten; the pivots are a real view of its first m rows.
-
-    Step j takes ``conj(a_j) (a_j / d_j)`` of row j's later entries a_j from the later rows' triangle: its
-    diagonal, real, from the later pivots, the rest from their strict upper triangle. Each product of two
-    complex operands takes them in one shape: numpy rounds a broadcast one-item product otherwise. A
-    non-positive pivot raises.
-    """
-    steps = _elimination(len(a))
-    d = a[:len(steps) + 1].real
-    for j, (row, left, right) in enumerate(steps):
-        u = a[row] * (1 / d[j])
-        conj = a[row].conj()
-        d[j + 1:] -= (conj * u).real
-        if len(left):
-            a[row.stop:] -= conj[left] * u[right]
-    if not d.min() > 0:
-        raise ValueError("matrix is not positive definite")
-    return d
-
-
-@functools.cache
-def _elimination(size: int) -> tuple:
-    """For each LDL^H step j of a :func:`_triangle` of ``size`` entries: the slice holding row j's later
-    entries and, over the later rows' strict upper triangle, the indices into that slice of each pair's two
-    entries."""
-    m = (math.isqrt(8 * size + 1) - 1) // 2
-    later = range(m - 1, 0, -1)  # the later rows' count at each step
-    starts = np.cumsum([m, *later[:-1]]).tolist()
-    return tuple((slice(start, start + r), *_triangle(r)[:, r:]) for start, r in zip(starts, later))
-
-
-@functools.cache
-def _triangle(m: int) -> np.ndarray:
-    """Row and column indices (2, m (m+1) / 2) of an m x m matrix's upper triangle: its diagonal, then the
-    strict upper triangle row by row."""
-    return np.concatenate([np.tile(np.arange(m), (2, 1)), np.triu_indices(m, 1)], axis=1)
+    with np.errstate(invalid="ignore"):  # a non-finite entry leaves a NaN pivot, refused below
+        if K == 3:  # over the flattened stack, as _guarded_solve's 2x2 case
+            (h00, h01), (h10, h11) = h = heff.reshape(-1, 2, 2).transpose(1, 2, 0)
+            sq = h.real ** 2 + h.imag ** 2
+            g00, g11, g01 = sq[0, 0] + sq[0, 1], sq[1, 0] + sq[1, 1], h10.conj() * h00 + h11.conj() * h01
+            for q in p.ravel():  # the pivots d0, then d1 = a11 - conj(w) (w / d0) for w = a01
+                d0 = 2.0 + q * g00
+                wr, wi = 1.0 + q * g01.real, q * g01.imag
+                d1 = 2.0 + q * g11 - (wr * (wr / d0) + wi * (wi / d0))
+                if not ((d0 > 0).all() and (d1 > 0).all()):
+                    raise ValueError("matrix is not positive definite")
+                bits.append(np.log2(d0) + np.log2(d1))
+        else:
+            h = heff.transpose((heff.ndim - 2, heff.ndim - 1, *range(heff.ndim - 2)))  # gathered from one copy
+            h = np.ascontiguousarray(h).reshape(K - 1, K - 1, -1)
+            gram = np.einsum("ian,jan->ijn", h, h.conj())
+            for q in p.ravel():  # row j's later entries w: a_kl -= conj(w_k) (w_l / d_j) on the later rows
+                a = q * gram
+                a += np.eye(K - 1)[..., None] + 1.0  # in place, so each point allocates one large array, not two
+                for j in range(K - 2):
+                    u = a[j, j + 1:] * (1 / a[j, j].real)
+                    a[j + 1:, j + 1:] -= a[j, j + 1:].conj()[:, None] * u[None, :]
+                d = a.diagonal().real  # the pivots, item axis first
+                if not d.min() > 0:
+                    raise ValueError("matrix is not positive definite")
+                bits.append(_term_sum(np.log2(d), -1))
+    return np.array(bits).reshape(p.shape + heff.shape[:-2]) - math.log2(K)

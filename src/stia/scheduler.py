@@ -29,6 +29,8 @@ __all__ = [
     "validate_plan",
 ]
 
+_HORIZON_LIMIT = 2**20  # slots: a longer plan is refused before any of its slots is built
+
 
 @dataclass(frozen=True)
 class SchedulerPlan:
@@ -99,7 +101,7 @@ def build_plan_general(K: int, n: int) -> SchedulerPlan:
     at most once. Residual slots with current CSIT are ZF, the blind rest TDMA.
     """
     K, n = _require_count("K", K, 3), _require_count("n", n, 1)
-    horizon = K * (n + K - 1)
+    horizon = _require_horizon(K * (n + K - 1))
     rounds = tuple((K * (k - 1) + 1, *(K * k + j * (K - 1) + 1 for j in range(1, K))) for k in range(1, n + 1))
     residual = frozenset(range(1, horizon + 1)).difference(*rounds)
     blind = _blind_slots(K, 1, horizon)
@@ -115,6 +117,7 @@ def build_plan_time_share(K: int, t_c: int, t_fb: int) -> SchedulerPlan:
     K, t_c, t_fb = _require_count("K", K, 2), _require_count("t_c", t_c, 1), _require_count("t_fb", t_fb, 0)
     if t_fb > t_c:
         raise ValueError("the ZF/TDMA time share needs t_fb <= t_c")
+    _require_horizon(t_c)
     blind = _blind_slots(t_c, t_fb, t_c)
     return SchedulerPlan(K=K, t_c=t_c, t_fb=t_fb, horizon=t_c, stia_rounds=(),
                          zf_slots=frozenset(range(1, t_c + 1)) - blind, tdma_slots=blind)
@@ -132,7 +135,7 @@ def validate_plan(plan: SchedulerPlan) -> None:
     """
     K = _require_count("K", plan.K, 2)
     t_c, t_fb = _require_count("t_c", plan.t_c, 1), _require_count("t_fb", plan.t_fb, 0)
-    horizon = _require_count("horizon", plan.horizon, 1)
+    horizon = _require_horizon(_require_count("horizon", plan.horizon, 1))
     listed = [s for r in (*plan.stia_rounds, plan.zf_slots, plan.tdma_slots) for s in r]
     for s in (s for s in listed if type(s) is not int or s < 1):
         _require_count("slot", s, 1)  # passes a numpy integer of at least 1, raises for anything else
@@ -157,6 +160,12 @@ def validate_plan(plan: SchedulerPlan) -> None:
         raise ValueError(f"ZF slot {min(wrong)} lacks current CSIT")
     if wrong := set(plan.tdma_slots) - blind:
         raise ValueError(f"TDMA slot {min(wrong)} has current CSIT")
+
+
+def _require_horizon(horizon: int) -> int:
+    if horizon > _HORIZON_LIMIT:
+        raise ValueError(f"plan horizon of {horizon} slots is past the limit of {_HORIZON_LIMIT}")
+    return horizon
 
 
 def account_dof(plan: SchedulerPlan) -> DofAccount:

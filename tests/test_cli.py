@@ -295,21 +295,38 @@ def test_console_script_is_the_entry_the_main_block_calls():
     assert script == "stia.cli:_entry" and called == {"_entry"}
 
 
+def _capped_run(args):
+    """``python -m stia.cli args`` in a child whose address space is capped at 512 MiB, so that a
+    regression fails here instead of exhausting the host."""
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    return subprocess.run([sys.executable, "-m", "stia.cli", *args], capture_output=True, text=True,
+                          env=_fresh_env(OPENBLAS_NUM_THREADS="1"), timeout=120, preexec_fn=cap_address_space)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux enforces RLIMIT_AS")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--scheme", "tdma", "--k", "100000000", "--tc", "1", "--tfb", "1", "--trials", "8"],
+], ids=["simulate"])
+def test_out_of_memory_is_usage_error(args):
+    proc = _capped_run(args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux enforces RLIMIT_AS")
 @pytest.mark.parametrize("args", [
     ["schedule", "--k", "1000000", "--n", "1"],
-    ["simulate", "--scheme", "tdma", "--k", "100000000", "--tc", "1", "--tfb", "1", "--trials", "8"],
+    ["simulate", "--scheme", "zf_tdma", "--tc", "1000000000000", "--tfb", "1", "--trials", "8"],
 ], ids=["schedule", "simulate"])
-def test_out_of_memory_is_usage_error(args):
-    import resource
-
-    def cap_address_space():  # so that a regression fails here instead of exhausting the host
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    proc = subprocess.run([sys.executable, "-m", "stia.cli", *args], capture_output=True, text=True,
-                          env=_fresh_env(OPENBLAS_NUM_THREADS="1"), timeout=120, preexec_fn=cap_address_space)
+def test_plan_past_the_horizon_limit_is_usage_error(args):
+    # 10^12 slots, refused before any slot set is built: under the cap, building one would fail or take hours.
+    proc = _capped_run(args)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert proc.stderr == "error: plan horizon of 1000000000000 slots is past the limit of 1048576\n"
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

@@ -10,18 +10,16 @@ they are the ones the guard accepts. The bound is fixed: the largest error
 measured over 15,000 accepted rounds per K at K = 3..8 was 4.4e-13.
 
 Every round is priced by ``_round_bits``, ``log2 det(C + p H H^H)`` less
-``log2 det C``: at K >= 4 the LDL^H pivots ``_pivots`` takes from the Gram's
-upper triangle, which ``_log2det`` takes from a whole matrix, and at K=3 two
-pivots in closed form, where every stack is 2x2. Both are checked here
-against the log-det in exact Fraction arithmetic. The elimination is
-backward stable, so the error grows with the matrix's condition number:
-over 100 rounds per K at K = 4..8 and 0 to 120 dB the largest error of
-``_log2det`` was 5.4e-15 times ``cond_2``, and that of ``_round_bits``,
-its Gram included, 2.3e-14 over 1,000 rounds at K=3. At K=3 the stack
-inverse, the guard values and the null vectors are 2x2 closed forms too,
-and at K=4 they come from the six cross products of the slot's rows, or
-from LAPACK for a slot past their gate; both are checked against
-``np.linalg.inv``.
+``log2 det C = log2 K``: at K >= 4 from the LDL^H pivots of the whole
+matrix, eliminated in place, and at K=3 from two pivots in closed form,
+where every stack is 2x2. Both are checked here, Gram included, against
+the log-det in exact Fraction arithmetic. The elimination is backward
+stable, so the error grows with the matrix's condition number: over 100
+rounds per K at K = 3..8 and 0 to 120 dB the largest error was 2.0e-14
+times ``cond_2``. At K=3 the stack inverse, the guard values and the null
+vectors are 2x2 closed forms too, and at K=4 they come from the six cross
+products of the slot's rows, or from LAPACK for a slot past their gate;
+both are checked against ``np.linalg.inv``.
 
 Decoding, ``protocol._decode``, multiplies the differences by each effective
 channel's guarded inverse and reports its kappa_F; it is checked against
@@ -47,7 +45,6 @@ from stia.precoding import _interferer_guard, _stia_precoders
 from stia.protocol import (
     _decode,
     _decode_round,
-    _log2det,
     _mixture,
     _round_bits,
     batch_effective_channels,
@@ -198,11 +195,6 @@ priced = st.tuples(
 )
 
 
-def _exact_log2det(a):
-    """log2 det of a Hermitian positive definite matrix by elimination in Fractions of its float64 entries."""
-    return _exact_log2det_of([[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in a])
-
-
 def _exact_log2det_of(m):
     """log2 det of a Hermitian positive definite matrix of exact (real, imaginary) Fraction pairs."""
     det = Fraction(1)
@@ -216,19 +208,6 @@ def _exact_log2det_of(m):
                 (ar, ai), (br, bi) = m[j][k], m[i][k]
                 m[i][k] = (br - (fr * ar - fi * ai), bi - (fr * ai + fi * ar))
     return math.log2(det.numerator) - math.log2(det.denominator)
-
-
-@given(priced)
-def test_log2det_matches_an_exact_log_det(case):
-    # The matrices a round is priced on, C + p H H^H for each user's effective channel H,
-    # made exactly Hermitian so that the exact determinant is real.
-    K, seed, db = case
-    ch, z, _, _ = batch_rounds(K, 1, np.random.default_rng(seed))
-    h = batch_effective_channels(ch, z)[0]
-    a = _cov(K) + 10.0 ** (db / 10.0) / (K * (K - 1)) * (h @ h.conj().swapaxes(-1, -2))
-    a = (a + a.conj().swapaxes(-1, -2)) / 2
-    err = np.abs(_log2det(a) - [_exact_log2det(m) for m in a])
-    assert np.all(err <= LOG2DET_TOL * np.linalg.cond(a))
 
 
 @given(priced)

@@ -17,7 +17,7 @@ import stia
 _SRC = Path(stia.__file__).parent
 
 # Imports kept only so perfbench's tracer can wrap the function at that lookup site.
-# ROADMAP item 7 (stage timings from in-package trace records) removes them.
+# ROADMAP items 3 and 4 (stage records inside the package, read by perfbench) remove them.
 _PERFBENCH_LOOKUP_SITES = (("protocol", "build_stia_precoders"), ("precoding", "solve_right"))
 
 

@@ -581,26 +581,17 @@ def test_round_bits_match_an_exact_log_det_on_the_worst_conditioned_rounds(K):
         np.testing.assert_allclose(bits, want, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("cov", [
-    [[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]], np.zeros((2, 2)), -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]],
-])
-def test_log2det_rejects_a_matrix_that_is_not_positive_definite(cov):
-    # Rounds are priced with the fixed difference covariance; the log-det they are priced with rejects these.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="positive definite"):
-            protocol._log2det(np.asarray(cov, dtype=complex))
-
-
-@pytest.mark.parametrize("K", [3, 4])
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
 def test_round_bits_rejects_a_nan_effective_channel(K):
-    # K=3 prices from its own 2x2 pivots and K >= 4 through _log2det: each refuses a NaN entry without a warning.
-    heff = np.broadcast_to(np.eye(K - 1, dtype=complex), (2, K, K - 1, K - 1)).copy()
-    heff[1, 0, 0, 0] = np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="positive definite"):
-            protocol._round_bits(heff, np.array([10.0, 1e3]))
+    # K=3 prices from its own 2x2 pivots and K >= 4 from an in-place LDL^H: each refuses a NaN or
+    # infinite entry without a warning.
+    for bad in (np.nan, np.inf, -np.inf):
+        heff = np.broadcast_to(np.eye(K - 1, dtype=complex), (2, K, K - 1, K - 1)).copy()
+        heff[1, 0, 0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive definite"):
+                protocol._round_bits(heff, np.array([10.0, 1e3]))
 
 
 def test_zf_slot_orthonormal_channels():
@@ -683,6 +674,18 @@ def test_k4_closed_forms_give_one_matrix_the_bits_it_has_in_a_stack():
                 np.testing.assert_array_equal(got, want[c, m])
         for k in range(4):
             assert protocol._round_bits(batch_effective_channels(ch[c:c + 1], z[c:c + 1])[0, k], 1e5) == bits[c, k]
+
+
+@pytest.mark.parametrize("K", [3, 4, 5, 6])
+def test_round_bits_price_one_matrix_or_round_as_in_a_stack(K):
+    # Pricing rounds each item alone, as one round or as one user's matrix, as it does in a stack of 300.
+    ch, z, _, _ = batch_rounds(K, 300, np.random.default_rng(33 + K))
+    heff, snr = batch_effective_channels(ch, z), np.array([1.0, 1e5, 1e12])
+    bits = protocol._round_bits(heff, snr)
+    for c in range(300):
+        np.testing.assert_array_equal(protocol._round_bits(heff[c], snr), bits[:, c])
+        for k in range(K):
+            np.testing.assert_array_equal(protocol._round_bits(heff[c, k], snr), bits[:, c, k])
 
 
 def test_batch_matches_reference_round():
@@ -881,21 +884,14 @@ def _one_round_plan(K):
     return dataclasses.replace(build_plan_general(K, 1), horizon=1, zf_slots=frozenset(), tdma_slots=frozenset())
 
 
-def _whole_array_reference(K, ch):
+def _whole_array_reference(ch):
     """Null vectors, worst guard values and per-round bits of ``ch`` in one pass over all rounds.
 
-    K=3 rounds are priced by ``_round_bits`` itself, on the whole array: its 2x2 closed form is checked
-    against the exact log-det in tests/test_identities.py.
+    Rounds are priced by ``_round_bits`` itself, on the whole array: its pivots are checked against the
+    exact log-det in tests/test_identities.py.
     """
     z, cond, _ = _interferer_guard(ch[:, 1:])
-    heff = batch_effective_channels(ch, z)
-    if K == 3:
-        return z, cond.max(axis=(1, 2)), protocol._round_bits(heff, _SNR).sum(axis=-1).T
-    gram = np.einsum("ckaj,ckbj->ckab", heff, heff.conj())
-    cov = np.eye(K - 1) + np.ones((K - 1, K - 1))
-    log2det = protocol._log2det
-    bits = np.stack([(log2det(cov + p / (K * (K - 1)) * gram) - log2det(cov)).sum(axis=1) for p in _SNR], axis=1)
-    return z, cond.max(axis=(1, 2)), bits
+    return z, cond.max(axis=(1, 2)), protocol._round_bits(batch_effective_channels(ch, z), _SNR).sum(axis=-1).T
 
 
 @pytest.mark.parametrize("K", [3, 6])
@@ -908,7 +904,7 @@ def test_sliced_rounds_are_bit_equal_to_the_whole_array_reference(K, slices, ext
     assert resamples == 0 and len(protocol._slices(ch)) == slices + (extra > 0)
     np.testing.assert_array_equal(ch, draw_round_channels(K, count, np.random.default_rng(seed)))
     rates, _ = analysis._mix_chunk(K, _one_round_plan(K), _SNR, count, np.random.default_rng(seed))
-    z_ref, conds_ref, bits_ref = _whole_array_reference(K, ch)
+    z_ref, conds_ref, bits_ref = _whole_array_reference(ch)
     np.testing.assert_array_equal(z, z_ref)
     np.testing.assert_array_equal(conds, conds_ref)
     np.testing.assert_array_equal(rates, bits_ref)
@@ -925,7 +921,7 @@ def test_sliced_redraw_is_bit_equal_to_the_whole_array_reference(rare_singular_g
     assert np.unique(redrawn // per_slice).size >= 2 and resamples >= redrawn.size
     rates, rate_resamples = analysis._mix_chunk(K, _one_round_plan(K), _SNR, count, np.random.default_rng(77))
     assert rate_resamples == resamples and np.all(conds <= CONDITION_LIMIT)
-    z_ref, conds_ref, bits_ref = _whole_array_reference(K, ch)
+    z_ref, conds_ref, bits_ref = _whole_array_reference(ch)
     np.testing.assert_array_equal(z, z_ref)
     np.testing.assert_array_equal(conds, conds_ref)
     np.testing.assert_array_equal(rates, bits_ref)

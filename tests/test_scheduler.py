@@ -282,6 +282,17 @@ def test_time_share_accepts_numpy_integers():
     assert build_plan_time_share(np.int64(3), np.int32(5), np.int64(2)) == build_plan_time_share(3, 5, 2)
 
 
+def test_plans_past_the_horizon_limit_are_refused_before_their_slots_are_built():
+    # 2^20 + 1 = 17 (61,665 + 16) slots in each builder, and a plan claiming them; the largest shipped plan has 30,006.
+    message = "^plan horizon of 1048577 slots is past the limit of 1048576$"
+    for build in (lambda: build_plan_time_share(2, 2**20 + 1, 0), lambda: build_plan_general(17, 61_665)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match=message):
+        validate_plan(replace(build_plan_k3(1), horizon=2**20 + 1))
+    assert build_plan_k3(10_000).horizon == 30_006
+
+
 def test_plan_without_rounds_describes_itself():
     plan = build_plan_time_share(3, 5, 2)
     assert plan.to_role_map() == {1: "tdma", 2: "tdma", 3: "zf", 4: "zf", 5: "zf"}

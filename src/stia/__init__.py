@@ -25,20 +25,15 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analysis import (
-    MAT_DOF_K3,
-    DofEstimate,
-    TradeoffPoint,
     baseline_zf_mat,
     baseline_zf_tdma,
     emit_tradeoff_table,
     estimate_dof_slope,
-    fit_dof_slope,
     tradeoff_k3,
 )
-from .channel import DelayConfig, coherence_time_estimate, complex_normal
+from .channel import DelayConfig, coherence_time_estimate
 from .numerics import (
     SingularMatrixError,
-    condition_estimate,
     solve_right,
 )
 from .precoding import (
@@ -47,15 +42,12 @@ from .precoding import (
 )
 from .protocol import (
     DecodeFailureError,
-    StiaRoundResult,
     SymbolBlock,
     decode_round,
     draw_round_channels,
     run_stia_round,
 )
 from .scheduler import (
-    DofAccount,
-    SchedulerPlan,
     account_dof,
     build_plan_general,
     build_plan_k3,
@@ -66,17 +58,11 @@ from .scheduler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAT_DOF_K3",
     "DecodeFailureError",
     "DelayConfig",
-    "DofAccount",
-    "DofEstimate",
     "IllConditionedChannelError",
-    "SchedulerPlan",
     "SingularMatrixError",
-    "StiaRoundResult",
     "SymbolBlock",
-    "TradeoffPoint",
     "account_dof",
     "baseline_zf_mat",
     "baseline_zf_tdma",
@@ -85,13 +71,10 @@ __all__ = [
     "build_plan_time_share",
     "build_stia_precoders",
     "coherence_time_estimate",
-    "complex_normal",
-    "condition_estimate",
     "decode_round",
     "draw_round_channels",
     "emit_tradeoff_table",
     "estimate_dof_slope",
-    "fit_dof_slope",
     "run_stia_round",
     "solve_right",
     "tradeoff_k3",

@@ -28,10 +28,7 @@ from .precoding import _zf_gains
 from .scheduler import SchedulerPlan, build_plan_general, build_plan_time_share
 
 __all__ = [
-    "MAT_DOF_K3",
     "SIMULATION_SCHEMES",
-    "DofEstimate",
-    "TradeoffPoint",
     "baseline_zf_mat",
     "baseline_zf_tdma",
     "emit_tradeoff_table",
@@ -47,6 +44,7 @@ MAT_DOF_K3 = Fraction(3, 2)
 SIMULATION_SCHEMES = ("stia", "zf_tdma", "zf", "tdma")
 
 _CHUNK = 512
+_DIGITS = 4300  # the most digits CPython writes an int with by default: a delay ratio's terms must fit
 
 
 @dataclass(frozen=True)
@@ -120,10 +118,12 @@ def emit_tradeoff_table(gammas) -> list[TradeoffPoint]:
     """
     rows = []
     for value in gammas:
-        try:
-            g = Fraction(value)
+        try:  # Fraction builds 10**exponent: refused unbuilt past 2 _DIGITS, as a mantissa has _DIGITS digits at most
+            g = Fraction(value) if abs(int(str(value).lower().partition("e")[2] or 0)) <= 2 * _DIGITS else None
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise ValueError(f"delay ratio {value!r} is not a number or a fraction") from err
+        if g is None or max(abs(g.numerator), g.denominator) >= 10**_DIGITS:
+            raise ValueError(f"delay ratio {value!r} has a numerator or denominator of more than {_DIGITS:,} digits")
         rows.append(TradeoffPoint("stia", g, tradeoff_k3(g)))  # rejects a negative gamma
         rows.append(TradeoffPoint("zf_tdma", g, baseline_zf_tdma(min(g, 1))))
         rows.append(TradeoffPoint("zf_mat", g, baseline_zf_mat(min(g, 1))))

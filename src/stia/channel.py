@@ -27,7 +27,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "SPEED_OF_LIGHT",
     "DelayConfig",
     "block_of_slot",
     "coherence_time_estimate",

@@ -6,10 +6,9 @@ a 2x2 stack, every stack of the 3-user case, in closed form with matrix axes
 first, because on matrices that small a LAPACK call costs more than its
 arithmetic; larger stacks take LAPACK's ``inv`` through numpy (the K=4 slot
 guard in ``precoding`` calls it only past its own closed form's gate). Every
-beamformer (aligning precoders, ZF beams and
-gains) comes from the inverse :func:`_guarded_solve` returns, whose guard
-reuses it instead of an SVD, as does every decode and rank flag; only
-:func:`condition_estimate`, the spectral condition number, takes an SVD.
+beamformer (aligning precoders, ZF beams and gains) comes from the inverse
+:func:`_guarded_solve` returns, whose guard reuses it instead of an SVD, as
+does every decode and rank flag, so no stia code takes an SVD.
 The guard is scale free: an item whose values leave float range at its own
 scale is solved again after an exact power-of-two shift. The kernels check
 no input; the public entry points validate theirs once.
@@ -20,9 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "CONDITION_LIMIT",
     "SingularMatrixError",
-    "condition_estimate",
     "solve_right",
 ]
 
@@ -132,16 +129,6 @@ def _ldexp(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Stacked complex matrices times ``2**shift``, one power per item, exactly unless a value leaves float range."""
     with np.errstate(over="ignore"):
         return np.ldexp(np.ascontiguousarray(x).view(float), shift[:, None, None]).view(complex)
-
-
-def condition_estimate(a) -> float:
-    """Ratio of largest to smallest singular value; ``inf`` if singular."""
-    m = _as_matrix(a)
-    if m.size == 0:
-        return float("inf")
-    s = np.linalg.svd(m, compute_uv=False)
-    with np.errstate(over="ignore"):
-        return float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
 
 
 def solve_right(a, b) -> np.ndarray:

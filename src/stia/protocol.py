@@ -42,7 +42,6 @@ from .precoding import build_stia_precoders  # noqa: F401  (a lookup site perfbe
 
 __all__ = [
     "DecodeFailureError",
-    "StiaRoundResult",
     "SymbolBlock",
     "batch_effective_channels",
     "batch_rounds",

@@ -20,8 +20,6 @@ from fractions import Fraction
 from .channel import _arrival, _blind_slots, _block, _require_count
 
 __all__ = [
-    "DofAccount",
-    "SchedulerPlan",
     "account_dof",
     "build_plan_general",
     "build_plan_k3",

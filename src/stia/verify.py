@@ -18,11 +18,7 @@ from .precoding import _stia_precoders
 from .scheduler import account_dof, build_plan_general, validate_plan
 
 __all__ = [
-    "ALIGNMENT_TOL",
-    "DECODE_TOL",
-    "LEAKAGE_TOL",
     "POWER_RTOL",
-    "RANK_MIN_FRACTION",
     "round_sweep",
     "plan_suite",
     "power_suite",

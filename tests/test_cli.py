@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -121,6 +122,21 @@ def test_tradeoff_custom_gammas_json(tmp_path):
         if p["scheme"] == "stia"
     }
     assert stia[(1, 3)] == (2, 1)
+
+
+def test_tradeoff_refuses_a_ratio_too_long_to_write_before_building_it(tmp_path, capsys):
+    # Fraction("1e30000000") builds 10**30000000, which takes tens of seconds, and its row could not be written
+    # anyway: CPython writes at most 4,300 digits of an int. So a longer term is refused with one line, unbuilt.
+    start = time.perf_counter()
+    assert run_cli(["tradeoff", "--gammas", "1e30000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert _one_error_line(capsys)
+    assert run_cli(["tradeoff", "--gammas", "0,1e5000"]) == 2
+    assert capsys.readouterr().err == ("error: delay ratio '1e5000' has a numerator or denominator "
+                                       "of more than 4,300 digits\n")
+    out = tmp_path / "t.csv"
+    assert run_cli(["tradeoff", "--gammas", "1e4000", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == f"1,stia,{10**4000},1,3,2"
 
 
 def test_schedule_golden_output(tmp_path):

@@ -36,6 +36,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -258,3 +259,54 @@ def test_k4_closed_forms_match_lapack_inverses(seed, count):
     # At K=4 they come from the six cross products of the slot's rows, or from LAPACK for a slot
     # past the cross products' gate; here each comes from np.linalg.inv of that user's own stack.
     _check_closed_forms(4, seed, count)
+
+
+# The exact law of the priced effective channels. User k's effective channel is diag(1/z_.k) G with
+# G = Z H_ref; each of its rows is unchanged when z_m is scaled, and a Gaussian slot's left null vector
+# is isotropic, so E ln|det H_k|^2 = sum_{j<K} psi(j) + sum_{2<=j<=K} psi(j) + (K-1) gamma_E
+# = -(K-1) gamma_E + sum_{j=1}^{K-1} (H_{j-1} + H_j), for the harmonic numbers H_j: the expectations of
+# ln|det W|^2 for a square Gaussian W, of ln det(H_ref^H H_ref) and of -ln|z_mk|^2 (complex Wishart results;
+# Tulino and Verdu, Random Matrix Theory and Wireless Communications, 2004). Halving the channels moves
+# the mean by 253 (K=6) to 328 (K=3) standard errors. Each K's draw, channels and pricing take under 0.3 s.
+EULER_GAMMA = 0.5772156649015329
+LAW_ROUNDS = {3: 40_000, 4: 20_000, 5: 10_000, 6: 6_000}
+LAW_Z = 5.0
+
+
+@pytest.fixture(scope="module", params=sorted(LAW_ROUNDS))
+def law_channels(request):
+    """``(K, effective channels)`` of one draw of ``LAW_ROUNDS[K]`` rounds, shared by the two law tests."""
+    K = request.param
+    ch, z, _, _ = batch_rounds(K, LAW_ROUNDS[K], np.random.default_rng(K))
+    return K, batch_effective_channels(ch, z)
+
+
+def _mean_log_det(K):
+    harmonic = [math.fsum(1 / i for i in range(1, j + 1)) for j in range(K)]
+    return -(K - 1) * EULER_GAMMA + math.fsum(harmonic[j - 1] + harmonic[j] for j in range(1, K))
+
+
+def _z_score(per_user, want):
+    """How many standard errors the mean of (rounds, K) values is from ``want``, the error taken from the
+    per-round means over users: the users of one round share its slots, so their values are correlated."""
+    per_round = per_user.mean(axis=1)
+    return (per_round.mean() - want) / (per_round.std(ddof=1) / math.sqrt(per_round.size))
+
+
+def test_effective_channel_log_dets_follow_their_exact_law(law_channels):
+    K, heff = law_channels
+    log_det = 2.0 * np.linalg.slogdet(heff)[1]
+    assert abs(_z_score(log_det, _mean_log_det(K))) <= LAW_Z
+
+
+def test_round_bits_at_high_snr_sit_at_their_exact_level(law_channels):
+    # At 120 dB log2 det(C + p H H^H) is (K-1) log2 p + log2|det H|^2 within 1e-5 bits on these rounds, so
+    # each user's mean bits are (K-1) log2(snr/(K(K-1))) + E ln|det H_k|^2 / ln 2 - log2 K, and the z-score
+    # follows the law test's on the same rounds. This level checks what that test cannot: the per-symbol
+    # power p = snr/(K(K-1)), which p = snr/(K-1) would move by 261 to 330 standard errors, and
+    # log2 det C = log2 K, which C = I would move by 67 to 131. Pricing each slot at its own transmit power
+    # (ROADMAP item 7) moves this level by log2 K - E log2 det C.
+    K, heff = law_channels
+    snr = 1e12
+    level = (K - 1) * math.log2(snr / (K * (K - 1))) + _mean_log_det(K) / math.log(2) - math.log2(K)
+    assert abs(_z_score(_round_bits(heff, snr), level)) <= LAW_Z

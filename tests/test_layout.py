@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,21 +46,40 @@ def test_every_import_is_used_or_exported(path):
     assert _unused_imports(path) == allowed
 
 
-def test_only_numerics_calls_an_svd_or_a_lapack_solve():
-    # One condition guard: every inverse, decode and rank flag goes through numerics._guarded_solve,
-    # which alone calls LAPACK's inv. The DoF slope is a fixed weighted sum, not a least-squares solve.
+def _linalg_callers(names: set[str]) -> set[str]:
+    """The stia modules that import or look up any of ``names`` from a ``linalg`` module."""
     callers = set()
     for path in sorted(_SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("linalg"):
-                names = {a.name for a in node.names}
+                used = {a.name for a in node.names}
             elif isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg"):
-                names = {node.attr}
+                used = {node.attr}
             else:
                 continue
-            if names & {"svd", "solve", "inv", "lstsq", "pinv"}:
+            if used & names:
                 callers.add(path.stem)
-    assert callers == {"numerics"}
+    return callers
+
+
+def test_only_numerics_calls_a_lapack_solve():
+    # One condition guard: every inverse, decode and rank flag goes through numerics._guarded_solve,
+    # which alone calls LAPACK's inv. The DoF slope is a fixed weighted sum, not a least-squares solve.
+    assert _linalg_callers({"solve", "inv", "lstsq", "pinv"}) == {"numerics"}
+
+
+def test_no_module_calls_an_svd():
+    # The guard's kappa_F stands in for kappa_2 everywhere, so no stia code needs singular values.
+    assert _linalg_callers({"svd", "svdvals", "cond", "matrix_rank", "pinv"}) == set()
+
+
+def test_every_public_name_is_reached_by_a_user():
+    # The package exports what the README, a demo or the acceptance gate uses; other public names
+    # stay importable from their modules.
+    root = Path(__file__).resolve().parent.parent
+    readers = [root / "README.md", root / "tests" / "test_acceptance.py", *sorted((root / "demos").glob("*.py"))]
+    words = set(re.findall(r"\w+", "\n".join(p.read_text(encoding="utf-8") for p in readers)))
+    assert sorted(set(stia.__all__) - words) == []
 
 
 # Every keyword default of a function or class method defined in src/stia, as module.function(param).
